@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import verify as verify_mod
-from .cauchon import count_by_black, enumerate_diagrams
+from .cauchon import count, count_by_black, enumerate_diagrams
 from .delderiv import LaurentElem, format_laurent, theta, theta_alt
 from .expr import ExprEvalError, ExprSyntaxError, evaluate
 from .ncalg import NcPoly, NilpotenceBoundExceeded, StepBudgetExceeded, format_poly
@@ -186,7 +186,7 @@ def _cmd_cauchon(args):
     m, n = args.m, args.n
     result = {"m": m, "n": n}
     if args.action == "count":
-        value = sum(1 for _ in enumerate_diagrams(m, n))
+        value = count(m, n)
         result["count"] = value
         text = str(value)
     elif args.action == "histogram":

@@ -425,10 +425,3 @@ def is_root_of_unity(a):
     if not a:
         raise ValueError("0 is not in k*")
     return a == ONE or a == MINUS_ONE
-
-
-def parse_ratfunc(text):
-    """Parse a scalar such as 'q^-1' or '(q^2-1)/q' into a RatFunc."""
-    from .expr import parse_scalar
-
-    return parse_scalar(text)

@@ -16,12 +16,8 @@ with q the top-level constant q_N; the sum is finite by nilpotence.
 
 from __future__ import annotations
 
-import weakref
-
 from .coef import ONE, RatFunc, q_int
-from .ncalg import NcPoly, NilpotenceBoundExceeded, OreAlgebra
-
-_XINV_CACHES = weakref.WeakKeyDictionary()
+from .ncalg import NcPoly, NilpotenceBoundExceeded, OreAlgebra, add_terms
 
 
 class LaurentElem:
@@ -55,27 +51,13 @@ class LaurentElem:
     def min_exp(self):
         return min(self.coeffs) if self.coeffs else 0
 
-    def max_exp(self):
-        return max(self.coeffs) if self.coeffs else 0
-
     def items(self):
         return self.coeffs.items()
-
-    def coefficient(self, k):
-        return self.coeffs.get(k, NcPoly.zero())
 
     def __add__(self, other):
         if not isinstance(other, LaurentElem):
             return NotImplemented
-        out = dict(self.coeffs)
-        for k, p in other.coeffs.items():
-            acc = out.get(k)
-            acc = p if acc is None else acc + p
-            if acc.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = acc
-        return LaurentElem(out)
+        return LaurentElem(add_terms(dict(self.coeffs), other.coeffs.items()))
 
     def __sub__(self, other):
         if not isinstance(other, LaurentElem):
@@ -152,52 +134,30 @@ def format_laurent(names, u):
 # commuting powers of X across base elements
 
 
-def _top_sigma(alg, a):
-    return alg.apply_sigma(alg.N, a)
-
-
-def _top_sigma_inv(alg, a):
-    return alg.apply_sigma_inv(alg.N, a)
-
-
-def _top_delta(alg, a):
-    return alg.apply_delta(alg.N, a)
-
-
-def _xinv_cache(alg):
-    cache = _XINV_CACHES.get(alg)
-    if cache is None:
-        cache = {}
-        _XINV_CACHES[alg] = cache
-    return cache
-
-
 def _xinv_times_poly(alg, c, bound):
     """X^-1 * c as a LaurentElem, by the nilpotence-terminated recursion."""
     if c.is_zero():
         return LaurentElem.zero()
-    cache = _xinv_cache(alg)
-    hit = cache.get(c)
+    hit = alg._xinv_cache.get(c)
     if hit is not None:
         return hit
     if bound <= 0:
         raise NilpotenceBoundExceeded("X^-1 commutation did not terminate within bound")
-    s = _top_sigma_inv(alg, c)
-    d = _top_delta(alg, s)
+    s = alg.apply_sigma_inv(alg.N, c)
+    d = alg.apply_delta(alg.N, s)
     res = LaurentElem.from_poly(s, -1)
     if not d.is_zero():
         res = res - _xinv_times_poly(alg, d, bound - 1).shifted(-1)
-    cache[c] = res
+    alg._xinv_cache[c] = res
     return res
 
 
 def _x_times(alg, u):
     """X * u for a LaurentElem u."""
-    out = LaurentElem.zero()
+    out = {}
     for k, p in u.items():
-        out = out + LaurentElem.from_poly(_top_sigma(alg, p), k + 1)
-        out = out + LaurentElem.from_poly(_top_delta(alg, p), k)
-    return out
+        add_terms(out, ((k + 1, alg.apply_sigma(alg.N, p)), (k, alg.apply_delta(alg.N, p))))
+    return LaurentElem(out)
 
 
 def _x_power_times(alg, i, p, bound):
@@ -208,22 +168,21 @@ def _x_power_times(alg, i, p, bound):
             u = _x_times(alg, u)
     elif i < 0:
         for _ in range(-i):
-            acc = LaurentElem.zero()
+            out = {}
             for k, c in u.items():
-                acc = acc + _xinv_times_poly(alg, c, bound).shifted(k)
-            u = acc
+                add_terms(out, _xinv_times_poly(alg, c, bound).shifted(k).items())
+            u = LaurentElem(out)
     return u
 
 
 def laurent_mul(alg, u, v, bound=64):
     """Product in the localised skew extension, in canonical form."""
-    acc = LaurentElem.zero()
+    out = {}
     for i, ui in u.items():
         for j, vj in v.items():
             w = _x_power_times(alg, i, vj, bound)
-            for k, wk in w.items():
-                acc = acc + LaurentElem.from_poly(alg.multiply(ui, wk), k + j)
-    return acc
+            add_terms(out, ((k + j, alg.multiply(ui, wk)) for k, wk in w.items()))
+    return LaurentElem(out)
 
 
 # ---------------------------------------------------------------------------
@@ -238,29 +197,37 @@ def _check_theta_ready(alg):
 
 
 def theta(alg, a, bound=64):
-    """Image of a base-algebra element under the deleting-derivations map."""
+    """Image of a base-algebra element under the deleting-derivations map.
+
+    sigma^-1 scales each PBW word w of a, so d^n(s^-n(a)) is the sum over
+    the words of a of (the coefficient of w in s^-n(a)) * d^n(w); each word
+    keeps its own chain d^n(w), extended by one application of d per level.
+    """
     _check_theta_ready(alg)
     if a.max_index() >= alg.N:
         raise ValueError("theta applies to elements of the base algebra only")
     qN = alg.level_q[alg.N]
     one_minus = ONE - qN
-    out = LaurentElem.zero()
+    out = {}
     u = a
+    chains = {w: NcPoly({w: ONE}) for w in a.terms}
     factor = ONE
     n = 0
     while True:
-        t = u
-        for _ in range(n):
-            t = _top_delta(alg, t)
-        if t.is_zero():
+        t = {}
+        for w, d in chains.items():
+            add_terms(t, d.terms.items(), u.terms[w] * factor)
+        if not t:
             break
-        out = out + LaurentElem.from_poly(t.scaled(factor), -n)
+        out[-n] = NcPoly(t)
         n += 1
         if n > bound:
             raise NilpotenceBoundExceeded("theta did not terminate within bound %d" % bound)
         factor = factor / (one_minus * q_int(n, qN))
-        u = _top_sigma_inv(alg, u)
-    return out
+        u = alg.apply_sigma_inv(alg.N, u)
+        chains = {w: alg.apply_delta(alg.N, d) for w, d in chains.items()}
+        chains = {w: d for w, d in chains.items() if d}
+    return LaurentElem(out)
 
 
 def theta_alt(alg, a, bound=64):
@@ -270,21 +237,21 @@ def theta_alt(alg, a, bound=64):
         raise ValueError("theta applies to elements of the base algebra only")
     qN = alg.level_q[alg.N]
     one_minus = ONE - qN
-    out = LaurentElem.zero()
+    out = {}
     t = a
     factor = ONE
     n = 0
     while not t.is_zero():
         s = t
         for _ in range(n):
-            s = _top_sigma_inv(alg, s)
-        out = out + LaurentElem.from_poly(s.scaled(factor * qN ** (n * n)), -n)
-        t = _top_delta(alg, t)
+            s = alg.apply_sigma_inv(alg.N, s)
+        out[-n] = s.scaled(factor * qN ** (n * n))
+        t = alg.apply_delta(alg.N, t)
         n += 1
         if n > bound:
             raise NilpotenceBoundExceeded("theta did not terminate within bound %d" % bound)
         factor = factor / (one_minus * q_int(n, qN))
-    return out
+    return LaurentElem(out)
 
 
 def min_shift(alg, a, bound=64):

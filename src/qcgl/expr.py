@@ -11,7 +11,8 @@ Grammar (standard precedence, ^ > * / > + -, left associative):
 Products preserve the written order; evaluation returns PBW normal forms.
 Division is defined only by scalar values.  The atom X denotes the active
 algebra's top generator inside the localised skew extension and is accepted
-only where Laurent values make sense.
+only where Laurent values make sense.  Parentheses and unary minus nest at
+most MAX_DEPTH levels deep; deeper input is a syntax error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import re
 
 from .coef import ONE, Q, RatFunc
-from .ncalg import NcPoly
+from .ncalg import NcPoly, add_terms
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)"
@@ -28,6 +29,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<x>X)"
     r"|(?P<punct>[-+*/^()\[\],|]))"
 )
+MAX_DEPTH = 100
 
 
 class ExprSyntaxError(ValueError):
@@ -70,6 +72,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -85,6 +88,11 @@ class _Parser:
             found = "end of input" if tok[0] == "end" else repr(tok[1])
             raise ExprSyntaxError("expected %r, found %s" % (kind, found), tok[2])
         return tok
+
+    def nest(self, pos):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError("nesting deeper than %d levels" % MAX_DEPTH, pos)
 
     def parse(self):
         node = self.expr()
@@ -111,8 +119,10 @@ class _Parser:
 
     def factor(self):
         if self.peek()[0] == "-":
-            self.next()
-            return ("neg", self.factor())
+            self.nest(self.next()[2])
+            node = ("neg", self.factor())
+            self.depth -= 1
+            return node
         return self.power()
 
     def power(self):
@@ -145,8 +155,10 @@ class _Parser:
         if kind == "X":
             return ("X",)
         if kind == "(":
+            self.nest(pos)
             node = self.expr()
             self.expect(")")
+            self.depth -= 1
             return node
         if kind == "[":
             rows = self.intlist()
@@ -319,15 +331,7 @@ def eval_free(node, names):
     def mul(a, b):
         out = {}
         for wa, ca in a.terms.items():
-            for wb, cb in b.terms.items():
-                w = wa + wb
-                c = ca * cb
-                acc = out.get(w)
-                acc = c if acc is None else acc + c
-                if acc:
-                    out[w] = acc
-                else:
-                    del out[w]
+            add_terms(out, ((wa + wb, cb) for wb, cb in b.terms.items()), ca)
         return NcPoly(out)
 
     def ev(nd):

@@ -35,6 +35,26 @@ class NilpotenceBoundExceeded(RuntimeError):
 # polynomials
 
 
+def add_terms(out, items, c=None):
+    """Add (key, value) pairs into the dict out in place and return it.
+
+    Each value is first multiplied by the scalar c when one is given.  A key
+    whose sum cancels is dropped, so out never stores a zero.  Values are
+    RatFunc coefficients or, for Laurent elements, NcPoly coefficients.
+    """
+    for k, v in items:
+        if c is not None:
+            v = v * c
+        acc = out.get(k)
+        if acc is not None:
+            v = acc + v
+        if v:
+            out[k] = v
+        elif acc is not None:
+            del out[k]
+    return out
+
+
 class NcPoly:
     """Noncommutative polynomial in PBW normal form.
 
@@ -57,29 +77,14 @@ class NcPoly:
         c = c if isinstance(c, RatFunc) else RatFunc(c)
         return NcPoly({(): c} if c else {})
 
-    @staticmethod
-    def word(w, c=ONE):
-        c = c if isinstance(c, RatFunc) else RatFunc(c)
-        return NcPoly({tuple(w): c} if c else {})
-
-    @staticmethod
-    def from_terms(mapping):
-        out = {}
-        for w, c in mapping.items():
-            c = c if isinstance(c, RatFunc) else RatFunc(c)
-            if c:
-                out[tuple(w)] = c
-        return NcPoly(out)
-
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def nterms(self):
         return len(self.terms)
-
-    def degree(self):
-        """Total degree: longest word, -1 for the zero polynomial."""
-        return max((len(w) for w in self.terms), default=-1)
 
     def max_index(self):
         """Largest generator index occurring, 0 for scalar polynomials."""
@@ -96,18 +101,7 @@ class NcPoly:
     def __add__(self, other):
         if not isinstance(other, NcPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w)
-            if acc is None:
-                out[w] = c
-            else:
-                acc = acc + c
-                if acc:
-                    out[w] = acc
-                else:
-                    del out[w]
-        return NcPoly(out)
+        return NcPoly(add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, NcPoly):
@@ -300,6 +294,7 @@ class OreAlgebra:
         self.h_elems = tuple(hs)
         self.steps_budget = steps_budget
         self._nf_cache = {}
+        self._xinv_cache = {}  # top-level X^-1 commutations, filled by delderiv
 
     # -- constructors of elements -------------------------------------------
 
@@ -338,7 +333,7 @@ class OreAlgebra:
         if strategy not in ("leftmost", "rightmost"):
             raise ValueError("unknown strategy %r" % strategy)
         leftmost = strategy == "leftmost"
-        out = {}
+        leaves = []
         stack = [(ONE, word)]
         steps = 0
         while stack:
@@ -350,15 +345,7 @@ class OreAlgebra:
                     pos = t
                     break
             if pos is None:
-                acc = out.get(w)
-                if acc is None:
-                    out[w] = c
-                else:
-                    acc = acc + c
-                    if acc:
-                        out[w] = acc
-                    else:
-                        del out[w]
+                leaves.append((w, c))
                 continue
             steps += 1
             if steps > self.steps_budget:
@@ -373,43 +360,16 @@ class OreAlgebra:
             if d is not None:
                 for dw, dc in d.terms.items():
                     stack.append((c * dc, head + dw + tail))
-        result = NcPoly(out)
+        result = NcPoly(add_terms({}, leaves))
         self._nf_cache[key] = result
         return result
-
-    def normal_form(self, p, strategy="leftmost"):
-        """Renormalise a polynomial whose words need not be sorted."""
-        acc = NcPoly.zero()
-        for w, c in p.terms.items():
-            acc = acc + self.normal_form_word(w, strategy).scaled(c)
-        return acc
 
     def multiply(self, a, b, strategy="leftmost"):
         out = {}
         for wa, ca in a.terms.items():
             for wb, cb in b.terms.items():
-                c = ca * cb
-                for w, cw in self.normal_form_word(wa + wb, strategy).terms.items():
-                    acc = out.get(w)
-                    term = cw * c
-                    if acc is None:
-                        if term:
-                            out[w] = term
-                    else:
-                        acc = acc + term
-                        if acc:
-                            out[w] = acc
-                        else:
-                            del out[w]
+                add_terms(out, self.normal_form_word(wa + wb, strategy).terms.items(), ca * cb)
         return NcPoly(out)
-
-    def power(self, a, k):
-        if k < 0:
-            raise ValueError("negative powers are not defined in the algebra")
-        out = self.one()
-        for _ in range(k):
-            out = self.multiply(out, a)
-        return out
 
     # -- level maps -------------------------------------------------------------
 
@@ -448,9 +408,8 @@ class OreAlgebra:
         """The s_j-derivation d_j, extended by d(ab) = s(a)d(b) + d(a)b."""
         self._require_level(j)
         self._require_below(a, j)
-        acc = NcPoly.zero()
+        out = {}
         for w, c in a.terms.items():
-            lam_prefix = ONE
             for t, g in enumerate(w):
                 d = self.delta.get((j, g))
                 if d is not None:
@@ -459,9 +418,9 @@ class OreAlgebra:
                         piece = self.multiply(piece, NcPoly({w[t + 1:]: ONE}))
                     if t > 0:
                         piece = self.multiply(NcPoly({w[:t]: ONE}), piece)
-                    acc = acc + piece.scaled(c * lam_prefix)
-                lam_prefix = lam_prefix * self.lam[(j, g)]
-        return acc
+                    add_terms(out, piece.terms.items(), c)
+                c = c * self.lam[(j, g)]
+        return NcPoly(out)
 
     def nilpotency_index(self, j, a, bound=64):
         """Smallest d with d_j^(d+1)(a) = 0, for nonzero a."""
@@ -549,6 +508,9 @@ class OreAlgebra:
         (d) the torus element h_j acts on each earlier generator by lambda_ji
         (e) the h_j-eigenvalue of x_j is not a root of unity
         (f) every lambda_ji is nonzero
+        (g) from level 3 on, every overlap word x_k x_j x_i (k > j > i) has
+            the same normal form under leftmost and rightmost reduction;
+            by Bergman's diamond lemma this certifies the PBW basis
         """
         checks = []
         for j in range(2, self.N + 1):
@@ -599,8 +561,25 @@ class OreAlgebra:
             ok = bool(eig) and not is_root_of_unity(eig)
             checks.append(AxiomCheck(j, "(e) h_j-eigenvalue of x_j generic", ok,
                                      "" if ok else "eigenvalue %s" % eig))
+            if j >= 3:
+                detail = self._overlap_failure(j)
+                checks.append(AxiomCheck(j, "(g) overlaps resolve", not detail, detail))
         checks.sort(key=lambda c: (c.level, c.axiom))
         return AxiomReport(checks)
+
+    def _overlap_failure(self, k):
+        """Why some overlap x_k x_j x_i (k > j > i) is unresolved, or ''."""
+        for j in range(2, k):
+            for i in range(1, j):
+                word = (k, j, i)
+                try:
+                    if self.normal_form_word(word) == self.normal_form_word(word, "rightmost"):
+                        continue
+                    why = "leftmost and rightmost normal forms of %s differ"
+                except StepBudgetExceeded:
+                    why = "straightening %s exceeded the step budget"
+                return why % "*".join(self.names[g - 1] for g in word)
+        return ""
 
     def is_torsionfree(self):
         """True/False when decidable (all lambda of the form +-q^k), else None.
@@ -728,9 +707,9 @@ def random_word(alg, rng, max_len=3, max_level=None):
 def random_poly(alg, rng, max_degree=3, max_terms=3, max_level=None):
     """Random element: a few random (unsorted) words with small coefficients,
     normalised.  May be zero after cancellation."""
-    acc = NcPoly.zero()
+    out = {}
     for _ in range(rng.randint(1, max_terms)):
         c = RatFunc(rng.choice((1, 1, 2, -1, 3))) * qpow(rng.randint(-2, 2))
         w = random_word(alg, rng, max_len=max_degree, max_level=max_level)
-        acc = acc + alg.normal_form_word(w).scaled(c)
-    return acc
+        add_terms(out, alg.normal_form_word(w).terms.items(), c)
+    return NcPoly(out)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .coef import MINUS_ONE, ONE, Q, qpow
-from .ncalg import NcPoly, OreAlgebra
+from .ncalg import NcPoly, OreAlgebra, add_terms
 
 
 @dataclass(frozen=True)
@@ -155,39 +155,19 @@ class QuantumMatrixAlgebra(OreAlgebra):
     def transpose_poly(self, a):
         """Image of a under x[i,j] -> x[j,i], renormalised in the n x m algebra."""
         target = self.transposed()
-        acc = NcPoly.zero()
+        out = {}
         for w, c in a.terms.items():
             image = []
             for g in w:
                 i, j = divmod(g - 1, self.n)
                 image.append(target.gen_index(j + 1, i + 1))
-            acc = acc + target.normal_form_word(tuple(image)).scaled(c)
-        return acc
+            add_terms(out, target.normal_form_word(tuple(image)).terms.items(), c)
+        return NcPoly(out)
 
 
 def oqm(m, n, steps_budget=10**6):
     """The generic quantum matrix algebra on an m x n grid."""
     return QuantumMatrixAlgebra(m, n, steps_budget=steps_budget)
-
-
-def quantum_minor(alg, rows, cols=None):
-    return alg.minor(rows, cols)
-
-
-def b_minor(m, n, i):
-    return oqm(m, n).b_minor(i)
-
-
-def c_minor(m, n, i):
-    return oqm(m, n).c_minor(i)
-
-
-def transpose(m, n, a):
-    return oqm(m, n).transpose_poly(a)
-
-
-def height_one_hprime_generators(m, n):
-    return oqm(m, n).height_one_hprime_generators()
 
 
 def project(a, src, dst):

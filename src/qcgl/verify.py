@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from itertools import product
 
-from .coef import MINUS_ONE, ONE, Q
+from .coef import MINUS_ONE, ONE, Q, qpow
 from .cauchon import count_by_black, enumerate_diagrams, is_valid
 from .delderiv import LaurentElem, laurent_mul, theta, theta_alt
 from .grassmann import extremal_normality_report, phi_scaling_check
@@ -221,6 +221,15 @@ def mutated_specs():
                  OreAlgebra(("g_1", "g_2"), {(2, 1): Q},
                             {(2, 1): NcPoly({(1,): ONE})}, {2: Q}, 2,
                             [(1, 0), (0, 1)], [(Q, ONE), (Q, Q)]), True))
+
+    # every per-generator axiom holds, but d_3 is no sigma_3-derivation of
+    # the lower algebra: only the overlap g_3 g_2 g_1 exposes it
+    muts.append(("non-derivation-correction",
+                 OreAlgebra(("g_1", "g_2", "g_3"),
+                            {(2, 1): Q, (3, 1): qpow(-1), (3, 2): ONE},
+                            {(3, 1): NcPoly({(2,): ONE})}, {2: Q, 3: Q}, 3,
+                            [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                            [(Q, ONE, ONE), (Q, Q, ONE), (qpow(-1), ONE, Q)]), True))
 
     delta = dict(base.delta)
     delta[(4, 1)] = -base.delta[(4, 1)]

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from qcgl.coef import (MINUS_ONE, ONE, Q, ZERO, RatFunc, is_root_of_unity,
-                       parse_ratfunc, q_factorial, q_int, qpow)
+                       q_factorial, q_int, qpow)
+from qcgl.expr import parse_scalar
 
 
 def test_add_examples():
@@ -120,4 +121,4 @@ def test_render_parse_round_trip():
     samples = [ZERO, ONE, MINUS_ONE, Q, qpow(-1), qpow(-5), Q - qpow(-1),
                (ONE + Q) / (Q * Q - 1)] + [_random_ratfunc(rng) for _ in range(60)]
     for a in samples:
-        assert parse_ratfunc(str(a)) == a
+        assert parse_scalar(str(a)) == a

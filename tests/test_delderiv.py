@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from qcgl.coef import ONE, Q
+from qcgl.coef import ONE, Q, q_factorial, qpow
 from qcgl.delderiv import (LaurentElem, delete_top_variable, format_laurent,
                            laurent_mul, min_shift, theta, theta_alt)
 from qcgl.ncalg import (NcPoly, NilpotenceBoundExceeded, OreAlgebra,
                         random_poly)
+from qcgl.presets import load_preset
 from qcgl.qmat import oqm
 
 ALG = oqm(2, 2)
@@ -79,6 +80,54 @@ def test_theta_is_multiplicative_on_samples():
             assert theta(alg, alg.multiply(a, b)) \
                 == laurent_mul(alg, theta(alg, a), theta(alg, b))
             assert theta(alg, a + b) == theta(alg, a) + theta(alg, b)
+
+
+def _literal_theta_terms(alg, a, limit=32):
+    """The terms (1-q)^-n/[n]! d^n(s^-n(a)) of the defining sum, up to the
+    first zero one, with s^-n and d^n applied one map at a time."""
+    qN = alg.level_q[alg.N]
+    terms = []
+    for n in range(limit):
+        t = a
+        for _ in range(n):
+            t = alg.apply_sigma_inv(alg.N, t)
+        for _ in range(n):
+            t = alg.apply_delta(alg.N, t)
+        if t.is_zero():
+            break
+        terms.append(t.scaled(((ONE - qN) ** n * q_factorial(n, qN)).inverse()))
+    return terms
+
+
+def test_theta_matches_its_literal_definition():
+    rng = random.Random(5)
+    raised = kept = 0
+    for alg in (oqm(2, 3), load_preset("uq-sl3-plus")):
+        for _ in range(15):
+            a = random_poly(alg, rng, max_degree=3, max_level=alg.N - 1)
+            terms = _literal_theta_terms(alg, a)
+            expected = LaurentElem({-n: t for n, t in enumerate(terms)})
+            assert theta(alg, a) == expected
+            # the bound is exceeded exactly when the term at index bound is nonzero
+            for bound in range(3):
+                if bound < len(terms):
+                    with pytest.raises(NilpotenceBoundExceeded):
+                        theta(alg, a, bound=bound)
+                    raised += 1
+                else:
+                    assert theta(alg, a, bound=bound) == expected
+                    kept += 1
+    assert raised and kept
+
+
+def test_laurent_cancellation_leaves_no_stored_zeros():
+    u = theta(ALG, ALG.x(1, 1))
+    assert (u - u).coeffs == {}
+    # X x12 = q^-1 x12 X, so the x12*X terms of (X - q^-1 x12)(x12 + X) cancel
+    x12 = LaurentElem.from_poly(ALG.x(1, 2))
+    product = laurent_mul(ALG, X - x12.scaled(qpow(-1)), x12 + X)
+    square = ALG.multiply(ALG.x(1, 2), ALG.x(1, 2))
+    assert product == LaurentElem({2: ALG.one(), 0: square.scaled(-qpow(-1))})
 
 
 def test_theta_injectivity_spot_check():

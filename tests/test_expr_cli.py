@@ -7,9 +7,10 @@ import jsonschema
 import pytest
 
 from qcgl.cli import main
-from qcgl.coef import Q
+from qcgl.coef import ONE, Q
 from qcgl.delderiv import LaurentElem, format_laurent, theta
-from qcgl.expr import ExprEvalError, ExprSyntaxError, evaluate, parse, parse_scalar
+from qcgl.expr import (ExprEvalError, ExprSyntaxError, eval_free, evaluate, parse,
+                       parse_scalar)
 from qcgl.ncalg import format_poly, quantum_plane, random_poly
 from qcgl.qmat import oqm
 from qcgl.schema import OUTPUT_SCHEMA
@@ -45,6 +46,12 @@ def test_eval_minor_atom_and_scalar_division():
         evaluate(ALG, "q/x[1,1]")
     with pytest.raises(ZeroDivisionError):
         evaluate(ALG, "x[1,1]/0")
+
+
+def test_eval_free_cancellation_leaves_no_stored_zeros():
+    # x[1,1]*x[1,2]^2 arises twice inside one product, with opposite signs
+    v = eval_free("(x[1,1] + x[1,1]*x[1,2])*(x[1,2]*x[1,2] - x[1,2])", ALG.names)
+    assert v.terms == {(1, 2, 2, 2): ONE, (1, 2): -ONE}
 
 
 def test_eval_laurent_expressions():
@@ -116,6 +123,9 @@ def test_cli_exit_codes():
     assert rc == 2
     rc, _, _ = run_cli(["axioms"])
     assert rc == 0
+    for deep in ("(" * 3000 + "x[1,1]" + ")" * 3000, "-" * 3000 + "x[1,1]"):
+        rc, _, err = run_cli(["nf", "--", deep])
+        assert rc == 2 and "error:" in err
     with pytest.raises(SystemExit):
         run_cli(["no-such-command"])
 

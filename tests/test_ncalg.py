@@ -6,7 +6,9 @@ import pytest
 from qcgl.coef import MINUS_ONE, ONE, Q, ZERO, qpow
 from qcgl.ncalg import (NcPoly, OreAlgebra, StepBudgetExceeded, format_poly,
                         quantum_plane, random_poly, random_word)
+from qcgl.presets import load_preset
 from qcgl.qmat import oqm
+from qcgl.verify import mutated_specs
 
 ALG22 = oqm(2, 2)
 ALG23 = oqm(2, 3)
@@ -155,6 +157,49 @@ def test_axioms_reject_broken_specs():
                         {2: Q}, 2, [(1, 0), (0, 1)], [(Q, ONE), (Q, Q)])
     report = nonnil.check_cgl_axioms(nilpotence_bound=8)
     assert any(not c.ok and c.axiom.startswith("(b)") for c in report.checks)
+
+
+def _mutation(label):
+    return next(alg for name, alg, _ in mutated_specs() if name == label)
+
+
+def _overlap_checks(alg):
+    return [c for c in alg.check_cgl_axioms().checks if c.axiom.startswith("(g)")]
+
+
+def test_overlap_check_catches_a_correction_that_is_no_derivation():
+    alg = _mutation("non-derivation-correction")
+    report = alg.check_cgl_axioms(rng=random.Random(12))
+    assert [(c.level, c.axiom) for c in report.failures()] == [(3, "(g) overlaps resolve")]
+    assert "g_3*g_2*g_1" in report.failures()[0].detail
+    assert alg.is_torsionfree() is True
+    g1, g2, g3 = alg.gens()
+    assert (alg.multiply(alg.multiply(g3, g2), g1)
+            != alg.multiply(g3, alg.multiply(g2, g1)))
+
+
+def test_overlap_check_passes_on_valid_data():
+    for alg in (ALG22, ALG23, load_preset("uq-sl3-plus"),
+                _mutation("sign-flipped-correction")):
+        checks = _overlap_checks(alg)
+        assert [c.level for c in checks] == list(range(3, alg.N + 1))
+        assert all(c.ok for c in checks), alg
+    assert _overlap_checks(quantum_plane()) == []
+
+
+def test_overlap_check_reports_an_exhausted_budget():
+    checks = _overlap_checks(oqm(2, 2, steps_budget=1))
+    assert not all(c.ok for c in checks)
+    assert any("step budget" in c.detail for c in checks)
+
+
+def test_cancellation_leaves_no_stored_zeros():
+    det = ALG22.det()
+    assert (det - det).terms == {}
+    # the two cross terms of (x11 + x12)(x11 - q^-1 x12) cancel
+    left = x22(1, 1) + x22(1, 2)
+    right = x22(1, 1) - x22(1, 2).scaled(qpow(-1))
+    assert ALG22.multiply(left, right) == NcPoly({(1, 1): ONE, (2, 2): -qpow(-1)})
 
 
 def test_scaled_correction_term_is_still_a_valid_cgl_datum():
