@@ -5,6 +5,15 @@ single symbol q: numerator and denominator share no content and no polynomial
 factor, and the denominator has positive leading coefficient.  Canonical forms
 are unique, so equality is plain structural comparison.  All arithmetic is
 exact big-integer arithmetic; nothing here ever touches floating point.
+
+Almost every coefficient the engine meets is a Laurent polynomial n/q^a in
+Z[q^{+-1}]: straightening scales words by powers of q, and theta's images have
+only powers of q as denominators apart from its factors (1-q)^-n/[n]!.  Sums
+and products of two such elements skip the polynomial gcds.  Since q^a has
+content 1, gcd(n, q^a) = q^min(val n, a) in Z[q], so the canonical form of
+n/q^a only needs the common power of q removed: a product is n*m/q^(a+b), a
+sum is (n q^(e-a) + m q^(e-b))/q^e with e = max(a, b), each stripped of
+q^min(val, exponent).  Every other denominator takes the general gcd path.
 """
 
 from __future__ import annotations
@@ -208,6 +217,17 @@ def _nterms(p):
 # ---------------------------------------------------------------------------
 
 
+def _laurent(num, e):
+    """The canonical RatFunc of num/q^e, for a nonzero trimmed num and e > 0.
+
+    gcd(num, q^e) = q^min(val num, e), since q^e has content 1.
+    """
+    k = _pval(num)
+    if k > e:
+        k = e
+    return RatFunc._raw(num[k:], _pshift(_PONE, e - k))
+
+
 class RatFunc:
     """An element of Q(q) kept in canonical reduced form."""
 
@@ -268,8 +288,22 @@ class RatFunc:
         other = RatFunc._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den == _PONE and other.den == _PONE:
-            return RatFunc._raw(_padd(self.num, other.num), _PONE)
+        da, db = self.den, other.den
+        if (da == _PONE or da[-1] == 1 and not any(da[:-1])) and \
+                (db == _PONE or db[-1] == 1 and not any(db[:-1])):
+            # Laurent operands n/q^a, m/q^b (1 tested first: the commonest
+            # denominator): shift both to q^max(a, b)
+            a, b = len(da) - 1, len(db) - 1
+            if a == b:
+                num = _padd(self.num, other.num)
+            elif a > b:
+                num = _padd(self.num, _pshift(other.num, a - b))
+            else:
+                num = _padd(_pshift(self.num, b - a), other.num)
+                a = b
+            if not num:
+                return ZERO
+            return _laurent(num, a) if a else RatFunc._raw(num, _PONE)
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
         return RatFunc._raw(*_reduce(num, _pmul(self.den, other.den)))
 
@@ -296,10 +330,14 @@ class RatFunc:
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
-        if self.den == _PONE and other.den == _PONE:
-            return RatFunc._raw(_pmul(self.num, other.num), _PONE)
         na, da = self.num, self.den
         nb, db = other.num, other.den
+        if (da == _PONE or da[-1] == 1 and not any(da[:-1])) and \
+                (db == _PONE or db[-1] == 1 and not any(db[:-1])):
+            # Laurent operands n/q^a, m/q^b: the product is nm/q^(a+b)
+            num = _pmul(na, nb)
+            e = len(da) + len(db) - 2
+            return _laurent(num, e) if e else RatFunc._raw(num, _PONE)
         g1 = _pfullgcd(na, db)
         if g1 != _PONE:
             na = _pdivexact(na, g1)

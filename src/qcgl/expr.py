@@ -12,7 +12,10 @@ Products preserve the written order; evaluation returns PBW normal forms.
 Division is defined only by scalar values.  The atom X denotes the active
 algebra's top generator inside the localised skew extension and is accepted
 only where Laurent values make sense.  Parentheses and unary minus nest at
-most MAX_DEPTH levels deep; deeper input is a syntax error.
+most MAX_DEPTH levels deep; deeper input is a syntax error.  A chain of + and
+- parses to one ("sum", [(op, node), ...]) node and a chain of * and / to one
+("prod", ...) node, so evaluation folds over a chain in a loop and a long flat
+sum or product costs no recursion depth.
 """
 
 from __future__ import annotations
@@ -102,20 +105,18 @@ class _Parser:
         return node
 
     def expr(self):
-        node = self.term()
+        items = [("+", self.term())]
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+            items.append((op, self.term()))
+        return items[0][1] if len(items) == 1 else ("sum", items)
 
     def term(self):
-        node = self.factor()
+        items = [("*", self.factor())]
         while self.peek()[0] in ("*", "/"):
             op = self.next()[0]
-            rhs = self.factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
+            items.append((op, self.factor()))
+        return items[0][1] if len(items) == 1 else ("prod", items)
 
     def factor(self):
         if self.peek()[0] == "-":
@@ -271,20 +272,25 @@ def evaluate(alg, source, allow_x=False):
             return alg.minor(nd[1], nd[2])
         if tag == "neg":
             return ev(nd[1]).__neg__()
-        if tag == "add":
-            return _ev_add(alg, ev(nd[1]), ev(nd[2]))
-        if tag == "sub":
-            return _ev_add(alg, ev(nd[1]), ev(nd[2]).__neg__())
-        if tag == "mul":
-            return _ev_mul(alg, ev(nd[1]), ev(nd[2]))
-        if tag == "div":
-            denom = _as_scalar(ev(nd[2]))
-            if denom is None:
-                raise ExprEvalError("division is defined only by scalar values")
-            if not denom:
-                raise ZeroDivisionError("division by zero scalar")
-            numer = ev(nd[1])
-            return numer.scaled(denom.inverse())
+        if tag == "sum":
+            acc = ev(nd[1][0][1])
+            for op, term in nd[1][1:]:
+                value = ev(term)
+                acc = _ev_add(alg, acc, value if op == "+" else value.__neg__())
+            return acc
+        if tag == "prod":
+            acc = ev(nd[1][0][1])
+            for op, factor in nd[1][1:]:
+                if op == "*":
+                    acc = _ev_mul(alg, acc, ev(factor))
+                    continue
+                denom = _as_scalar(ev(factor))
+                if denom is None:
+                    raise ExprEvalError("division is defined only by scalar values")
+                if not denom:
+                    raise ZeroDivisionError("division by zero scalar")
+                acc = acc.scaled(denom.inverse())
+            return acc
         if tag == "pow":
             return _ev_pow(alg, ev(nd[1]), nd[2])
         raise ExprEvalError("unknown node %r" % (tag,))
@@ -304,14 +310,16 @@ def parse_scalar(source):
             return Q
         if tag == "neg":
             return -ev(nd[1])
-        if tag == "add":
-            return ev(nd[1]) + ev(nd[2])
-        if tag == "sub":
-            return ev(nd[1]) - ev(nd[2])
-        if tag == "mul":
-            return ev(nd[1]) * ev(nd[2])
-        if tag == "div":
-            return ev(nd[1]) / ev(nd[2])
+        if tag == "sum":
+            acc = ev(nd[1][0][1])
+            for op, term in nd[1][1:]:
+                acc = acc + ev(term) if op == "+" else acc - ev(term)
+            return acc
+        if tag == "prod":
+            acc = ev(nd[1][0][1])
+            for op, factor in nd[1][1:]:
+                acc = acc * ev(factor) if op == "*" else acc / ev(factor)
+            return acc
         if tag == "pow":
             return ev(nd[1]) ** nd[2]
         raise ExprEvalError("not a scalar expression: %r atom" % (tag,))
@@ -347,17 +355,22 @@ def eval_free(node, names):
                 raise ExprEvalError("unknown generator %r" % nd[1])
         if tag == "neg":
             return -ev(nd[1])
-        if tag == "add":
-            return ev(nd[1]) + ev(nd[2])
-        if tag == "sub":
-            return ev(nd[1]) - ev(nd[2])
-        if tag == "mul":
-            return mul(ev(nd[1]), ev(nd[2]))
-        if tag == "div":
-            denom = ev(nd[2]).scalar_value()
-            if denom is None or not denom:
-                raise ExprEvalError("division is defined only by nonzero scalars")
-            return ev(nd[1]).scaled(denom.inverse())
+        if tag == "sum":
+            acc = ev(nd[1][0][1])
+            for op, term in nd[1][1:]:
+                acc = acc + ev(term) if op == "+" else acc - ev(term)
+            return acc
+        if tag == "prod":
+            acc = ev(nd[1][0][1])
+            for op, factor in nd[1][1:]:
+                if op == "*":
+                    acc = mul(acc, ev(factor))
+                    continue
+                denom = ev(factor).scalar_value()
+                if denom is None or not denom:
+                    raise ExprEvalError("division is defined only by nonzero scalars")
+                acc = acc.scaled(denom.inverse())
+            return acc
         if tag == "pow":
             k = nd[2]
             if k < 0:

@@ -413,12 +413,10 @@ class OreAlgebra:
             for t, g in enumerate(w):
                 d = self.delta.get((j, g))
                 if d is not None:
-                    piece = d
-                    if t + 1 < len(w):
-                        piece = self.multiply(piece, NcPoly({w[t + 1:]: ONE}))
-                    if t > 0:
-                        piece = self.multiply(NcPoly({w[:t]: ONE}), piece)
-                    add_terms(out, piece.terms.items(), c)
+                    head, tail = w[:t], w[t + 1:]
+                    for dw, dc in d.terms.items():
+                        add_terms(out, self.normal_form_word(head + dw + tail).terms.items(),
+                                  c * dc)
                 c = c * self.lam[(j, g)]
         return NcPoly(out)
 

@@ -1,0 +1,98 @@
+"""Q(q) arithmetic against two oracles: the general gcd path and sympy.
+
+Operands are Laurent elements n/q^a, which take the valuation fast path of
+RatFunc.__mul__/__add__, and general canonical fractions, which take the gcd
+path.  Every sum, difference and product must equal, field for field, the
+canonical form that RatFunc(num, den) builds from the unreduced fraction, and
+must agree with sympy.cancel of the same expression.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from qcgl import coef  # noqa: E402
+from qcgl.coef import RatFunc, _padd, _pmul, _pneg  # noqa: E402
+
+QS = sympy.Symbol("q")
+
+polys = st.lists(st.integers(-6, 6), max_size=5).map(tuple)
+nonzero_polys = polys.filter(any)
+# q^v * core / q^a, reduced: both exponents are drawn so that q often cancels
+laurents = st.builds(lambda core, v, a: RatFunc((0,) * v + core, (0,) * a + (1,)),
+                     polys, st.integers(0, 3), st.integers(0, 4))
+generals = st.builds(RatFunc, polys, nonzero_polys)
+operands = st.one_of(laurents, generals)
+
+ORACLE = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+
+def _unreduced(a, b, op):
+    """(num, den) of a op b before any cancellation."""
+    if op == "*":
+        return _pmul(a.num, b.num), _pmul(a.den, b.den)
+    nb = b.num if op == "+" else _pneg(b.num)
+    return _padd(_pmul(a.num, b.den), _pmul(nb, a.den)), _pmul(a.den, b.den)
+
+
+def _sym(r):
+    return sympy.Poly(r.num[::-1] or [0], QS).as_expr() / sympy.Poly(r.den[::-1], QS).as_expr()
+
+
+def _q_power_exponent(den):
+    """a when den is q^a, else None."""
+    if den[-1] == 1 and not any(den[:-1]):
+        return len(den) - 1
+    return None
+
+
+def _check(a, b, op):
+    result = {"*": a * b, "+": a + b, "-": a - b}[op]
+    reference = RatFunc(*_unreduced(a, b, op))
+    assert (result.num, result.den) == (reference.num, reference.den)
+
+    expected = sympy.cancel({"*": _sym(a) * _sym(b), "+": _sym(a) + _sym(b),
+                             "-": _sym(a) - _sym(b)}[op])
+    assert sympy.cancel(expected - _sym(result)) == 0
+    # fully reduced: the denominator matches sympy's up to a constant factor
+    _, den = sympy.fraction(expected)
+    assert sympy.Poly(den, QS).monic() == sympy.Poly(result.den[::-1], QS).monic()
+
+    a_exp = _q_power_exponent(result.den)
+    if a_exp:
+        assert result.num[0] != 0
+
+
+@ORACLE
+@given(operands, operands)
+def test_product_matches_oracles(a, b):
+    _check(a, b, "*")
+
+
+@ORACLE
+@given(operands, operands)
+def test_sum_matches_oracles(a, b):
+    _check(a, b, "+")
+
+
+@ORACLE
+@given(operands, operands)
+def test_difference_matches_oracles(a, b):
+    _check(a, b, "-")
+
+
+@ORACLE
+@given(laurents, laurents)
+def test_laurent_operands_skip_the_gcds(a, b):
+    def fail(*args):
+        raise AssertionError("gcd path taken by Laurent operands")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coef, "_reduce", fail)
+        mp.setattr(coef, "_pfullgcd", fail)
+        for result in (a * b, a + b, a - b):
+            assert _q_power_exponent(result.den) is not None

@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from qcgl.cli import main
-from qcgl.coef import ONE, Q
+from qcgl.coef import ONE, Q, RatFunc
 from qcgl.delderiv import LaurentElem, format_laurent, theta
 from qcgl.expr import (ExprEvalError, ExprSyntaxError, eval_free, evaluate, parse,
                        parse_scalar)
@@ -128,6 +128,32 @@ def test_cli_exit_codes():
         assert rc == 2 and "error:" in err
     with pytest.raises(SystemExit):
         run_cli(["no-such-command"])
+
+
+# Flat chains of + - and * / fold in a loop: their length costs no recursion
+# depth, unlike nesting, which MAX_DEPTH caps.
+
+def test_cli_long_flat_sum():
+    rc, out, err = run_cli(["nf", "+".join(["x[1,1]"] * 5000)])
+    assert rc == 0, err
+    assert out.strip() == "5000*x[1,1]"
+
+
+def test_long_flat_product_keeps_written_order():
+    assert evaluate(ALG, "*".join(["x[1,1]"] * 1000)) == evaluate(ALG, "x[1,1]^1000")
+    # x[2,2]*x[1,1] needs straightening; the chain must not reorder it
+    chain = "*".join(["x[2,2]", "x[1,1]"] * 4)
+    assert evaluate(ALG, chain) == evaluate(ALG, "(x[2,2]*x[1,1])^4")
+
+
+def test_parse_scalar_long_flat_sum():
+    assert parse_scalar("1" + "+q/q-1" * 3000) == ONE
+    assert parse_scalar("-".join(["q"] * 5001)) == -4999 * Q
+
+
+def test_eval_free_long_flat_sum():
+    v = eval_free("x[1,1]*x[1,2]" + "+x[1,1]*x[1,2]-x[2,2]/q" * 3000, ALG.names)
+    assert v.terms == {(1, 2): RatFunc(3001), (4,): -3000 * Q.inverse()}
 
 
 def test_cli_json_outputs_validate():
