@@ -6,6 +6,17 @@ column-segment above black.  Rows are numbered top to bottom and columns
 left to right, matching matrix indexing.  Valid diagrams index the torus
 invariant primes of the corresponding quantum matrix algebra, with the
 number of black cells giving the height.
+
+Diagrams are built row by row: a row is admissible given only the set of
+columns that are black in every row above it (``_row_patterns``).
+``enumerate_diagrams`` lists every diagram that way, up to SIZE_LIMIT cells.
+``count_by_black`` and ``count`` never list them: a row-transfer dynamic
+program keeps, for each such set of all-black columns, the histogram of
+black-cell counts of the partial diagrams reaching it, which is feasible up
+to COUNT_LIMIT cells.  Transposing a grid swaps "left-filled" and
+"top-filled", so it maps the valid m x n diagrams one to one onto the valid
+n x m ones; the program therefore runs with the shorter side as columns,
+which bounds its states by 2^min(m, n).
 """
 
 from __future__ import annotations
@@ -13,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-SIZE_LIMIT = 20
+SIZE_LIMIT = 20  # cells, for listing diagrams one by one
+COUNT_LIMIT = 64  # cells, for counting them; 8x8 takes about 0.3 s
 
 
 @dataclass(frozen=True)
@@ -77,12 +89,12 @@ def is_valid(m, n, black):
     return True
 
 
-def _check_size(m, n):
+def _check_size(m, n, limit, what):
     if m < 1 or n < 1:
         raise ValueError("grid dimensions must be positive")
-    if m * n > SIZE_LIMIT:
-        raise ValueError("grid with %d cells exceeds the enumeration limit of %d"
-                         % (m * n, SIZE_LIMIT))
+    if m * n > limit:
+        raise ValueError("grid with %d cells exceeds the %s limit of %d"
+                         % (m * n, what, limit))
 
 
 def _row_patterns(n, fullcols):
@@ -101,7 +113,7 @@ def _row_patterns(n, fullcols):
 
 def enumerate_diagrams(m, n):
     """All valid diagrams, exactly once, by row-wise construction."""
-    _check_size(m, n)
+    _check_size(m, n, SIZE_LIMIT, "enumeration")
 
     def rec(r, fullcols, acc):
         if r > m:
@@ -115,16 +127,33 @@ def enumerate_diagrams(m, n):
 
 
 def count(m, n):
-    return sum(1 for _ in enumerate_diagrams(m, n))
+    return sum(count_by_black(m, n).values())
 
 
 def count_by_black(m, n):
-    """Histogram keyed by number of black cells (the height distribution)."""
-    hist = {}
-    for d in enumerate_diagrams(m, n):
-        k = d.black_count()
-        hist[k] = hist.get(k, 0) + 1
-    return dict(sorted(hist.items()))
+    """Histogram keyed by number of black cells (the height distribution).
+
+    Row-transfer dynamic program: each state is the set of columns black in
+    every row so far, mapped to {black cells: number of partial diagrams}.
+    """
+    _check_size(m, n, COUNT_LIMIT, "counting")
+    if n > m:
+        m, n = n, m
+    states = {frozenset(range(1, n + 1)): {0: 1}}
+    for _ in range(m):
+        nxt = {}
+        for fullcols, hist in states.items():
+            for pattern in _row_patterns(n, fullcols):
+                out = nxt.setdefault(fullcols.intersection(pattern), {})
+                k = len(pattern)
+                for black, ways in hist.items():
+                    out[black + k] = out.get(black + k, 0) + ways
+        states = nxt
+    total = {}
+    for hist in states.values():
+        for black, ways in hist.items():
+            total[black] = total.get(black, 0) + ways
+    return dict(sorted(total.items()))
 
 
 def height_one_diagrams(m, n):

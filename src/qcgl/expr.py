@@ -12,7 +12,8 @@ Products preserve the written order; evaluation returns PBW normal forms.
 Division is defined only by scalar values.  The atom X denotes the active
 algebra's top generator inside the localised skew extension and is accepted
 only where Laurent values make sense.  Parentheses and unary minus nest at
-most MAX_DEPTH levels deep; deeper input is a syntax error.  A chain of + and
+most MAX_DEPTH levels deep, and an exponent is at most MAX_EXPONENT in
+absolute value; input beyond either bound is a syntax error.  A chain of + and
 - parses to one ("sum", [(op, node), ...]) node and a chain of * and / to one
 ("prod", ...) node, so evaluation folds over a chain in a loop and a long flat
 sum or product costs no recursion depth.
@@ -33,6 +34,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<punct>[-+*/^()\[\],|]))"
 )
 MAX_DEPTH = 100
+MAX_EXPONENT = 4096  # powers are built by repeated products
 
 
 class ExprSyntaxError(ValueError):
@@ -135,6 +137,9 @@ class _Parser:
                 self.next()
                 sign = -1
             tok = self.expect("int")
+            if tok[1] > MAX_EXPONENT:
+                raise ExprSyntaxError("exponent %d exceeds the limit of %d"
+                                      % (tok[1], MAX_EXPONENT), tok[2])
             node = ("pow", node, sign * tok[1])
         return node
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .coef import ONE, ZERO, RatFunc, is_root_of_unity, qpow
 
 _NAME_RE = re.compile(r"^(?:x\[\d+,\d+\]|g_\d+)$")
+_SPEC_KEYS = ("names", "torus_rank", "lambda", "delta", "level_q", "weights", "h")
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -645,26 +646,32 @@ class OreAlgebra:
     def from_json(cls, doc, steps_budget=10**6):
         from .expr import eval_free, parse, parse_scalar
 
-        if doc.get("format") != "cgl-spec-v1":
+        if not isinstance(doc, dict) or doc.get("format") != "cgl-spec-v1":
             raise ValueError("not a cgl-spec-v1 document")
-        names = list(doc["names"])
-        lam = {(j, i): parse_scalar(s) for j, i, s in doc["lambda"]}
-        delta = {(j, i): eval_free(parse(s), names) for j, i, s in doc["delta"]}
-        level_q = {j: parse_scalar(s) for j, s in doc["level_q"]}
-        weights = [tuple(w) for w in doc["weights"]]
-        h = [tuple(parse_scalar(s) for s in row) for row in doc["h"]]
-        shape = doc.get("qmat")
-        if shape:
+        missing = [key for key in _SPEC_KEYS if key not in doc]
+        if missing:
+            raise ValueError("cgl-spec-v1 document lacks %s" % ", ".join(missing))
+        try:
+            names = list(doc["names"])
+            lam = {(j, i): parse_scalar(s) for j, i, s in doc["lambda"]}
+            delta = {(j, i): eval_free(parse(s), names) for j, i, s in doc["delta"]}
+            level_q = {j: parse_scalar(s) for j, s in doc["level_q"]}
+            weights = [tuple(w) for w in doc["weights"]]
+            h = [tuple(parse_scalar(s) for s in row) for row in doc["h"]]
+            alg = cls(names, lam, delta, level_q, doc["torus_rank"], weights, h,
+                      steps_budget=steps_budget)
+            shape = doc.get("qmat")
+            if not shape:
+                return alg
             from .qmat import oqm
 
-            alg = oqm(shape[0], shape[1], steps_budget=steps_budget)
-            rebuilt = cls(names, lam, delta, level_q, doc["torus_rank"], weights, h,
-                          steps_budget=steps_budget)
-            if not alg.spec_equals(rebuilt):
-                raise ValueError("qmat-tagged document does not match oqm(%d,%d)" % tuple(shape))
-            return alg
-        return cls(names, lam, delta, level_q, doc["torus_rank"], weights, h,
-                   steps_budget=steps_budget)
+            tagged = oqm(shape[0], shape[1], steps_budget=steps_budget)
+        except (TypeError, IndexError) as exc:
+            raise ValueError("malformed cgl-spec-v1 document: %s" % exc) from exc
+        if not tagged.spec_equals(alg):
+            raise ValueError("qmat-tagged document does not match oqm(%d,%d)"
+                             % (shape[0], shape[1]))
+        return tagged
 
     def dumps(self, indent=2):
         return json.dumps(self.to_json(), indent=indent)

@@ -60,4 +60,6 @@ def load_algebra(token, steps_budget=10**6):
             doc = json.load(fh)
     except OSError:
         raise ValueError("unknown algebra %r: not a preset and not a readable file" % token)
+    except RecursionError:
+        raise ValueError("spec file %r nests too deeply to be a cgl-spec-v1 document" % token)
     return OreAlgebra.from_json(doc, steps_budget=steps_budget)

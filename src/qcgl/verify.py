@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
@@ -117,11 +118,15 @@ def check_cauchon_counts(sizes=DEFAULT_SIZES):
             if (m, n) == (2, 2) and len(enumerated) != 14:
                 return False, "(2,2): count %d != 14" % len(enumerated)
             hist = count_by_black(m, n)
+            if hist != Counter(len(black) for black in enumerated):
+                return False, "(%d,%d): counted %d diagrams by height %r, enumerated %d" % (
+                    m, n, sum(hist.values()), hist, len(enumerated))
             if hist.get(1) != m + n - 1:
                 return False, "(%d,%d): %r height-one diagrams, expected %d" % (
                     m, n, hist.get(1), m + n - 1)
             details.append("%dx%d: %d diagrams, %d with one black box"
                            % (m, n, len(enumerated), hist[1]))
+        details.append("brute force, enumeration and counting agree")
         return True, "; ".join(details)
 
     return _run("3-cauchon-diagram-counts", body)

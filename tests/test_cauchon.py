@@ -1,10 +1,14 @@
 import json
+from collections import Counter
 from itertools import product
+from math import factorial
 
 import pytest
 
-from qcgl.cauchon import (CauchonDiagram, count, count_by_black,
+from qcgl.cauchon import (COUNT_LIMIT, CauchonDiagram, count, count_by_black,
                           enumerate_diagrams, height_one_diagrams, is_valid)
+
+SMALL_SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
 
 
 def brute_force(m, n):
@@ -47,10 +51,39 @@ def test_enumeration_agrees_with_brute_force(shape):
     assert set(enumerated) == brute_force(m, n)
 
 
-def test_count_transpose_symmetry_empirically():
-    # not asserted as a theorem anywhere; observed at desk sizes
-    for m, n in [(2, 3), (2, 4), (3, 4)]:
-        assert count(m, n) == count(n, m)
+def test_enumeration_is_transpose_symmetric():
+    # transposing swaps left-filled and top-filled; counting relies on it
+    for m, n in SMALL_SHAPES:
+        transposed = {frozenset((c, r) for r, c in d.black)
+                      for d in enumerate_diagrams(m, n)}
+        assert transposed == {d.black for d in enumerate_diagrams(n, m)}, (m, n)
+
+
+def poly_bernoulli(m, n):
+    """sum_j (j!)^2 S(m+1, j+1) S(n+1, j+1), the closed form for count(m, n)."""
+    def stirling2(a, b):
+        row = [1] + [0] * b
+        for _ in range(a):
+            row = [0] + [j * row[j] + row[j - 1] for j in range(1, b + 1)]
+        return row[b]
+
+    return sum(factorial(j) ** 2 * stirling2(m + 1, j + 1) * stirling2(n + 1, j + 1)
+               for j in range(min(m, n) + 1))
+
+
+def test_count_matches_the_closed_form():
+    assert poly_bernoulli(2, 2) == 14 and poly_bernoulli(4, 5) == 41506
+    assert poly_bernoulli(5, 5) == 329462 and poly_bernoulli(8, 8) == 276054834902
+    for m in range(1, 9):
+        for n in range(1, 9):
+            assert count(m, n) == poly_bernoulli(m, n), (m, n)
+
+
+def test_histogram_matches_enumeration():
+    for m, n in SMALL_SHAPES:
+        hist = count_by_black(m, n)
+        assert hist == Counter(d.black_count() for d in enumerate_diagrams(m, n)), (m, n)
+        assert list(hist) == sorted(hist)
 
 
 def test_height_one_diagrams():
@@ -86,7 +119,12 @@ def test_validate_and_formats():
 
 
 def test_size_limit():
+    assert count(5, 5) == 329462
     with pytest.raises(ValueError):
-        count(5, 5)
+        list(enumerate_diagrams(5, 5))
+    with pytest.raises(ValueError):
+        count(1, COUNT_LIMIT + 1)
+    with pytest.raises(ValueError):
+        count_by_black(COUNT_LIMIT + 1, 1)
     with pytest.raises(ValueError):
         count(0, 3)

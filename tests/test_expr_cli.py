@@ -9,8 +9,8 @@ import pytest
 from qcgl.cli import main
 from qcgl.coef import ONE, Q, RatFunc
 from qcgl.delderiv import LaurentElem, format_laurent, theta
-from qcgl.expr import (ExprEvalError, ExprSyntaxError, eval_free, evaluate, parse,
-                       parse_scalar)
+from qcgl.expr import (MAX_EXPONENT, ExprEvalError, ExprSyntaxError, eval_free,
+                       evaluate, parse, parse_scalar)
 from qcgl.ncalg import format_poly, quantum_plane, random_poly
 from qcgl.qmat import oqm
 from qcgl.schema import OUTPUT_SCHEMA
@@ -185,6 +185,52 @@ def test_cli_algebra_from_spec_file(tmp_path):
     path.write_text(json.dumps(quantum_plane().to_json()), encoding="utf-8")
     rc, out, _ = run_cli(["nf", "-a", str(path), "g_2*g_1"])
     assert rc == 0 and out.strip() == "q*g_1*g_2"
+
+
+# A malformed spec file is a usage error (exit 2), never a traceback.
+
+def _spec_file_rc(tmp_path, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text, encoding="utf-8")
+    rc, _, err = run_cli(["axioms", "-a", str(path)])
+    return rc, err
+
+
+def test_cli_spec_file_nested_too_deeply(tmp_path):
+    rc, err = _spec_file_rc(tmp_path, "[" * 100000)
+    assert rc == 2 and err.startswith("error:")
+
+
+def test_cli_spec_file_missing_keys(tmp_path):
+    rc, err = _spec_file_rc(tmp_path, json.dumps({"format": "cgl-spec-v1"}))
+    assert rc == 2 and err.startswith("error:") and "names" in err
+
+
+def test_cli_spec_file_not_an_object(tmp_path):
+    rc, err = _spec_file_rc(tmp_path, json.dumps([quantum_plane().to_json()]))
+    assert rc == 2 and err.startswith("error:")
+
+
+def test_cli_exponent_cap():
+    rc, out, err = run_cli(["nf", "--", "q^-%d" % MAX_EXPONENT])
+    assert rc == 0, err
+    assert out.strip() == "q^-%d" % MAX_EXPONENT
+    for text in ("x[1,1]^%d" % (MAX_EXPONENT + 1), "q^-%d" % (MAX_EXPONENT + 1)):
+        rc, _, err = run_cli(["nf", "--", text])
+        assert rc == 2 and "exceeds" in err and "position" in err
+
+
+def test_cli_cauchon_bounds():
+    rc, out, _ = run_cli(["cauchon", "count", "5", "5", "--json"])
+    assert rc == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, OUTPUT_SCHEMA)
+    assert doc["result"]["count"] == 329462
+    for argv in (["cauchon", "list", "5", "5"],
+                 ["cauchon", "count", "9", "8"],
+                 ["cauchon", "histogram", "1", "65"]):
+        rc, _, err = run_cli(argv)
+        assert rc == 2 and err.startswith("error:"), argv
 
 
 def test_cli_verify_small():
