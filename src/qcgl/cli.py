@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import verify as verify_mod
-from .cauchon import count, count_by_black, enumerate_diagrams
+from .cauchon import SIZE_LIMIT, count, count_by_black, enumerate_diagrams
 from .delderiv import LaurentElem, format_laurent, theta, theta_alt
 from .expr import ExprEvalError, ExprSyntaxError, evaluate
 from .ncalg import NcPoly, NilpotenceBoundExceeded, StepBudgetExceeded, format_poly
@@ -89,7 +89,8 @@ def build_parser():
     p = sub.add_parser("verify", parents=[common],
                        help="run the claims-verification suite; exit 1 on failure")
     p.add_argument("suite", choices=["paper"])
-    p.add_argument("--size", help="restrict size-parameterised checks, e.g. 2,2")
+    p.add_argument("--size", help="restrict size-parameterised checks to one m,n "
+                                  "grid with m <= n and at most %d cells" % SIZE_LIMIT)
     p.add_argument("--pairs", type=int, default=100)
     p.add_argument("--triples", type=int, default=500)
 
@@ -214,6 +215,9 @@ def _cmd_verify(args):
         size = tuple(int(v) for v in args.size.split(","))
         if len(size) != 2:
             raise ValueError("--size expects m,n")
+        m, n = size
+        if not (1 <= m <= n and m * n <= SIZE_LIMIT):
+            raise ValueError("--size m,n needs 1 <= m <= n and m*n <= %d" % SIZE_LIMIT)
     results = verify_mod.run_paper_suite(size=size, seed=args.seed,
                                          pairs=args.pairs, triples=args.triples)
     ok = all(r.ok for r in results)

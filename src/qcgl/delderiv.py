@@ -17,7 +17,7 @@ with q the top-level constant q_N; the sum is finite by nilpotence.
 from __future__ import annotations
 
 from .coef import ONE, RatFunc, q_int
-from .ncalg import NcPoly, NilpotenceBoundExceeded, OreAlgebra, add_terms
+from .ncalg import NcPoly, NilpotenceBoundExceeded, OreAlgebra, _format_terms, add_terms
 
 
 class LaurentElem:
@@ -106,28 +106,9 @@ class LaurentElem:
 
 def format_laurent(names, u):
     """Render with exponents descending; coefficients distribute over terms."""
-    from .ncalg import _format_terms
-
-    items = []
-    for k in sorted(u.coeffs, reverse=True):
-        xfac = "" if k == 0 else ("X" if k == 1 else "X^%d" % k)
-        p = u.coeffs[k]
-        for w, c in sorted(p.terms.items(), key=lambda t: (len(t[0]), t[0])):
-            items.append((w, c, xfac))
-    if not items:
-        return "0"
-    chunks = []
-    for w, c, xfac in items:
-        piece = _format_terms(names, [(w, c)], xexp_for=(lambda _w, f=xfac: f))
-        if not chunks:
-            chunks.append(piece)
-        elif piece.startswith("-"):
-            chunks.append(" - ")
-            chunks.append(piece[1:])
-        else:
-            chunks.append(" + ")
-            chunks.append(piece)
-    return "".join(chunks)
+    return _format_terms(names, (
+        (w, c, "" if k == 0 else "X" if k == 1 else "X^%d" % k)
+        for k in sorted(u.coeffs, reverse=True) for w, c in u.coeffs[k].sorted_terms()))
 
 
 # ---------------------------------------------------------------------------

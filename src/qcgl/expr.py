@@ -8,8 +8,15 @@ Grammar (standard precedence, ^ > * / > + -, left associative):
     power    := atom ('^' ['-'] INT)?
     atom     := INT | 'q' | 'x[i,j]' | 'g_k' | 'X' | '[I|J]' | '(' expr ')'
 
-Products preserve the written order; evaluation returns PBW normal forms.
-Division is defined only by scalar values.  The atom X denotes the active
+One evaluator, evaluate, gives the tree its meaning over any algebra that
+offers names, N, gen_named and multiply.  Over an OreAlgebra products keep
+the written order and are straightened, so values are PBW normal forms.
+eval_free runs the same evaluator over the free algebra on a list of names,
+whose products only concatenate words; spec files read their correction
+polynomials that way, and parse_scalar reads a scalar as a value of the free
+algebra on no names.  Division is defined only by scalar values; division by
+0 and negative powers of 0 raise ExprDivisionByZero, which is both an
+ExprEvalError and a ZeroDivisionError.  The atom X denotes the active
 algebra's top generator inside the localised skew extension and is accepted
 only where Laurent values make sense.  Parentheses and unary minus nest at
 most MAX_DEPTH levels deep, and an exponent is at most MAX_EXPONENT in
@@ -23,7 +30,8 @@ from __future__ import annotations
 
 import re
 
-from .coef import ONE, Q, RatFunc
+from .coef import ONE, Q, ZERO, RatFunc
+from .delderiv import LaurentElem, laurent_mul
 from .ncalg import NcPoly, add_terms
 
 _TOKEN_RE = re.compile(
@@ -45,6 +53,10 @@ class ExprSyntaxError(ValueError):
 
 class ExprEvalError(ValueError):
     pass
+
+
+class ExprDivisionByZero(ExprEvalError, ZeroDivisionError):
+    """Division by 0 or a negative power of 0."""
 
 
 def _tokenize(text):
@@ -186,48 +198,57 @@ def parse(text):
 # evaluation
 
 
+class _WordAlgebra:
+    """The free algebra on the given generator names: a product concatenates
+    words and nothing is straightened.  Serialized normal forms, whose products
+    are already sorted, read back through it; with no names it holds only the
+    scalars."""
+
+    def __init__(self, names):
+        self.names = tuple(names)
+        self.N = len(self.names)
+        self._index = {name: k for k, name in enumerate(self.names, 1)}
+
+    def gen_named(self, name):
+        if name not in self._index:
+            raise ValueError("unknown generator %r" % name)
+        return NcPoly({(self._index[name],): ONE})
+
+    def multiply(self, a, b):
+        out = {}
+        for wa, ca in a.terms.items():
+            add_terms(out, ((wa + wb, cb) for wb, cb in b.terms.items()), ca)
+        return NcPoly(out)
+
+
 def _as_scalar(value):
-    if isinstance(value, RatFunc):
-        return value
-    if isinstance(value, NcPoly):
-        return value.scalar_value()
-    from .delderiv import LaurentElem
-
+    """The RatFunc value of a scalar NcPoly or LaurentElem, else None."""
     if isinstance(value, LaurentElem):
-        if value.is_zero():
-            from .coef import ZERO
-
+        if not value.coeffs:
             return ZERO
-        if set(value.coeffs) == {0}:
-            return value.coeffs[0].scalar_value()
-    return None
+        if set(value.coeffs) != {0}:
+            return None
+        value = value.coeffs[0]
+    return value.scalar_value()
 
 
-def _promote(alg, value):
-    from .delderiv import LaurentElem
-
-    if isinstance(value, LaurentElem):
-        return value
-    return LaurentElem.from_poly(value)
+def _promote(value):
+    return value if isinstance(value, LaurentElem) else LaurentElem.from_poly(value)
 
 
 def _ev_mul(alg, a, b):
-    from .delderiv import laurent_mul
-
     if isinstance(a, NcPoly) and isinstance(b, NcPoly):
         return alg.multiply(a, b)
-    return laurent_mul(alg, _promote(alg, a), _promote(alg, b))
+    return laurent_mul(alg, _promote(a), _promote(b))
 
 
-def _ev_add(alg, a, b):
+def _ev_add(a, b):
     if isinstance(a, NcPoly) and isinstance(b, NcPoly):
         return a + b
-    return _promote(alg, a) + _promote(alg, b)
+    return _promote(a) + _promote(b)
 
 
 def _ev_pow(alg, base, k):
-    from .delderiv import LaurentElem
-
     if k >= 0:
         out = NcPoly.scalar(ONE)
         for _ in range(k):
@@ -236,7 +257,7 @@ def _ev_pow(alg, base, k):
     c = _as_scalar(base)
     if c is not None:
         if not c:
-            raise ExprEvalError("negative power of 0")
+            raise ExprDivisionByZero("negative power of 0")
         return NcPoly.scalar(c.inverse() ** (-k))
     if isinstance(base, LaurentElem):
         mono = base.scalar_x_power()
@@ -266,8 +287,6 @@ def evaluate(alg, source, allow_x=False):
         if tag == "X":
             if not allow_x:
                 raise ExprEvalError("X used outside a localisation context")
-            from .delderiv import LaurentElem
-
             if alg.N < 2:
                 raise ExprEvalError("X needs an algebra with at least two generators")
             return LaurentElem.x_power(1)
@@ -281,7 +300,7 @@ def evaluate(alg, source, allow_x=False):
             acc = ev(nd[1][0][1])
             for op, term in nd[1][1:]:
                 value = ev(term)
-                acc = _ev_add(alg, acc, value if op == "+" else value.__neg__())
+                acc = _ev_add(acc, value if op == "+" else value.__neg__())
             return acc
         if tag == "prod":
             acc = ev(nd[1][0][1])
@@ -293,7 +312,7 @@ def evaluate(alg, source, allow_x=False):
                 if denom is None:
                     raise ExprEvalError("division is defined only by scalar values")
                 if not denom:
-                    raise ZeroDivisionError("division by zero scalar")
+                    raise ExprDivisionByZero("division by zero scalar")
                 acc = acc.scaled(denom.inverse())
             return acc
         if tag == "pow":
@@ -303,91 +322,11 @@ def evaluate(alg, source, allow_x=False):
     return ev(node)
 
 
+def eval_free(node, names):
+    """Evaluate over the free algebra on names: products concatenate words."""
+    return evaluate(_WordAlgebra(names), node)
+
+
 def parse_scalar(source):
     """Evaluate a scalar-only expression to a RatFunc."""
-    node = parse(source) if isinstance(source, str) else source
-
-    def ev(nd):
-        tag = nd[0]
-        if tag == "num":
-            return RatFunc(nd[1])
-        if tag == "q":
-            return Q
-        if tag == "neg":
-            return -ev(nd[1])
-        if tag == "sum":
-            acc = ev(nd[1][0][1])
-            for op, term in nd[1][1:]:
-                acc = acc + ev(term) if op == "+" else acc - ev(term)
-            return acc
-        if tag == "prod":
-            acc = ev(nd[1][0][1])
-            for op, factor in nd[1][1:]:
-                acc = acc * ev(factor) if op == "*" else acc / ev(factor)
-            return acc
-        if tag == "pow":
-            return ev(nd[1]) ** nd[2]
-        raise ExprEvalError("not a scalar expression: %r atom" % (tag,))
-
-    return ev(node)
-
-
-def eval_free(node, names):
-    """Evaluate without straightening: products concatenate words.
-
-    Used to read back serialized normal forms, whose products are already
-    sorted; only scalars, generators, +, -, * and nonnegative powers occur.
-    """
-    node = parse(node) if isinstance(node, str) else node
-    index = {name: k + 1 for k, name in enumerate(names)}
-
-    def mul(a, b):
-        out = {}
-        for wa, ca in a.terms.items():
-            add_terms(out, ((wa + wb, cb) for wb, cb in b.terms.items()), ca)
-        return NcPoly(out)
-
-    def ev(nd):
-        tag = nd[0]
-        if tag == "num":
-            return NcPoly.scalar(RatFunc(nd[1]))
-        if tag == "q":
-            return NcPoly.scalar(Q)
-        if tag == "gen":
-            try:
-                return NcPoly({(index[nd[1]],): ONE})
-            except KeyError:
-                raise ExprEvalError("unknown generator %r" % nd[1])
-        if tag == "neg":
-            return -ev(nd[1])
-        if tag == "sum":
-            acc = ev(nd[1][0][1])
-            for op, term in nd[1][1:]:
-                acc = acc + ev(term) if op == "+" else acc - ev(term)
-            return acc
-        if tag == "prod":
-            acc = ev(nd[1][0][1])
-            for op, factor in nd[1][1:]:
-                if op == "*":
-                    acc = mul(acc, ev(factor))
-                    continue
-                denom = ev(factor).scalar_value()
-                if denom is None or not denom:
-                    raise ExprEvalError("division is defined only by nonzero scalars")
-                acc = acc.scaled(denom.inverse())
-            return acc
-        if tag == "pow":
-            k = nd[2]
-            if k < 0:
-                c = ev(nd[1]).scalar_value()
-                if c is None or not c:
-                    raise ExprEvalError("negative powers are defined only for scalars")
-                return NcPoly.scalar(c.inverse() ** (-k))
-            out = NcPoly.scalar(ONE)
-            base = ev(nd[1])
-            for _ in range(k):
-                out = mul(out, base)
-            return out
-        raise ExprEvalError("unsupported atom in a word-level expression")
-
-    return ev(node)
+    return eval_free(source, ()).scalar_value()

@@ -128,23 +128,24 @@ class NcPoly:
             self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
+    def sorted_terms(self):
+        """The (word, coefficient) pairs ordered by (degree, word)."""
+        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
+
     def __repr__(self):
-        items = sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
-        body = ", ".join("%r: %s" % (w, c) for w, c in items)
+        body = ", ".join("%r: %s" % (w, c) for w, c in self.sorted_terms())
         return "NcPoly({%s})" % body
 
 
 def format_poly(names, p):
     """Render a polynomial deterministically: terms by (degree, word)."""
-    return _format_terms(names, sorted(p.terms.items(), key=lambda t: (len(t[0]), t[0])))
+    return _format_terms(names, ((w, c, "") for w, c in p.sorted_terms()))
 
 
-def _format_terms(names, term_items, xexp_for=None):
-    if not term_items:
-        return "0"
+def _format_terms(names, triples):
+    """Join (word, coefficient, trailing X-factor) triples into a signed sum."""
     chunks = []
-    for w, c in term_items:
-        xfac = xexp_for(w) if xexp_for else ""
+    for w, c, xfac in triples:
         neg = c.display_negative()
         if neg:
             c = -c
@@ -168,9 +169,8 @@ def _format_terms(names, term_items, xexp_for=None):
         if not chunks:
             chunks.append("-" + body if neg else body)
         else:
-            chunks.append(" - " if neg else " + ")
-            chunks.append(body)
-    return "".join(chunks)
+            chunks.append((" - " if neg else " + ") + body)
+    return "".join(chunks) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +281,8 @@ class OreAlgebra:
         weights = [tuple(w) for w in weights]
         if len(weights) != N or any(len(w) != self.torus_rank for w in weights):
             raise ValueError("need one weight vector of length %d per generator" % self.torus_rank)
+        if any(type(e) is not int for w in weights for e in w):
+            raise ValueError("torus weights must be integers")
         self.weights = tuple(weights)
         hs = []
         for h in h_elems:
@@ -653,11 +655,12 @@ class OreAlgebra:
             raise ValueError("cgl-spec-v1 document lacks %s" % ", ".join(missing))
         try:
             names = list(doc["names"])
-            lam = {(j, i): parse_scalar(s) for j, i, s in doc["lambda"]}
+            # parse() takes strings only, so no entry is taken as a syntax tree
+            lam = {(j, i): parse_scalar(parse(s)) for j, i, s in doc["lambda"]}
             delta = {(j, i): eval_free(parse(s), names) for j, i, s in doc["delta"]}
-            level_q = {j: parse_scalar(s) for j, s in doc["level_q"]}
+            level_q = {j: parse_scalar(parse(s)) for j, s in doc["level_q"]}
             weights = [tuple(w) for w in doc["weights"]]
-            h = [tuple(parse_scalar(s) for s in row) for row in doc["h"]]
+            h = [tuple(parse_scalar(parse(s)) for s in row) for row in doc["h"]]
             alg = cls(names, lam, delta, level_q, doc["torus_rank"], weights, h,
                       steps_budget=steps_budget)
             shape = doc.get("qmat")

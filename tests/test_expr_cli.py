@@ -211,6 +211,59 @@ def test_cli_spec_file_not_an_object(tmp_path):
     assert rc == 2 and err.startswith("error:")
 
 
+def test_cli_spec_file_non_integer_weights(tmp_path):
+    path = tmp_path / "spec.json"
+    for bad in ("a", 1.5, True):
+        doc = oqm(1, 2).to_json()
+        del doc["qmat"]  # an untagged spec, so the weights are used as given
+        doc["weights"][0][1] = bad
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (["weight", "x[1,1]"], ["axioms"]):
+            rc, _, err = run_cli(argv + ["-a", str(path)])
+            assert rc == 2 and err.startswith("error:"), (bad, argv)
+
+
+def test_cli_spec_file_bad_entries(tmp_path):
+    path = tmp_path / "spec.json"
+    cases = [("lambda", [[2, 1, "q/0"]]),
+             ("level_q", [[2, "(q-q)^-1"]]),
+             # a syntax tree as a JSON list would bypass the exponent cap
+             ("lambda", [[2, 1, ["pow", ["q"], MAX_EXPONENT + 1]]]),
+             ("h", [[["q"], "1"], ["q", "q"]])]
+    for key, value in cases:
+        doc = quantum_plane().to_json()
+        doc[key] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, _, err = run_cli(["axioms", "-a", str(path)])
+        assert rc == 2 and err.startswith("error:"), (key, value)
+
+
+# parse_scalar and eval_free are evaluate over a free algebra of words: they
+# reject what has no meaning there, and division by 0 is a usage error.
+
+def test_parse_scalar_rejects_non_scalars():
+    for text in ("x[1,1]", "X", "[1|1]"):
+        with pytest.raises(ExprEvalError):
+            parse_scalar(text)
+
+
+def test_eval_free_rejects_what_has_no_word_meaning():
+    for text in ("X", "[1|1]", "x[1,1]^-1", "x[3,3]"):
+        with pytest.raises(ExprEvalError):
+            eval_free(text, ALG.names)
+
+
+def test_division_by_zero_is_a_usage_error():
+    for text in ("1/0", "q/(q-q)", "0^-1"):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            parse_scalar(text)
+    for text in ("x[1,1]/0", "x[1,1]*(q-q)^-2"):
+        with pytest.raises((ValueError, ZeroDivisionError)):
+            eval_free(text, ALG.names)
+        rc, _, err = run_cli(["nf", text])
+        assert rc == 2 and err.startswith("error:"), text
+
+
 def test_cli_exponent_cap():
     rc, out, err = run_cli(["nf", "--", "q^-%d" % MAX_EXPONENT])
     assert rc == 0, err
@@ -240,6 +293,15 @@ def test_cli_verify_small():
     jsonschema.validate(doc, OUTPUT_SCHEMA)
     assert rc == 0 and doc["ok"]
     assert len(doc["result"]["checks"]) == 9
+
+
+def test_cli_verify_size_bounds():
+    for size in ("0,2", "3,2", "5,5"):
+        rc, _, err = run_cli(["verify", "paper", "--size", size,
+                              "--pairs", "5", "--triples", "20"])
+        assert rc == 2 and err.startswith("error:"), size
+    rc, _, _ = run_cli(["verify", "paper", "--size", "2,3", "--pairs", "5", "--triples", "20"])
+    assert rc == 0
 
 
 def test_cli_seed_env_default(monkeypatch):
