@@ -218,6 +218,9 @@ def _cmd_verify(args):
         m, n = size
         if not (1 <= m <= n and m * n <= SIZE_LIMIT):
             raise ValueError("--size m,n needs 1 <= m <= n and m*n <= %d" % SIZE_LIMIT)
+    # criteria 4 and 7 pass vacuously on no samples
+    if args.pairs < 1 or args.triples < 1:
+        raise ValueError("--pairs and --triples must be at least 1")
     results = verify_mod.run_paper_suite(size=size, seed=args.seed,
                                          pairs=args.pairs, triples=args.triples)
     ok = all(r.ok for r in results)
@@ -259,6 +262,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.steps_budget < 0 or args.nilpotence_bound < 0:
+            raise ValueError("--steps-budget and --nilpotence-bound must be at least 0")
         return _HANDLERS[args.command](args)
     except (ExprSyntaxError, ExprEvalError, ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -350,6 +350,26 @@ class RatFunc:
 
     __rmul__ = __mul__
 
+    def times_qpow(self, k, sign=1):
+        """self * sign * q^k, for sign in {1, -1}, without a gcd.
+
+        gcd(num, den) = 1, so the only common factor num*q^k and den can
+        share is q^min(k, val den) for k > 0; for k < 0 it is
+        q^min(-k, val num).  Exact for every denominator.
+        """
+        num, den = self.num, self.den
+        if not num or (k == 0 and sign == 1):
+            return self
+        if sign < 0:
+            num = _pneg(num)
+        if k > 0:
+            v = min(k, _pval(den))
+            return RatFunc._raw(_pshift(num, k - v), den[v:])
+        if k < 0:
+            v = min(-k, _pval(num))
+            return RatFunc._raw(num[v:], _pshift(den, -k - v))
+        return RatFunc._raw(num, den)
+
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError("inverse of 0 in Q(q)")

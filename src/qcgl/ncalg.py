@@ -25,11 +25,27 @@ _SPEC_KEYS = ("names", "torus_rank", "lambda", "delta", "level_q", "weights", "h
 
 
 class StepBudgetExceeded(RuntimeError):
-    """Raised when straightening exceeds the reduction-step budget."""
+    """Raised when straightening exceeds the reduction-step budget.
+
+    word is the word being straightened, as generator indices, and steps the
+    number of rewriting steps taken when it stopped: one past the budget.
+    """
+
+    def __init__(self, message, word, steps):
+        super().__init__(message)
+        self.word = word
+        self.steps = steps
 
 
 class NilpotenceBoundExceeded(RuntimeError):
     """Raised when a derivation fails to vanish within the allowed bound."""
+
+
+def _qpow_parts(c):
+    """(sign, k, rest) with c = rest * sign * q^k, where rest is None for a
+    signed power of q and (1, 0, c) is returned for any other c."""
+    sp = c.as_signed_q_power()
+    return (1, 0, c) if sp is None else (sp[0], sp[1], None)
 
 
 # ---------------------------------------------------------------------------
@@ -39,13 +55,22 @@ class NilpotenceBoundExceeded(RuntimeError):
 def add_terms(out, items, c=None):
     """Add (key, value) pairs into the dict out in place and return it.
 
-    Each value is first multiplied by the scalar c when one is given.  A key
-    whose sum cancels is dropped, so out never stores a zero.  Values are
-    RatFunc coefficients or, for Laurent elements, NcPoly coefficients.
+    Each value is first multiplied by the scalar c when one is given; a c
+    that is a signed power of q scales by times_qpow, with no Q(q) product.
+    A key whose sum cancels is dropped, so out never stores a zero.  Values
+    are RatFunc coefficients or, for Laurent elements, NcPoly coefficients.
     """
+    sign, e = 1, 0
+    if c is not None:
+        parts = c.as_signed_q_power()
+        if parts is not None:
+            sign, e = parts
+            c = None
     for k, v in items:
         if c is not None:
             v = v * c
+        elif e or sign < 0:
+            v = v.times_qpow(e, sign)
         acc = out.get(k)
         if acc is not None:
             v = acc + v
@@ -270,6 +295,27 @@ class OreAlgebra:
                 if any(w[t] > w[t + 1] for t in range(len(w) - 1)):
                     raise ValueError("delta(%d,%d) is not in normal form" % (j, i))
             self.delta[(j, i)] = p
+        # The rewrite table: x_j x_i (j > i) becomes lambda_ji x_i x_j, left
+        # out when lambda_ji = 0, plus the terms of d_j(x_i).  Each entry is
+        # (word, sign, k, rest), its coefficient split as by _qpow_parts, so
+        # that a factor that is a signed power of q costs integer updates.
+        # Coefficients repeat across pairs, so each object is split once;
+        # lam and delta keep every coefficient alive, so ids stay unique.
+        memo = {}
+
+        def split(c):
+            parts = memo.get(id(c))
+            if parts is None:
+                parts = memo[id(c)] = _qpow_parts(c)
+            return parts
+
+        self._lam_parts = {}
+        self._rules = {}
+        for (j, i), v in self.lam.items():
+            parts = self._lam_parts[(j, i)] = split(v)
+            self._rules[(j, i)] = (((i, j),) + parts,) if parts[2] is None or v else ()
+        for ji, p in self.delta.items():
+            self._rules[ji] += tuple((dw,) + split(dc) for dw, dc in p.terms.items())
         self.level_q = {}
         for j in range(2, N + 1):
             try:
@@ -277,7 +323,9 @@ class OreAlgebra:
             except KeyError:
                 raise ValueError("missing level constant q_%d" % j)
             self.level_q[j] = v if isinstance(v, RatFunc) else RatFunc(v)
-        self.torus_rank = int(torus_rank)
+        if type(torus_rank) is not int:
+            raise ValueError("torus rank must be an integer, not %r" % (torus_rank,))
+        self.torus_rank = torus_rank
         weights = [tuple(w) for w in weights]
         if len(weights) != N or any(len(w) != self.torus_rank for w in weights):
             raise ValueError("need one weight vector of length %d per generator" % self.torus_rank)
@@ -336,11 +384,13 @@ class OreAlgebra:
         if strategy not in ("leftmost", "rightmost"):
             raise ValueError("unknown strategy %r" % strategy)
         leftmost = strategy == "leftmost"
+        rules = self._rules
         leaves = []
-        stack = [(ONE, word)]
+        # a path's coefficient is rest * sign * q^k, rest None standing for 1
+        stack = [(word, 1, 0, None)]
         steps = 0
         while stack:
-            c, w = stack.pop()
+            w, sign, k, rest = stack.pop()
             pos = None
             rng = range(len(w) - 1) if leftmost else range(len(w) - 2, -1, -1)
             for t in rng:
@@ -348,21 +398,20 @@ class OreAlgebra:
                     pos = t
                     break
             if pos is None:
-                leaves.append((w, c))
+                leaves.append((w, (ONE if rest is None else rest).times_qpow(k, sign)))
                 continue
             steps += 1
             if steps > self.steps_budget:
-                raise StepBudgetExceeded(
-                    "straightening exceeded %d steps; ill-formed spec?" % self.steps_budget)
-            j, i = w[pos], w[pos + 1]
+                raise StepBudgetExceeded("straightening %s exceeded %d steps"
+                                         % (self.word_text(word), self.steps_budget),
+                                         word, steps)
             head, tail = w[:pos], w[pos + 2:]
-            lam = self.lam[(j, i)]
-            if lam:
-                stack.append((c * lam, head + (i, j) + tail))
-            d = self.delta.get((j, i))
-            if d is not None:
-                for dw, dc in d.terms.items():
-                    stack.append((c * dc, head + dw + tail))
+            for rw, s, e, c in rules[(w[pos], w[pos + 1])]:
+                if c is None:
+                    c = rest
+                elif rest is not None:
+                    c = rest * c
+                stack.append((head + rw + tail, sign * s, k + e, c))
         result = NcPoly(add_terms({}, leaves))
         self._nf_cache[key] = result
         return result
@@ -371,8 +420,13 @@ class OreAlgebra:
         out = {}
         for wa, ca in a.terms.items():
             for wb, cb in b.terms.items():
-                add_terms(out, self.normal_form_word(wa + wb, strategy).terms.items(), ca * cb)
+                c = cb if ca.is_one() else ca if cb.is_one() else ca * cb
+                add_terms(out, self.normal_form_word(wa + wb, strategy).terms.items(), c)
         return NcPoly(out)
+
+    def word_text(self, word):
+        """A word of generator indices in generator names, as x[1,2]*x[1,1]."""
+        return "*".join(self.names[g - 1] for g in word)
 
     # -- level maps -------------------------------------------------------------
 
@@ -386,23 +440,26 @@ class OreAlgebra:
 
     def apply_sigma(self, j, a):
         """The automorphism s_j of the subalgebra on generators < j."""
-        self._require_level(j)
-        self._require_below(a, j)
-        out = {}
-        for w, c in a.terms.items():
-            for g in w:
-                c = c * self.lam[(j, g)]
-            if c:
-                out[w] = c
-        return NcPoly(out)
+        return self._twist(j, a, 1)
 
     def apply_sigma_inv(self, j, a):
+        return self._twist(j, a, -1)
+
+    def _twist(self, j, a, e):
+        """s_j^e applied to a, for e = 1 or -1: each word w scales by the
+        product of lambda_jg^e over its letters g."""
         self._require_level(j)
         self._require_below(a, j)
         out = {}
         for w, c in a.terms.items():
+            sign, k = 1, 0
             for g in w:
-                c = c * self.lam[(j, g)].inverse()
+                s, m, rest = self._lam_parts[(j, g)]
+                sign *= s
+                k += m
+                if rest is not None:
+                    c = c * (rest if e > 0 else rest.inverse())
+            c = c.times_qpow(e * k, sign)
             if c:
                 out[w] = c
         return NcPoly(out)
@@ -413,14 +470,21 @@ class OreAlgebra:
         self._require_below(a, j)
         out = {}
         for w, c in a.terms.items():
+            # s_j of the letters before t scales by c * sign * q^k
+            sign, k = 1, 0
             for t, g in enumerate(w):
                 d = self.delta.get((j, g))
                 if d is not None:
                     head, tail = w[:t], w[t + 1:]
+                    ct = c.times_qpow(k, sign)
                     for dw, dc in d.terms.items():
                         add_terms(out, self.normal_form_word(head + dw + tail).terms.items(),
-                                  c * dc)
-                c = c * self.lam[(j, g)]
+                                  ct * dc)
+                s, m, rest = self._lam_parts[(j, g)]
+                sign *= s
+                k += m
+                if rest is not None:
+                    c = c * rest
         return NcPoly(out)
 
     def nilpotency_index(self, j, a, bound=64):
@@ -579,7 +643,7 @@ class OreAlgebra:
                     why = "leftmost and rightmost normal forms of %s differ"
                 except StepBudgetExceeded:
                     why = "straightening %s exceeded the step budget"
-                return why % "*".join(self.names[g - 1] for g in word)
+                return why % self.word_text(word)
         return ""
 
     def is_torsionfree(self):

@@ -96,3 +96,11 @@ def test_laurent_operands_skip_the_gcds(a, b):
         mp.setattr(coef, "_pfullgcd", fail)
         for result in (a * b, a + b, a - b):
             assert _q_power_exponent(result.den) is not None
+
+
+@ORACLE
+@given(operands, st.integers(-6, 6), st.sampled_from((1, -1)))
+def test_times_qpow_matches_the_product(c, k, sign):
+    result = c.times_qpow(k, sign)
+    reference = c * (coef.qpow(k) * sign)
+    assert (result.num, result.den) == (reference.num, reference.den)

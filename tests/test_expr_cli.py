@@ -223,6 +223,17 @@ def test_cli_spec_file_non_integer_weights(tmp_path):
             assert rc == 2 and err.startswith("error:"), (bad, argv)
 
 
+def test_cli_spec_file_non_integer_torus_rank(tmp_path):
+    path = tmp_path / "spec.json"
+    for bad in (3.7, True, "3"):
+        doc = oqm(1, 2).to_json()
+        del doc["qmat"]
+        doc["torus_rank"] = bad
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, out, err = run_cli(["weight", "x[1,1]", "-a", str(path)])
+        assert rc == 2 and err.startswith("error:") and not out, bad
+
+
 def test_cli_spec_file_bad_entries(tmp_path):
     path = tmp_path / "spec.json"
     cases = [("lambda", [[2, 1, "q/0"]]),
@@ -302,6 +313,28 @@ def test_cli_verify_size_bounds():
         assert rc == 2 and err.startswith("error:"), size
     rc, _, _ = run_cli(["verify", "paper", "--size", "2,3", "--pairs", "5", "--triples", "20"])
     assert rc == 0
+
+
+def test_cli_verify_needs_samples():
+    for extra in (["--pairs", "0"], ["--triples", "0"], ["--pairs", "-3", "--triples", "-2"]):
+        argv = ["verify", "paper", "--size", "2,2", "--pairs", "5", "--triples", "20"] + extra
+        rc, out, err = run_cli(argv)
+        assert rc == 2 and err.startswith("error:") and not out, extra
+
+
+def test_cli_budgets():
+    for argv in (["nf", "x[2,2]*x[1,1]", "--steps-budget", "-1"],
+                 ["theta", "x[1,1]", "--nilpotence-bound", "-1"],
+                 ["axioms", "--nilpotence-bound", "-1"]):
+        rc, _, err = run_cli(argv)
+        assert rc == 2 and err.startswith("error:"), argv
+    # a budget of 0 still means no step, and exceeding it is a failed computation
+    rc, _, err = run_cli(["nf", "x[2,2]*x[1,1]", "--steps-budget", "0"])
+    assert rc == 1 and err == "error: straightening x[2,2]*x[1,1] exceeded 0 steps\n"
+    rc, out, _ = run_cli(["nf", "x[1,1]*x[2,2]", "--steps-budget", "0"])
+    assert rc == 0 and out.strip() == "x[1,1]*x[2,2]"
+    rc, _, err = run_cli(["theta", "x[1,1]", "--nilpotence-bound", "0"])
+    assert rc == 1 and "bound 0" in err
 
 
 def test_cli_seed_env_default(monkeypatch):

@@ -273,8 +273,113 @@ def test_strategy_independence():
 
 def test_steps_budget_guard():
     tiny = oqm(2, 2, steps_budget=1)
-    with pytest.raises(StepBudgetExceeded):
+    with pytest.raises(StepBudgetExceeded) as info:
         tiny.normal_form_word((4, 4, 1, 1))
+    assert info.value.word == (4, 4, 1, 1)
+    assert info.value.steps == 2
+    assert str(info.value) == "straightening x[2,2]*x[2,2]*x[1,1]*x[1,1] exceeded 1 steps"
+
+
+# The reference straightener: one Q(q) product per rewriting step and per
+# correction term, read straight off lam and delta.  normal_form_word must
+# agree with it on every word, under both strategies, and take as many steps.
+
+def _reference_normal_form(alg, word, strategy):
+    leftmost = strategy == "leftmost"
+    out = {}
+    stack = [(ONE, tuple(word))]
+    steps = 0
+    while stack:
+        c, w = stack.pop()
+        inversions = [t for t in range(len(w) - 1) if w[t] > w[t + 1]]
+        if not inversions:
+            out[w] = out.get(w, ZERO) + c
+            continue
+        steps += 1
+        pos = inversions[0] if leftmost else inversions[-1]
+        j, i = w[pos], w[pos + 1]
+        head, tail = w[:pos], w[pos + 2:]
+        lam = alg.lam[(j, i)]
+        if lam:
+            stack.append((c * lam, head + (i, j) + tail))
+        d = alg.delta.get((j, i))
+        if d is not None:
+            for dw, dc in d.terms.items():
+                stack.append((c * dc, head + dw + tail))
+    return NcPoly({w: c for w, c in out.items() if c}), steps
+
+
+def _general_coefficient_algebra():
+    """Straightening data whose coefficients are mostly not powers of q:
+    2, q+1, 1/(1-q), with -q and 1/q among them and one lambda equal to 0."""
+    two = ONE + ONE
+    geo = (ONE - Q).inverse()
+    lam = {(2, 1): two, (3, 1): ONE + Q, (3, 2): geo,
+           (4, 1): ZERO, (4, 2): -Q, (4, 3): qpow(-1)}
+    delta = {(3, 1): NcPoly({(1, 1): geo, (2,): Q}),
+             (4, 1): NcPoly({(2, 3): ONE + Q, (): two}),
+             (4, 3): NcPoly({(1, 2): -ONE})}
+    return OreAlgebra(("g_1", "g_2", "g_3", "g_4"), lam, delta,
+                      {j: Q for j in (2, 3, 4)}, 1, [(1,)] * 4, [(Q,)] * 4)
+
+
+def _with_budget(alg, budget):
+    return OreAlgebra(alg.names, alg.lam, alg.delta, alg.level_q, alg.torus_rank,
+                      alg.weights, alg.h_elems, steps_budget=budget)
+
+
+def test_rewrite_table_matches_the_reference_straightener():
+    rng = random.Random(11)
+    algebras = [oqm(2, 3), oqm(3, 3), quantum_plane(), load_preset("uq-sl3-plus"),
+                _general_coefficient_algebra()]
+    for alg in algebras:
+        for _ in range(60):
+            w = random_word(alg, rng, max_len=6)
+            for strategy in ("leftmost", "rightmost"):
+                expected, _ = _reference_normal_form(alg, w, strategy)
+                assert alg.normal_form_word(w, strategy) == expected, (alg, w, strategy)
+    # the general coefficients reach the normal forms
+    general = _general_coefficient_algebra().normal_form_word((4, 2, 3, 1))
+    assert any(c.as_signed_q_power() is None for c in general.terms.values())
+
+
+def test_rewrite_table_keeps_the_step_count():
+    rng = random.Random(12)
+    for alg in (oqm(2, 3), _general_coefficient_algebra()):
+        for _ in range(8):
+            w = random_word(alg, rng, max_len=6)
+            _, steps = _reference_normal_form(alg, w, "leftmost")
+            _with_budget(alg, steps).normal_form_word(w)
+            if steps:
+                with pytest.raises(StepBudgetExceeded) as info:
+                    _with_budget(alg, steps - 1).normal_form_word(w)
+                assert info.value.word == w and info.value.steps == steps
+
+
+def test_level_maps_match_their_definitions():
+    # s_j scales each word by the product of its letters' lambda_jg, and
+    # d_j(w) = sum over t of s_j(w[:t]) d_j(w[t]) w[t+1:]
+    rng = random.Random(13)
+    for alg in (_general_coefficient_algebra(), load_preset("uq-sl3-plus"), ALG23):
+        for j in range(2, alg.N + 1):
+            for _ in range(10):
+                a = random_poly(alg, rng, max_level=j - 1)
+                sigma, delta = {}, alg.zero()
+                for w, c in a.terms.items():
+                    lam = ONE
+                    for t, g in enumerate(w):
+                        d = alg.delta.get((j, g))
+                        if d is not None and lam:
+                            left = NcPoly({w[:t]: c * lam})
+                            right = NcPoly({w[t + 1:]: ONE})
+                            delta = delta + alg.multiply(alg.multiply(left, d), right)
+                        lam = lam * alg.lam[(j, g)]
+                    if lam:
+                        sigma[w] = c * lam
+                assert alg.apply_sigma(j, a) == NcPoly(sigma)
+                assert alg.apply_delta(j, a) == delta
+                if all(alg.lam[(j, g)] for w in a.terms for g in w):
+                    assert alg.apply_sigma_inv(j, NcPoly(sigma)) == a
 
 
 def test_is_torsionfree():
