@@ -3,12 +3,14 @@
 Exit codes: 0 success, 1 verification failure (or a computation that hit a
 budget), 2 usage or parse errors.  The active algebra is chosen per
 invocation with --algebra (qmat:M,N, qplane, uq-sl3-plus, or a spec file);
-there is no persistent session state.
+there is no persistent session state.  Each command takes only the options
+its handler reads.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -17,7 +19,8 @@ from . import verify as verify_mod
 from .cauchon import SIZE_LIMIT, count, count_by_black, enumerate_diagrams
 from .delderiv import LaurentElem, format_laurent, theta, theta_alt
 from .expr import ExprEvalError, ExprSyntaxError, evaluate
-from .ncalg import NcPoly, NilpotenceBoundExceeded, StepBudgetExceeded, format_poly
+from .ncalg import (NILPOTENCE_BOUND, STEPS_BUDGET, NcPoly, NilpotenceBoundExceeded,
+                    StepBudgetExceeded, format_poly)
 from .presets import load_algebra, load_preset
 from .qmat import oqm
 
@@ -25,23 +28,23 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
-def _common_options():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--algebra", "-a", default="qmat:2,2",
-                        help="active algebra: qmat:M,N | qplane | uq-sl3-plus | spec file")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int,
-                        default=int(os.environ.get("QCGL_SEED", verify_mod.DEFAULT_SEED)),
-                        help="seed for randomised property suites")
-    common.add_argument("--nilpotence-bound", type=int, default=64,
-                        help="bound for nilpotence-terminated computations")
-    common.add_argument("--steps-budget", type=int, default=10**6,
-                        help="rewriting step budget per normal form")
-    return common
-
-
+@functools.cache
 def build_parser():
-    common = _common_options()
+    """The command-line parser, built once per process and shared by every call."""
+    json_opt = argparse.ArgumentParser(add_help=False)
+    json_opt.add_argument("--json", action="store_true", help="machine-readable output")
+    # for the commands that load an algebra
+    algebra_opts = argparse.ArgumentParser(add_help=False)
+    algebra_opts.add_argument("--algebra", "-a", default="qmat:2,2",
+                              help="active algebra: qmat:M,N | qplane | uq-sl3-plus | "
+                                   "spec file")
+    algebra_opts.add_argument("--steps-budget", type=int, default=STEPS_BUDGET,
+                              help="rewriting step budget per normal form")
+    loads = [json_opt, algebra_opts]
+    bounded = argparse.ArgumentParser(add_help=False, parents=loads)
+    bounded.add_argument("--nilpotence-bound", type=int, default=NILPOTENCE_BOUND,
+                         help="bound for nilpotence-terminated computations")
+
     parser = argparse.ArgumentParser(
         prog="qcgl",
         description="Exact computations in iterated skew polynomial algebras of "
@@ -50,62 +53,60 @@ def build_parser():
                     "Options such as --json and --algebra go after the command.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("algebra", parents=[common],
+    p = sub.add_parser("algebra", parents=[json_opt],
                        help="print the serialized spec of a named algebra")
     p.add_argument("kind", choices=["qmat", "qplane", "preset"])
     p.add_argument("params", nargs="*", help="qmat: M N; preset: NAME")
 
-    p = sub.add_parser("nf", parents=[common], help="normal form of an expression")
+    p = sub.add_parser("nf", parents=loads, help="normal form of an expression")
     p.add_argument("expr")
 
-    p = sub.add_parser("minor", parents=[common], help="quantum minor [I|J]")
+    p = sub.add_parser("minor", parents=loads, help="quantum minor [I|J]")
     p.add_argument("rows", help="comma-separated row indices, e.g. 1,2")
     p.add_argument("cols", help="comma-separated column indices, e.g. 1,3")
 
-    p = sub.add_parser("qcommute", parents=[common],
+    p = sub.add_parser("qcommute", parents=loads,
                        help="the exponent s with ab = q^s ba, or none")
     p.add_argument("expr1")
     p.add_argument("expr2")
 
-    p = sub.add_parser("normal", parents=[common],
+    p = sub.add_parser("normal", parents=loads,
                        help="q-commutation exponents against every generator")
     p.add_argument("expr")
 
-    p = sub.add_parser("weight", parents=[common],
+    p = sub.add_parser("weight", parents=loads,
                        help="torus weight of an expression, or inhomogeneous")
     p.add_argument("expr")
 
-    p = sub.add_parser("cauchon", parents=[common], help="Cauchon diagram combinatorics")
+    p = sub.add_parser("cauchon", parents=[json_opt], help="Cauchon diagram combinatorics")
     p.add_argument("action", choices=["count", "list", "histogram"])
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
 
-    p = sub.add_parser("theta", parents=[common],
+    p = sub.add_parser("theta", parents=[bounded],
                        help="deleting-derivations image of a base-algebra element")
     p.add_argument("expr")
     p.add_argument("--alt", action="store_true",
                    help="use the expansion with the q^(n^2) twist")
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[json_opt],
                        help="run the claims-verification suite; exit 1 on failure")
     p.add_argument("suite", choices=["paper"])
+    p.add_argument("--seed", type=int,
+                   help="seed for the randomised checks (default: $QCGL_SEED, else %d)"
+                        % verify_mod.DEFAULT_SEED)
     p.add_argument("--size", help="restrict size-parameterised checks to one m,n "
                                   "grid with m <= n and at most %d cells" % SIZE_LIMIT)
     p.add_argument("--pairs", type=int, default=100)
     p.add_argument("--triples", type=int, default=500)
 
-    sub.add_parser("axioms", parents=[common],
+    sub.add_parser("axioms", parents=[bounded],
                    help="CGL axiom report for the active algebra")
     return parser
 
 
-def _emit(args, command, ok, result, text, algebra=None):
-    if args.json:
-        doc = {"command": command, "ok": ok, "algebra": algebra, "result": result}
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(text)
-    return 0 if ok else CHECK_FAILED
+# Each handler returns (ok, result, text): the verdict, the --json result and
+# the plain-text output.
 
 
 def _load(args):
@@ -119,6 +120,8 @@ def _cmd_algebra(args):
         alg = oqm(int(args.params[0]), int(args.params[1]))
         label = "qmat:%s,%s" % tuple(args.params)
     elif args.kind == "qplane":
+        if args.params:
+            raise ValueError("usage: algebra qplane")
         alg = load_preset("qplane")
         label = "qplane"
     else:
@@ -126,9 +129,9 @@ def _cmd_algebra(args):
             raise ValueError("usage: algebra preset NAME")
         alg = load_preset(args.params[0])
         label = args.params[0]
+    args.algebra = label  # the envelope names the printed algebra
     doc = alg.to_json()
-    return _emit(args, "algebra", True, {"spec": doc},
-                 json.dumps(doc, indent=2), algebra=label)
+    return True, {"spec": doc}, json.dumps(doc, indent=2)
 
 
 def _cmd_nf(args):
@@ -138,7 +141,7 @@ def _cmd_nf(args):
         text = format_laurent(alg.names, value)
     else:
         text = format_poly(alg.names, value)
-    return _emit(args, "nf", True, {"value": text}, text, algebra=args.algebra)
+    return True, {"value": text}, text
 
 
 def _cmd_minor(args):
@@ -148,7 +151,7 @@ def _cmd_minor(args):
     rows = tuple(int(v) for v in args.rows.split(","))
     cols = tuple(int(v) for v in args.cols.split(","))
     text = format_poly(alg.names, alg.minor(rows, cols))
-    return _emit(args, "minor", True, {"value": text}, text, algebra=args.algebra)
+    return True, {"value": text}, text
 
 
 def _required_poly(alg, source):
@@ -163,8 +166,7 @@ def _cmd_qcommute(args):
     a = _required_poly(alg, args.expr1)
     b = _required_poly(alg, args.expr2)
     s = alg.qcommute_exponent(a, b)
-    return _emit(args, "qcommute", True, {"exponent": s},
-                 "none" if s is None else str(s), algebra=args.algebra)
+    return True, {"exponent": s}, "none" if s is None else str(s)
 
 
 def _cmd_normal(args):
@@ -172,15 +174,14 @@ def _cmd_normal(args):
     report = alg.is_normal(_required_poly(alg, args.expr))
     result = {"normal": report.ok, "names": list(report.names),
               "exponents": list(report.exponents)}
-    return _emit(args, "normal", True, result, str(report), algebra=args.algebra)
+    return True, result, str(report)
 
 
 def _cmd_weight(args):
     alg = _load(args)
     w = alg.torus_weight(_required_poly(alg, args.expr))
     result = {"homogeneous": w is not None, "weight": None if w is None else list(w)}
-    text = "inhomogeneous" if w is None else "(%s)" % ", ".join(map(str, w))
-    return _emit(args, "weight", True, result, text, algebra=args.algebra)
+    return True, result, "inhomogeneous" if w is None else "(%s)" % ", ".join(map(str, w))
 
 
 def _cmd_cauchon(args):
@@ -198,7 +199,7 @@ def _cmd_cauchon(args):
         diagrams = list(enumerate_diagrams(m, n))
         result["diagrams"] = [d.to_cells() for d in diagrams]
         text = "\n\n".join(str(d) for d in diagrams)
-    return _emit(args, "cauchon", True, result, text)
+    return True, result, text
 
 
 def _cmd_theta(args):
@@ -206,10 +207,22 @@ def _cmd_theta(args):
     a = _required_poly(alg, args.expr)
     image = (theta_alt if args.alt else theta)(alg, a, bound=args.nilpotence_bound)
     text = format_laurent(alg.names, image)
-    return _emit(args, "theta", True, {"value": text}, text, algebra=args.algebra)
+    return True, {"value": text}, text
+
+
+def _verify_seed(args):
+    """--seed, else $QCGL_SEED, else the suite's default seed."""
+    if args.seed is not None:
+        return args.seed
+    env = os.environ.get("QCGL_SEED", str(verify_mod.DEFAULT_SEED))
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError("QCGL_SEED must be an integer, not %r" % env) from None
 
 
 def _cmd_verify(args):
+    seed = _verify_seed(args)
     size = None
     if args.size:
         size = tuple(int(v) for v in args.size.split(","))
@@ -221,7 +234,7 @@ def _cmd_verify(args):
     # criteria 4 and 7 pass vacuously on no samples
     if args.pairs < 1 or args.triples < 1:
         raise ValueError("--pairs and --triples must be at least 1")
-    results = verify_mod.run_paper_suite(size=size, seed=args.seed,
+    results = verify_mod.run_paper_suite(size=size, seed=seed,
                                          pairs=args.pairs, triples=args.triples)
     ok = all(r.ok for r in results)
     lines = []
@@ -232,7 +245,7 @@ def _cmd_verify(args):
     result = {"ok": ok, "checks": [
         {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": r.seconds}
         for r in results]}
-    return _emit(args, "verify", ok, result, "\n".join(lines))
+    return ok, result, "\n".join(lines)
 
 
 def _cmd_axioms(args):
@@ -241,7 +254,7 @@ def _cmd_axioms(args):
     result = {"ok": report.ok, "checks": [
         {"level": c.level, "axiom": c.axiom, "ok": c.ok, "detail": c.detail}
         for c in report.checks]}
-    return _emit(args, "axioms", report.ok, result, str(report), algebra=args.algebra)
+    return report.ok, result, str(report)
 
 
 _HANDLERS = {
@@ -259,18 +272,25 @@ _HANDLERS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.steps_budget < 0 or args.nilpotence_bound < 0:
-            raise ValueError("--steps-budget and --nilpotence-bound must be at least 0")
-        return _HANDLERS[args.command](args)
+        for option in ("steps_budget", "nilpotence_bound"):
+            if getattr(args, option, 0) < 0:
+                raise ValueError("--%s must be at least 0" % option.replace("_", "-"))
+        ok, result, text = _HANDLERS[args.command](args)
+        if args.json:
+            doc = {"command": args.command, "ok": ok,
+                   "algebra": getattr(args, "algebra", None), "result": result}
+            print(json.dumps(doc, indent=2, sort_keys=True))
+        else:
+            print(text)
     except (ExprSyntaxError, ExprEvalError, ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
     except (StepBudgetExceeded, NilpotenceBoundExceeded) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return CHECK_FAILED
+    return 0 if ok else CHECK_FAILED
 
 
 def console_main():

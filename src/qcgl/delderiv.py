@@ -17,7 +17,8 @@ with q the top-level constant q_N; the sum is finite by nilpotence.
 from __future__ import annotations
 
 from .coef import ONE, RatFunc, q_int
-from .ncalg import NcPoly, NilpotenceBoundExceeded, OreAlgebra, _format_terms, add_terms
+from .ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, OreAlgebra,
+                    _format_terms, add_terms)
 
 
 class LaurentElem:
@@ -156,7 +157,7 @@ def _x_power_times(alg, i, p, bound):
     return u
 
 
-def laurent_mul(alg, u, v, bound=64):
+def laurent_mul(alg, u, v, bound=NILPOTENCE_BOUND):
     """Product in the localised skew extension, in canonical form."""
     out = {}
     for i, ui in u.items():
@@ -177,7 +178,7 @@ def _check_theta_ready(alg):
         raise ValueError("top-level constant q_N is 1; theta is undefined")
 
 
-def theta(alg, a, bound=64):
+def theta(alg, a, bound=NILPOTENCE_BOUND):
     """Image of a base-algebra element under the deleting-derivations map.
 
     sigma^-1 scales each PBW word w of a, so d^n(s^-n(a)) is the sum over
@@ -211,7 +212,7 @@ def theta(alg, a, bound=64):
     return LaurentElem(out)
 
 
-def theta_alt(alg, a, bound=64):
+def theta_alt(alg, a, bound=NILPOTENCE_BOUND):
     """The equivalent expansion with the q^(n^2) twist and maps in swapped order."""
     _check_theta_ready(alg)
     if a.max_index() >= alg.N:
@@ -235,7 +236,7 @@ def theta_alt(alg, a, bound=64):
     return LaurentElem(out)
 
 
-def min_shift(alg, a, bound=64):
+def min_shift(alg, a, bound=NILPOTENCE_BOUND):
     """Smallest s >= 0 with theta(a) X^s free of negative exponents."""
     if a.is_zero():
         raise ValueError("min_shift of 0 is undefined")

@@ -13,7 +13,6 @@ until the word is sorted.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -22,6 +21,12 @@ from .coef import ONE, ZERO, RatFunc, is_root_of_unity, qpow
 
 _NAME_RE = re.compile(r"^(?:x\[\d+,\d+\]|g_\d+)$")
 _SPEC_KEYS = ("names", "torus_rank", "lambda", "delta", "level_q", "weights", "h")
+
+STEPS_BUDGET = 10**6      # rewriting steps per straightened word, by default
+NILPOTENCE_BOUND = 64     # powers of a derivation tried before giving up, by default
+# axiom (b) also tries this many random elements per level, of this degree
+AXIOM_SAMPLES = 3
+AXIOM_SAMPLE_DEGREE = 3
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -262,7 +267,7 @@ class OreAlgebra:
     """
 
     def __init__(self, names, lam, delta, level_q, torus_rank, weights,
-                 h_elems, steps_budget=10**6):
+                 h_elems, steps_budget=STEPS_BUDGET):
         names = tuple(names)
         N = len(names)
         if N == 0:
@@ -416,12 +421,12 @@ class OreAlgebra:
         self._nf_cache[key] = result
         return result
 
-    def multiply(self, a, b, strategy="leftmost"):
+    def multiply(self, a, b):
         out = {}
         for wa, ca in a.terms.items():
             for wb, cb in b.terms.items():
                 c = cb if ca.is_one() else ca if cb.is_one() else ca * cb
-                add_terms(out, self.normal_form_word(wa + wb, strategy).terms.items(), c)
+                add_terms(out, self.normal_form_word(wa + wb).terms.items(), c)
         return NcPoly(out)
 
     def word_text(self, word):
@@ -487,7 +492,7 @@ class OreAlgebra:
                     c = c * rest
         return NcPoly(out)
 
-    def nilpotency_index(self, j, a, bound=64):
+    def nilpotency_index(self, j, a, bound=NILPOTENCE_BOUND):
         """Smallest d with d_j^(d+1)(a) = 0, for nonzero a."""
         if a.is_zero():
             raise ValueError("nilpotency index of 0 is undefined")
@@ -562,13 +567,12 @@ class OreAlgebra:
 
     # -- CGL axioms ----------------------------------------------------------
 
-    def check_cgl_axioms(self, nilpotence_bound=64, rng=None, sample_count=3,
-                         sample_degree=3):
+    def check_cgl_axioms(self, nilpotence_bound=NILPOTENCE_BOUND, rng=None):
         """Per-level axiom verdicts; failures are report entries, never raises.
 
         (a) s_j d_j = q_j d_j s_j on each generator below j
-        (b) d_j nilpotent within bound on generators (and random samples if
-            an rng is supplied)
+        (b) d_j nilpotent within bound on generators (and AXIOM_SAMPLES
+            random samples if an rng is supplied)
         (c) q_j is not a root of unity
         (d) the torus element h_j acts on each earlier generator by lambda_ji
         (e) the h_j-eigenvalue of x_j is not a root of unity
@@ -601,8 +605,9 @@ class OreAlgebra:
             nil_ok, nil_detail = True, ""
             samples = [self.gen(i) for i in range(1, j)]
             if rng is not None:
-                for _ in range(sample_count):
-                    p = random_poly(self, rng, max_degree=sample_degree, max_level=j - 1)
+                for _ in range(AXIOM_SAMPLES):
+                    p = random_poly(self, rng, max_degree=AXIOM_SAMPLE_DEGREE,
+                                    max_level=j - 1)
                     if not p.is_zero():
                         samples.append(p)
             for p in samples:
@@ -709,7 +714,7 @@ class OreAlgebra:
         return doc
 
     @classmethod
-    def from_json(cls, doc, steps_budget=10**6):
+    def from_json(cls, doc, steps_budget=STEPS_BUDGET):
         from .expr import eval_free, parse, parse_scalar
 
         if not isinstance(doc, dict) or doc.get("format") != "cgl-spec-v1":
@@ -740,13 +745,6 @@ class OreAlgebra:
                              % (shape[0], shape[1]))
         return tagged
 
-    def dumps(self, indent=2):
-        return json.dumps(self.to_json(), indent=indent)
-
-    @classmethod
-    def loads(cls, text, steps_budget=10**6):
-        return cls.from_json(json.loads(text), steps_budget=steps_budget)
-
     def __repr__(self):
         return "<OreAlgebra on %d generators: %s>" % (self.N, ", ".join(self.names))
 
@@ -755,7 +753,7 @@ class OreAlgebra:
 # presets and sampling
 
 
-def quantum_plane():
+def quantum_plane(steps_budget=STEPS_BUDGET):
     """The quantum affine plane: g_2 g_1 = q g_1 g_2, no correction terms."""
     from .coef import Q
 
@@ -767,6 +765,7 @@ def quantum_plane():
         torus_rank=2,
         weights=[(1, 0), (0, 1)],
         h_elems=[(Q, ONE), (Q, Q)],
+        steps_budget=steps_budget,
     )
 
 

@@ -10,7 +10,7 @@ import json
 import os
 from importlib import resources
 
-from .ncalg import OreAlgebra, quantum_plane
+from .ncalg import STEPS_BUDGET, OreAlgebra, quantum_plane
 from .qmat import oqm
 
 _FILE_PRESETS = {
@@ -29,9 +29,9 @@ def _read_spec_text(path):
     return resources.files("qcgl").joinpath(path).read_text(encoding="utf-8")
 
 
-def load_preset(name, steps_budget=10**6, nilpotence_bound=64):
+def load_preset(name, steps_budget=STEPS_BUDGET):
     if name == "qplane":
-        return quantum_plane()
+        return quantum_plane(steps_budget=steps_budget)
     try:
         path = _FILE_PRESETS[name]
     except KeyError:
@@ -39,13 +39,13 @@ def load_preset(name, steps_budget=10**6, nilpotence_bound=64):
                          % (name, ", ".join(preset_names())))
     alg = OreAlgebra.from_json(json.loads(_read_spec_text(path)),
                                steps_budget=steps_budget)
-    report = alg.check_cgl_axioms(nilpotence_bound=nilpotence_bound)
+    report = alg.check_cgl_axioms()
     if not report.ok:
         raise ValueError("preset %r fails the CGL axioms:\n%s" % (name, report))
     return alg
 
 
-def load_algebra(token, steps_budget=10**6):
+def load_algebra(token, steps_budget=STEPS_BUDGET):
     """Resolve an --algebra token: qmat:M,N | qplane | preset name | file path."""
     if token.startswith("qmat:"):
         try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .coef import MINUS_ONE, ONE, Q, qpow
-from .ncalg import NcPoly, OreAlgebra, add_terms
+from .ncalg import STEPS_BUDGET, NcPoly, OreAlgebra, add_terms
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,21 @@ class MinorIndex:
         return "[%s|%s]" % (",".join(map(str, self.rows)), ",".join(map(str, self.cols)))
 
 
+# The straightening datum holds about (mn)^2/2 eigenvalues.  On a 2-CPU
+# machine under Python 3.11, 20x20 took 0.65-0.84 s and 86 MB to build,
+# 40x40 16 s and 1.3 GB.
+MAX_GENERATORS = 400
+
+
 class QuantumMatrixAlgebra(OreAlgebra):
     """O_q of the m x n quantum matrices, generators in row-major order."""
 
-    def __init__(self, m, n, steps_budget=10**6):
+    def __init__(self, m, n, steps_budget=STEPS_BUDGET):
         if m < 1 or n < 1:
             raise ValueError("grid dimensions must be positive")
+        if m * n > MAX_GENERATORS:
+            raise ValueError("a %dx%d grid has %d generators; at most %d are supported"
+                             % (m, n, m * n, MAX_GENERATORS))
         self.m = m
         self.n = n
         self.qmat_shape = (m, n)
@@ -165,7 +174,7 @@ class QuantumMatrixAlgebra(OreAlgebra):
         return NcPoly(out)
 
 
-def oqm(m, n, steps_budget=10**6):
+def oqm(m, n, steps_budget=STEPS_BUDGET):
     """The generic quantum matrix algebra on an m x n grid."""
     return QuantumMatrixAlgebra(m, n, steps_budget=steps_budget)
 

@@ -23,6 +23,7 @@ from .qmat import oqm
 
 DEFAULT_SEED = 20240801
 DEFAULT_SIZES = ((2, 2), (2, 3), (3, 3))
+LEVEL_SAMPLES = 50  # random elements per level for criterion 6's twist identity
 
 
 @dataclass
@@ -244,13 +245,13 @@ def mutated_specs():
     return muts
 
 
-def check_cgl_axioms(seed=DEFAULT_SEED, nilpotence_bound=64, level_samples=50):
+def check_cgl_axioms(seed=DEFAULT_SEED):
     def body():
         rng = random.Random(seed)
         good = [("oqm(2,2)", oqm(2, 2)), ("oqm(2,3)", oqm(2, 3)),
                 ("qplane", quantum_plane()), ("uq-sl3-plus", load_preset("uq-sl3-plus"))]
         for label, alg in good:
-            report = alg.check_cgl_axioms(nilpotence_bound=nilpotence_bound, rng=rng)
+            report = alg.check_cgl_axioms(rng=rng)
             if not report.ok:
                 return False, "%s rejected: %s" % (label, report.failures()[0].detail)
         failing = 0
@@ -268,7 +269,7 @@ def check_cgl_axioms(seed=DEFAULT_SEED, nilpotence_bound=64, level_samples=50):
         for label, alg in (("oqm(2,2)", oqm(2, 2)), ("qplane", quantum_plane())):
             for j in range(2, alg.N + 1):
                 qj = alg.level_q[j]
-                for _ in range(level_samples):
+                for _ in range(LEVEL_SAMPLES):
                     a = random_poly(alg, rng, max_degree=3, max_level=j - 1)
                     lhs = alg.apply_sigma(j, alg.apply_delta(j, a))
                     rhs = alg.apply_delta(j, alg.apply_sigma(j, a)).scaled(qj)
@@ -276,7 +277,7 @@ def check_cgl_axioms(seed=DEFAULT_SEED, nilpotence_bound=64, level_samples=50):
                         return False, "twist identity fails on a sample at level %d of %s" % (
                             j, label)
         return True, ("presets pass, %d mutations rejected, twist identity holds on "
-                      "%d samples per level" % (failing, level_samples))
+                      "%d samples per level" % (failing, LEVEL_SAMPLES))
 
     return _run("6-cgl-axiom-checker", body)
 
@@ -343,8 +344,7 @@ def check_torsionfree(sizes=DEFAULT_SIZES):
 # ---------------------------------------------------------------------------
 
 
-def run_paper_suite(size=None, seed=DEFAULT_SEED, pairs=100, triples=500,
-                    level_samples=50):
+def run_paper_suite(size=None, seed=DEFAULT_SEED, pairs=100, triples=500):
     """All acceptance checks; size=(m,n) restricts size-parameterised ones."""
     if size is None:
         sizes = DEFAULT_SIZES
@@ -363,7 +363,7 @@ def run_paper_suite(size=None, seed=DEFAULT_SEED, pairs=100, triples=500,
         check_cauchon_counts(sizes),
         check_theta_homomorphism(theta_shapes, pairs=pairs, seed=seed),
         check_theta_expansions(theta_shapes, pairs=pairs, seed=seed),
-        check_cgl_axioms(seed=seed, level_samples=level_samples),
+        check_cgl_axioms(seed=seed),
         check_rewriting_soundness(count=triples, seed=seed),
         check_grassmann(grass_sizes),
         check_torsionfree(sizes),

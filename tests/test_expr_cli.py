@@ -337,14 +337,129 @@ def test_cli_budgets():
     assert rc == 1 and "bound 0" in err
 
 
+def _capture_verify_seeds(monkeypatch):
+    from qcgl import verify
+
+    seeds = []
+    monkeypatch.setattr(verify, "run_paper_suite",
+                        lambda **kwargs: seeds.append(kwargs["seed"]) or [])
+    return seeds
+
+
 def test_cli_seed_env_default(monkeypatch):
+    seeds = _capture_verify_seeds(monkeypatch)
+    monkeypatch.setenv("QCGL_SEED", "12345")
+    assert run_cli(["verify", "paper"])[0] == 0
+    assert run_cli(["verify", "paper", "--seed", "7"])[0] == 0
+    monkeypatch.delenv("QCGL_SEED")
+    assert run_cli(["verify", "paper"])[0] == 0
+    assert seeds == [12345, 7, 20240801]
+
+
+def test_cli_malformed_seed_env(monkeypatch):
+    seeds = _capture_verify_seeds(monkeypatch)
+    monkeypatch.setenv("QCGL_SEED", "abc")
+    rc, out, err = run_cli(["verify", "paper"])
+    assert rc == 2 and err.startswith("error:") and "QCGL_SEED" in err and not out
+    assert run_cli(["verify", "paper", "--seed", "7"])[0] == 0
+    assert seeds == [7]
+    # only verify reads the variable
+    assert run_cli(["cauchon", "count", "2", "2"]) == (0, "14\n", "")
+    assert run_cli(["nf", "x[2,2]*x[1,1]"])[0] == 0
+
+
+# Each command takes only the options its handler reads: --json everywhere,
+# --algebra and --steps-budget where an algebra is loaded, --nilpotence-bound
+# on theta and axioms, --seed on verify.
+_COMMAND_ARGS = {
+    "algebra": ["qplane"],
+    "nf": ["x[2,2]*x[1,1]"],
+    "minor": ["1,2", "1,2"],
+    "qcommute": ["x[1,1]", "x[1,2]"],
+    "normal": ["x[1,2]"],
+    "weight": ["x[1,1]"],
+    "cauchon": ["count", "2", "2"],
+    "theta": ["x[1,1]"],
+    "verify": ["paper"],
+    "axioms": [],
+}
+_OPTION_VALUES = {"--json": [], "-a": ["qmat:2,2"], "--algebra": ["qmat:2,2"],
+                  "--seed": ["7"], "--nilpotence-bound": ["8"], "--steps-budget": ["100"]}
+_LOADS = {"--json", "-a", "--algebra", "--steps-budget"}
+_TAKES = {
+    "algebra": {"--json"},
+    "nf": _LOADS, "minor": _LOADS, "qcommute": _LOADS, "normal": _LOADS, "weight": _LOADS,
+    "cauchon": {"--json"},
+    "theta": _LOADS | {"--nilpotence-bound"},
+    "verify": {"--json", "--seed"},
+    "axioms": _LOADS | {"--nilpotence-bound"},
+}
+
+
+def test_cli_options_per_command(monkeypatch):
+    _capture_verify_seeds(monkeypatch)
+    dropped = 0
+    for command, args in _COMMAND_ARGS.items():
+        for option, value in _OPTION_VALUES.items():
+            argv = [command] + args + [option] + value
+            if option in _TAKES[command]:
+                rc, _, err = run_cli(argv)
+                assert rc == 0, (argv, err)
+                continue
+            with pytest.raises(SystemExit) as exc:
+                run_cli(argv)
+            assert exc.value.code == 2, argv
+            dropped += option != "--algebra"  # one slot with -a
+    assert dropped == 23
+
+
+def test_cli_reuses_one_parser():
     from qcgl.cli import build_parser
 
-    monkeypatch.setenv("QCGL_SEED", "12345")
-    args = build_parser().parse_args(["verify", "paper"])
-    assert args.seed == 12345
-    args = build_parser().parse_args(["verify", "paper", "--seed", "7"])
-    assert args.seed == 7
+    parser = build_parser()
+    builds = build_parser.cache_info().misses
+    rc, _, err = run_cli(["theta", "x[1,1]", "--nilpotence-bound", "0"])
+    assert rc == 1 and "bound 0" in err
+    rc, out, _ = run_cli(["theta", "x[1,1]"])
+    assert rc == 0 and out == "x[1,1] - q*x[1,2]*x[2,1]*X^-1\n"
+    rc, out, _ = run_cli(["nf", "-a", "qplane", "g_2*g_1", "--steps-budget", "0"])
+    assert rc == 1
+    rc, out, _ = run_cli(["nf", "g_2*g_1"])
+    assert rc == 2  # the default algebra is back
+    assert build_parser() is parser and build_parser.cache_info().misses == builds
+
+
+def test_cli_envelope_names_the_algebra():
+    for argv, algebra in ((["algebra", "qmat", "2", "3"], "qmat:2,3"),
+                          (["algebra", "qplane"], "qplane"),
+                          (["algebra", "preset", "uq-sl3-plus"], "uq-sl3-plus"),
+                          (["nf", "g_2", "-a", "qplane"], "qplane"),
+                          (["axioms"], "qmat:2,2"),
+                          (["cauchon", "count", "2", "2"], None)):
+        rc, out, _ = run_cli(argv + ["--json"])
+        assert rc == 0 and json.loads(out)["algebra"] == algebra, argv
+
+
+def test_cli_algebra_parameter_counts():
+    for argv in (["algebra", "qplane", "foo", "bar"], ["algebra", "qplane", "2"],
+                 ["algebra", "qmat", "2"], ["algebra", "preset"]):
+        rc, out, err = run_cli(argv)
+        assert rc == 2 and err.startswith("error: usage:") and not out, argv
+
+
+def test_cli_quantum_matrix_size_bound(tmp_path):
+    for m, n in ((21, 20), (1, 401)):
+        with pytest.raises(ValueError, match="at most 400"):
+            oqm(m, n)
+    doc = oqm(1, 2).to_json()
+    doc["qmat"] = [21, 20]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["nf", "-a", "qmat:21,20", "x[1,1]"], ["nf", "-a", "qmat:1,401", "x[1,1]"],
+                 ["algebra", "qmat", "21", "20"], ["algebra", "qmat", "1", "401"],
+                 ["axioms", "-a", str(path)]):
+        rc, out, err = run_cli(argv)
+        assert rc == 2 and err.startswith("error:") and "at most 400" in err, argv
 
 
 def test_cli_uq_preset_relation():
