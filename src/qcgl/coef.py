@@ -228,12 +228,34 @@ def _laurent(num, e):
     return RatFunc._raw(num[k:], _pshift(_PONE, e - k))
 
 
+def _cancel(n, d):
+    """n and d divided by their gcd in Z[q], for a nonzero n and a canonical d.
+
+    When d is q^e the gcd is q^min(val n, e), stripped without a gcd.
+    """
+    if d[-1] == 1 and not any(d[:-1]):
+        k = _pval(n)
+        if k > len(d) - 1:
+            k = len(d) - 1
+        return (n[k:], d[k:]) if k else (n, d)
+    g = _pfullgcd(n, d)
+    if g != _PONE:
+        n = _pdivexact(n, g)
+        d = _pdivexact(d, g)
+    return n, d
+
+
 class RatFunc:
     """An element of Q(q) kept in canonical reduced form."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num=0, den=1):
+        if type(num) is int and type(den) is int and den == 1:
+            # a plain integer is already canonical (a bool takes the path below)
+            self.num = (num,) if num else _PZERO
+            self.den = _PONE
+            return
         if isinstance(num, int):
             num = (num,) if num else _PZERO
         if isinstance(den, int):
@@ -338,14 +360,8 @@ class RatFunc:
             num = _pmul(na, nb)
             e = len(da) + len(db) - 2
             return _laurent(num, e) if e else RatFunc._raw(num, _PONE)
-        g1 = _pfullgcd(na, db)
-        if g1 != _PONE:
-            na = _pdivexact(na, g1)
-            db = _pdivexact(db, g1)
-        g2 = _pfullgcd(nb, da)
-        if g2 != _PONE:
-            nb = _pdivexact(nb, g2)
-            da = _pdivexact(da, g2)
+        na, db = _cancel(na, db)
+        nb, da = _cancel(nb, da)
         return RatFunc._raw(_pmul(na, nb), _pmul(da, db))
 
     __rmul__ = __mul__

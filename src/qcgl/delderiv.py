@@ -12,6 +12,12 @@ which terminates because d is locally nilpotent.  The embedding of A sends
     a  |->  sum_n (1-q)^-n / [n]!_q  d^n(s^-n(a)) X^-n
 
 with q the top-level constant q_N; the sum is finite by nilpotence.
+`theta` sums each level n over the Laurent coefficients of s^-n(a) and scales
+the sum once by the level factor ((1-q)^n [n]!_q)^-1, so a denominator that is
+not a power of q costs one product per output word.  Two stores on the
+algebra serve it: `_theta_factors`, the level factors for its q_N, and
+`_delta_chains`, the powers d^n(w) of each PBW word w.  `theta_alt` reads
+neither and stays an independent check on both.
 """
 
 from __future__ import annotations
@@ -117,21 +123,40 @@ def format_laurent(names, u):
 
 
 def _xinv_times_poly(alg, c, bound):
-    """X^-1 * c as a LaurentElem, by the nilpotence-terminated recursion."""
+    """X^-1 * c as a LaurentElem, by the nilpotence-terminated recursion.
+
+    The recursion goes one level deeper for each nonzero d(s^-1(.)); more
+    than bound levels raise.  Each cache entry keeps the depth it took, so a
+    warm cache raises exactly when a cold one would.
+    """
     if c.is_zero():
         return LaurentElem.zero()
+    res, depth = _xinv_entry(alg, c, bound)
+    if depth > bound:
+        raise NilpotenceBoundExceeded(
+            "X^-1 commutation did not terminate within bound %d" % bound, bound, c)
+    return res
+
+
+def _xinv_entry(alg, c, bound):
+    """(X^-1 * c, depth) for a nonzero c; (None, depth) with depth > bound
+    once the recursion passes bound levels."""
     hit = alg._xinv_cache.get(c)
     if hit is not None:
         return hit
     if bound <= 0:
-        raise NilpotenceBoundExceeded("X^-1 commutation did not terminate within bound")
+        return None, 1
     s = alg.apply_sigma_inv(alg.N, c)
     d = alg.apply_delta(alg.N, s)
-    res = LaurentElem.from_poly(s, -1)
+    res, depth = LaurentElem.from_poly(s, -1), 1
     if not d.is_zero():
-        res = res - _xinv_times_poly(alg, d, bound - 1).shifted(-1)
-    alg._xinv_cache[c] = res
-    return res
+        tail, tail_depth = _xinv_entry(alg, d, bound - 1)
+        depth += tail_depth
+        if tail is None:
+            return None, depth
+        res = res - tail.shifted(-1)
+    alg._xinv_cache[c] = res, depth
+    return res, depth
 
 
 def _x_times(alg, u):
@@ -178,37 +203,55 @@ def _check_theta_ready(alg):
         raise ValueError("top-level constant q_N is 1; theta is undefined")
 
 
+def _level_factor(alg, n):
+    """((1-q_N)^n [n]!_{q_N})^-1, from the algebra's list of level factors."""
+    factors = alg._theta_factors
+    qN = alg.level_q[alg.N]
+    while len(factors) <= n:
+        m = len(factors)
+        factors.append(factors[-1] / ((ONE - qN) * q_int(m, qN)))
+    return factors[n]
+
+
+def _delta_power(alg, w, n):
+    """d^n(w) for a PBW word w, from the algebra's chain [w, d(w), ...],
+    which ends with 0 once d has killed w."""
+    chain = alg._delta_chains.get(w)
+    if chain is None:
+        chain = alg._delta_chains[w] = [NcPoly({w: ONE})]
+    while len(chain) <= n and chain[-1]:
+        chain.append(alg.apply_delta(alg.N, chain[-1]))
+    return chain[n] if n < len(chain) else chain[-1]
+
+
 def theta(alg, a, bound=NILPOTENCE_BOUND):
     """Image of a base-algebra element under the deleting-derivations map.
 
     sigma^-1 scales each PBW word w of a, so d^n(s^-n(a)) is the sum over
-    the words of a of (the coefficient of w in s^-n(a)) * d^n(w); each word
-    keeps its own chain d^n(w), extended by one application of d per level.
+    the words of a of (the coefficient of w in s^-n(a)) * d^n(w).  Each
+    level is summed with those Laurent coefficients and then scaled once by
+    its level factor; d^n(w) comes from the algebra's `_delta_chains` and the
+    factor from its `_theta_factors`.  The bound raises exactly when the term
+    at index bound is nonzero, whatever the stores hold.
     """
     _check_theta_ready(alg)
     if a.max_index() >= alg.N:
         raise ValueError("theta applies to elements of the base algebra only")
-    qN = alg.level_q[alg.N]
-    one_minus = ONE - qN
     out = {}
     u = a
-    chains = {w: NcPoly({w: ONE}) for w in a.terms}
-    factor = ONE
     n = 0
     while True:
         t = {}
-        for w, d in chains.items():
-            add_terms(t, d.terms.items(), u.terms[w] * factor)
+        for w in a.terms:
+            add_terms(t, _delta_power(alg, w, n).terms.items(), u.terms[w])
         if not t:
             break
-        out[-n] = NcPoly(t)
+        out[-n] = NcPoly(t).scaled(_level_factor(alg, n)) if n else NcPoly(t)
         n += 1
         if n > bound:
-            raise NilpotenceBoundExceeded("theta did not terminate within bound %d" % bound)
-        factor = factor / (one_minus * q_int(n, qN))
+            raise NilpotenceBoundExceeded("theta did not terminate within bound %d" % bound,
+                                          bound, a)
         u = alg.apply_sigma_inv(alg.N, u)
-        chains = {w: alg.apply_delta(alg.N, d) for w, d in chains.items()}
-        chains = {w: d for w, d in chains.items() if d}
     return LaurentElem(out)
 
 
@@ -231,7 +274,8 @@ def theta_alt(alg, a, bound=NILPOTENCE_BOUND):
         t = alg.apply_delta(alg.N, t)
         n += 1
         if n > bound:
-            raise NilpotenceBoundExceeded("theta did not terminate within bound %d" % bound)
+            raise NilpotenceBoundExceeded("theta did not terminate within bound %d" % bound,
+                                          bound, a)
         factor = factor / (one_minus * q_int(n, qN))
     return LaurentElem(out)
 

@@ -43,7 +43,17 @@ class StepBudgetExceeded(RuntimeError):
 
 
 class NilpotenceBoundExceeded(RuntimeError):
-    """Raised when a derivation fails to vanish within the allowed bound."""
+    """Raised when a derivation fails to vanish within the allowed bound.
+
+    bound is the bound that was passed, and element the NcPoly being worked
+    on: theta's argument, the base element X^-1 was commuted past, or the
+    sample whose nilpotency index was sought.
+    """
+
+    def __init__(self, message, bound, element):
+        super().__init__(message)
+        self.bound = bound
+        self.element = element
 
 
 def _qpow_parts(c):
@@ -350,7 +360,12 @@ class OreAlgebra:
         self.h_elems = tuple(hs)
         self.steps_budget = steps_budget
         self._nf_cache = {}
-        self._xinv_cache = {}  # top-level X^-1 commutations, filled by delderiv
+        # stores filled by delderiv: top-level X^-1 commutations with the
+        # recursion depth each took, the chains [w, d_N(w), d_N^2(w), ...]
+        # per PBW word w, and theta's level factors ((1-q_N)^n [n]!)^-1
+        self._xinv_cache = {}
+        self._delta_chains = {}
+        self._theta_factors = [ONE]
 
     # -- constructors of elements -------------------------------------------
 
@@ -502,7 +517,7 @@ class OreAlgebra:
             d += 1
             if d > bound:
                 raise NilpotenceBoundExceeded(
-                    "delta_%d not nilpotent on sample within bound %d" % (j, bound))
+                    "delta_%d not nilpotent on sample within bound %d" % (j, bound), bound, a)
             cur = self.apply_delta(j, cur)
         return d
 

@@ -97,6 +97,18 @@ def test_integer_interop():
     assert Q ** 0 == 1
 
 
+def test_integer_constructor_builds_the_canonical_form():
+    for n in (0, 1, -1, 7, -7):
+        built = RatFunc(n)
+        reference = RatFunc((n,), (1,))
+        assert (built.num, built.den) == (reference.num, reference.den)
+        assert all(type(c) is int for c in built.num + built.den)
+    # a bool is no plain int: it takes the reducing path and becomes 1
+    assert RatFunc(True) == ONE
+    assert (RatFunc(True).num, RatFunc(True).den) == (ONE.num, ONE.den)
+    assert type(RatFunc(True).num[0]) is int
+
+
 def test_unit_q_power_detection():
     assert qpow(3).as_unit_q_power() == 3
     assert qpow(-2).as_unit_q_power() == -2

@@ -104,3 +104,22 @@ def test_times_qpow_matches_the_product(c, k, sign):
     result = c.times_qpow(k, sign)
     reference = c * (coef.qpow(k) * sign)
     assert (result.num, result.den) == (reference.num, reference.den)
+
+
+# Laurent operands n/q^e with e = 0, 1 and 2 (the denominator 1 included),
+# against general partners whose numerators have valuation 0, 2 and 3, below,
+# at and above e; the last partner's denominator q(1+q) also cancels against
+# the Laurent numerator
+LAURENT_CASES = (RatFunc((3, 1)), RatFunc((3, 1), (0, 0, 1)), RatFunc((0, 2, -1), (0, 0, 1)),
+                 RatFunc((0, 0, 0, 1), (0, 0, 1)))
+GENERAL_CASES = (RatFunc((1, 1), (1, 1, 1)), RatFunc((0, 0, 2), (1, 1)),
+                 RatFunc((0, 0, 0, 4, 1), (-2, 0, 1)), RatFunc((0, 5), (0, 0, 1, 1)))
+
+
+@pytest.mark.parametrize("laurent", LAURENT_CASES)
+@pytest.mark.parametrize("general", GENERAL_CASES)
+def test_laurent_times_general_matches_oracles(laurent, general):
+    assert _q_power_exponent(laurent.den) is not None
+    assert _q_power_exponent(general.den) is None
+    _check(laurent, general, "*")
+    _check(general, laurent, "*")

@@ -5,7 +5,7 @@ import pytest
 from qcgl.coef import ONE, Q, q_factorial, qpow
 from qcgl.delderiv import (LaurentElem, delete_top_variable, format_laurent,
                            laurent_mul, min_shift, theta, theta_alt)
-from qcgl.ncalg import (NcPoly, NilpotenceBoundExceeded, OreAlgebra,
+from qcgl.ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, OreAlgebra,
                         random_poly)
 from qcgl.presets import load_preset
 from qcgl.qmat import oqm
@@ -118,6 +118,111 @@ def test_theta_matches_its_literal_definition():
                     assert theta(alg, a, bound=bound) == expected
                     kept += 1
     assert raised and kept
+
+
+def _weyl():
+    """The quantum Weyl algebra g_2 g_1 = q g_1 g_2 + 1, with q_2 = q^-1."""
+    return OreAlgebra(("g_1", "g_2"), {(2, 1): Q}, {(2, 1): NcPoly({(): ONE})},
+                      {2: qpow(-1)}, 1, [(1,), (-1,)], [(Q,), (Q,)])
+
+
+def test_theta_matches_its_literal_definition_across_top_constants():
+    # q_N is q^-1 on the Weyl algebra and q^-2 on oqm(2,3); both share words
+    # such as (1,) and (1, 1), so a level factor or a delta chain that leaked
+    # from one algebra to the other would give the wrong terms
+    weyl = _weyl()
+    assert weyl.check_cgl_axioms(rng=random.Random(0)).ok
+    rng = random.Random(6)
+    for alg in (weyl, oqm(2, 3), weyl):
+        for _ in range(10):
+            a = random_poly(alg, rng, max_degree=3, max_level=alg.N - 1)
+            terms = _literal_theta_terms(alg, a)
+            assert theta(alg, a) == LaurentElem({-n: t for n, t in enumerate(terms)})
+    assert len(weyl._theta_factors) > 2
+
+
+def _outcome(call, alg):
+    """call(alg), or ("raised", bound) for the NilpotenceBoundExceeded it raised."""
+    try:
+        return call(alg)
+    except NilpotenceBoundExceeded as exc:
+        return ("raised", exc.bound)
+
+
+def _bounded_calls(p, bound):
+    return (lambda alg: theta(alg, p, bound=bound),
+            lambda alg: laurent_mul(alg, XINV, LaurentElem.from_poly(p), bound=bound),
+            lambda alg: laurent_mul(alg, LaurentElem.x_power(-2), LaurentElem.from_poly(p),
+                                    bound=bound))
+
+
+def test_theta_stores_give_the_cold_values_warm():
+    alg = oqm(2, 3)
+    rng = random.Random(7)
+    sample = [random_poly(alg, rng, max_degree=3, max_level=alg.N - 1) for _ in range(15)]
+    cold = [theta(alg, a) for a in sample]
+    assert alg._delta_chains and len(alg._theta_factors) > 1
+    assert [theta(alg, a) for a in sample] == cold
+    fresh = [theta(oqm(2, 3), a) for a in sample]
+    assert fresh == cold
+
+
+def test_warm_stores_keep_the_bound_verdicts():
+    for make in (lambda: oqm(2, 2), lambda: oqm(2, 3), _weyl):
+        alg = make()
+        x1 = alg.gen(1)
+        rng = random.Random(8)
+        elems = [x1, alg.multiply(x1, x1), alg.multiply(alg.multiply(x1, x1), x1)]
+        elems += [random_poly(alg, rng, max_degree=3, max_level=alg.N - 1) for _ in range(3)]
+        warm = make()
+        for p in elems:
+            for call in _bounded_calls(p, NILPOTENCE_BOUND):
+                call(warm)
+        seen = set()
+        for p in elems:
+            for bound in range(4):
+                cold = [_outcome(call, make()) for call in _bounded_calls(p, bound)]
+                assert [_outcome(call, warm) for call in _bounded_calls(p, bound)] == cold
+                seen.update(("raised", bound) == c for c in cold)
+        assert seen == {True, False}
+    # X^-1 past x[1,1]^2 needs more than one level, also once a default-bound
+    # call has cached it
+    alg = oqm(2, 2)
+    sq = LaurentElem.from_poly(alg.multiply(alg.x(1, 1), alg.x(1, 1)))
+    laurent_mul(alg, XINV, sq)
+    with pytest.raises(NilpotenceBoundExceeded):
+        laurent_mul(alg, XINV, sq, bound=1)
+
+
+def test_theta_alt_reads_no_theta_store():
+    alg = oqm(2, 3)
+    rng = random.Random(9)
+    sample = [random_poly(alg, rng, max_degree=3, max_level=alg.N - 1) for _ in range(15)]
+    expected = [theta(alg, a) for a in sample]
+    for w, chain in alg._delta_chains.items():
+        alg._delta_chains[w] = chain[:1] + [d.scaled(Q) for d in chain[1:]]
+    alg._theta_factors[1:] = [f * 3 for f in alg._theta_factors[1:]]
+    for c, (res, depth) in list(alg._xinv_cache.items()):
+        alg._xinv_cache[c] = res.scaled(Q), depth
+    assert [theta(alg, a) for a in sample] != expected
+    assert [theta_alt(alg, a) for a in sample] == expected
+
+
+def test_nilpotence_errors_carry_bound_and_element():
+    a = ALG.multiply(ALG.x(1, 1), ALG.x(1, 1))
+    for f in (theta, theta_alt):
+        with pytest.raises(NilpotenceBoundExceeded, match="bound 1") as info:
+            f(ALG, a, bound=1)
+        assert (info.value.bound, info.value.element) == (1, a)
+    with pytest.raises(NilpotenceBoundExceeded, match="bound 1") as info:
+        laurent_mul(ALG, XINV, LaurentElem.from_poly(a), bound=1)
+    assert (info.value.bound, info.value.element) == (1, a)
+    nonnil = OreAlgebra(("g_1", "g_2"), {(2, 1): Q},
+                        {(2, 1): NcPoly({(1,): ONE})}, {2: Q}, 2,
+                        [(1, 0), (0, 1)], [(Q, ONE), (Q, Q)])
+    with pytest.raises(NilpotenceBoundExceeded, match="bound 5") as info:
+        nonnil.nilpotency_index(2, nonnil.gen(1), bound=5)
+    assert (info.value.bound, info.value.element) == (5, nonnil.gen(1))
 
 
 def test_laurent_cancellation_leaves_no_stored_zeros():
