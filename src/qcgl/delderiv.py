@@ -2,12 +2,12 @@
 
 For R = A[X; s, d] with X the top generator, elements of the localization
 at the powers of X are finite sums sum_i a_i X^i with a_i in the base
-algebra A.  Commuting X forward uses X a = s(a) X + d(a); commuting X^-1
-forward uses the recursion
+algebra A.  Commuting X forward uses X a = s(a) X + d(a).  Commuting X^-1
+forward unrolls X^-1 a = s^-1(a) X^-1 - X^-1 d(s^-1(a)) X^-1 into the sum
 
-    X^-1 a = s^-1(a) X^-1 - X^-1 d(s^-1(a)) X^-1,
+    X^-1 a  =  sum_n (-1)^n s^-1(T^n a) X^-(n+1),    T = d s^-1,
 
-which terminates because d is locally nilpotent.  The embedding of A sends
+which is finite because d is locally nilpotent.  The embedding of A sends
 
     a  |->  sum_n (1-q)^-n / [n]!_q  d^n(s^-n(a)) X^-n
 
@@ -23,22 +23,14 @@ neither and stays an independent check on both.
 from __future__ import annotations
 
 from .coef import ONE, RatFunc, q_int
-from .ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, OreAlgebra,
+from .ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, OreAlgebra, TermMap,
                     _format_terms, add_terms)
 
 
-class LaurentElem:
+class LaurentElem(TermMap):
     """Finite map X-exponent -> base-algebra coefficient, coefficients on the left."""
 
-    __slots__ = ("coeffs", "_hash")
-
-    def __init__(self, coeffs):
-        self.coeffs = coeffs
-        self._hash = None
-
-    @staticmethod
-    def zero():
-        return LaurentElem({})
+    __slots__ = ()
 
     @staticmethod
     def from_poly(p, exp=0):
@@ -52,62 +44,33 @@ class LaurentElem:
     def x_power(k):
         return LaurentElem({k: NcPoly.scalar(ONE)})
 
-    def is_zero(self):
-        return not self.coeffs
-
     def min_exp(self):
-        return min(self.coeffs) if self.coeffs else 0
-
-    def items(self):
-        return self.coeffs.items()
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentElem):
-            return NotImplemented
-        return LaurentElem(add_terms(dict(self.coeffs), other.coeffs.items()))
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentElem):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return LaurentElem({k: -p for k, p in self.coeffs.items()})
+        return min(self.terms) if self.terms else 0
 
     def scaled(self, c):
         c = c if isinstance(c, RatFunc) else RatFunc(c)
         if not c:
             return LaurentElem.zero()
-        return LaurentElem({k: p.scaled(c) for k, p in self.coeffs.items()})
+        return LaurentElem({k: p.scaled(c) for k, p in self.terms.items()})
 
     def shifted(self, d):
         """Right multiplication by X^d (X commutes with itself)."""
         if d == 0:
             return self
-        return LaurentElem({k + d: p for k, p in self.coeffs.items()})
+        return LaurentElem({k + d: p for k, p in self.terms.items()})
 
     def scalar_x_power(self):
         """(c, k) if the element is a scalar multiple of X^k, else None."""
-        if len(self.coeffs) != 1:
+        if len(self.terms) != 1:
             return None
-        (k, p), = self.coeffs.items()
+        (k, p), = self.terms.items()
         c = p.scalar_value()
         if c is None or not c:
             return None
         return c, k
 
-    def __eq__(self, other):
-        if not isinstance(other, LaurentElem):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.coeffs.items()))
-        return self._hash
-
     def __repr__(self):
-        items = sorted(self.coeffs.items(), reverse=True)
+        items = sorted(self.terms.items(), reverse=True)
         return "LaurentElem({%s})" % ", ".join("%d: %r" % (k, p) for k, p in items)
 
 
@@ -115,7 +78,7 @@ def format_laurent(names, u):
     """Render with exponents descending; coefficients distribute over terms."""
     return _format_terms(names, (
         (w, c, "" if k == 0 else "X" if k == 1 else "X^%d" % k)
-        for k in sorted(u.coeffs, reverse=True) for w, c in u.coeffs[k].sorted_terms()))
+        for k in sorted(u.terms, reverse=True) for w, c in u.terms[k].sorted_terms()))
 
 
 # ---------------------------------------------------------------------------
@@ -123,62 +86,44 @@ def format_laurent(names, u):
 
 
 def _xinv_times_poly(alg, c, bound):
-    """X^-1 * c as a LaurentElem, by the nilpotence-terminated recursion.
+    """X^-1 * c for a nonzero c, as a LaurentElem, by the closed sum over the
+    chain c, Tc, T^2 c, ...
 
-    The recursion goes one level deeper for each nonzero d(s^-1(.)); more
-    than bound levels raise.  Each cache entry keeps the depth it took, so a
-    warm cache raises exactly when a cold one would.
+    The walk stops at the first chain element whose product the algebra has
+    cached (0 included) and then caches the product of every element it met,
+    or stops after bound elements.  The product of T^n c has one X-power per
+    nonzero chain element, so its depth is -min_exp(): past bound it raises,
+    warm as cold.
     """
-    if c.is_zero():
-        return LaurentElem.zero()
-    res, depth = _xinv_entry(alg, c, bound)
-    if depth > bound:
+    cache = alg._xinv_cache
+    met = []   # (T^n c, s^-1(T^n c)) for the uncached chain elements
+    e, tail = c, cache.get(c)
+    while tail is None and len(met) < bound:
+        s = alg.apply_sigma_inv(alg.N, e)
+        met.append((e, s))
+        e = alg.apply_delta(alg.N, s)
+        tail = cache.get(e) if e else LaurentElem.zero()
+    if tail is not None:
+        for e, s in reversed(met):
+            tail = cache[e] = LaurentElem.from_poly(s, -1) - tail.shifted(-1)
+    if tail is None or -tail.min_exp() > bound:
         raise NilpotenceBoundExceeded(
             "X^-1 commutation did not terminate within bound %d" % bound, bound, c)
-    return res
-
-
-def _xinv_entry(alg, c, bound):
-    """(X^-1 * c, depth) for a nonzero c; (None, depth) with depth > bound
-    once the recursion passes bound levels."""
-    hit = alg._xinv_cache.get(c)
-    if hit is not None:
-        return hit
-    if bound <= 0:
-        return None, 1
-    s = alg.apply_sigma_inv(alg.N, c)
-    d = alg.apply_delta(alg.N, s)
-    res, depth = LaurentElem.from_poly(s, -1), 1
-    if not d.is_zero():
-        tail, tail_depth = _xinv_entry(alg, d, bound - 1)
-        depth += tail_depth
-        if tail is None:
-            return None, depth
-        res = res - tail.shifted(-1)
-    alg._xinv_cache[c] = res, depth
-    return res, depth
-
-
-def _x_times(alg, u):
-    """X * u for a LaurentElem u."""
-    out = {}
-    for k, p in u.items():
-        add_terms(out, ((k + 1, alg.apply_sigma(alg.N, p)), (k, alg.apply_delta(alg.N, p))))
-    return LaurentElem(out)
+    return tail
 
 
 def _x_power_times(alg, i, p, bound):
-    """X^i * p for p in the base algebra, as a LaurentElem."""
+    """X^i * p for p in the base algebra, as a LaurentElem, one X^+-1 at a time."""
     u = LaurentElem.from_poly(p)
-    if i > 0:
-        for _ in range(i):
-            u = _x_times(alg, u)
-    elif i < 0:
-        for _ in range(-i):
-            out = {}
-            for k, c in u.items():
-                add_terms(out, _xinv_times_poly(alg, c, bound).shifted(k).items())
-            u = LaurentElem(out)
+    for _ in range(abs(i)):
+        out = {}
+        for k, c in u.items():
+            if i > 0:
+                step = ((1, alg.apply_sigma(alg.N, c)), (0, alg.apply_delta(alg.N, c)))
+            else:
+                step = _xinv_times_poly(alg, c, bound).items()
+            add_terms(out, ((k + e, v) for e, v in step))
+        u = LaurentElem(out)
     return u
 
 
@@ -196,11 +141,13 @@ def laurent_mul(alg, u, v, bound=NILPOTENCE_BOUND):
 # the deleting-derivations embedding
 
 
-def _check_theta_ready(alg):
+def _check_theta_ready(alg, a):
     if alg.N < 2:
         raise ValueError("theta needs at least two generators")
     if alg.level_q[alg.N] == ONE:
         raise ValueError("top-level constant q_N is 1; theta is undefined")
+    if a.max_index() >= alg.N:
+        raise ValueError("theta applies to elements of the base algebra only")
 
 
 def _level_factor(alg, n):
@@ -234,9 +181,7 @@ def theta(alg, a, bound=NILPOTENCE_BOUND):
     factor from its `_theta_factors`.  The bound raises exactly when the term
     at index bound is nonzero, whatever the stores hold.
     """
-    _check_theta_ready(alg)
-    if a.max_index() >= alg.N:
-        raise ValueError("theta applies to elements of the base algebra only")
+    _check_theta_ready(alg, a)
     out = {}
     u = a
     n = 0
@@ -257,9 +202,7 @@ def theta(alg, a, bound=NILPOTENCE_BOUND):
 
 def theta_alt(alg, a, bound=NILPOTENCE_BOUND):
     """The equivalent expansion with the q^(n^2) twist and maps in swapped order."""
-    _check_theta_ready(alg)
-    if a.max_index() >= alg.N:
-        raise ValueError("theta applies to elements of the base algebra only")
+    _check_theta_ready(alg, a)
     qN = alg.level_q[alg.N]
     one_minus = ONE - qN
     out = {}

@@ -224,11 +224,11 @@ class _WordAlgebra:
 def _as_scalar(value):
     """The RatFunc value of a scalar NcPoly or LaurentElem, else None."""
     if isinstance(value, LaurentElem):
-        if not value.coeffs:
+        if not value.terms:
             return ZERO
-        if set(value.coeffs) != {0}:
+        if set(value.terms) != {0}:
             return None
-        value = value.coeffs[0]
+        value = value.terms[0]
     return value.scalar_value()
 
 

@@ -96,11 +96,12 @@ def add_terms(out, items, c=None):
     return out
 
 
-class NcPoly:
-    """Noncommutative polynomial in PBW normal form.
+class TermMap:
+    """A finite map from keys to nonzero coefficients, treated as immutable.
 
-    terms maps words (nondecreasing tuples of 1-based generator indices) to
-    nonzero RatFunc coefficients.  Instances are treated as immutable.
+    NcPoly maps PBW words to RatFunc coefficients and delderiv.LaurentElem
+    maps X-exponents to NcPoly coefficients; the arithmetic they share lives
+    here, and every sum goes through add_terms, so no zero is ever stored.
     """
 
     __slots__ = ("terms", "_hash")
@@ -109,14 +110,9 @@ class NcPoly:
         self.terms = terms
         self._hash = None
 
-    @staticmethod
-    def zero():
-        return NcPoly({})
-
-    @staticmethod
-    def scalar(c):
-        c = c if isinstance(c, RatFunc) else RatFunc(c)
-        return NcPoly({(): c} if c else {})
+    @classmethod
+    def zero(cls):
+        return cls({})
 
     def is_zero(self):
         return not self.terms
@@ -126,6 +122,47 @@ class NcPoly:
 
     def nterms(self):
         return len(self.terms)
+
+    def items(self):
+        return self.terms.items()
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return type(self)(add_terms(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self.terms.items()})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
+
+
+class NcPoly(TermMap):
+    """Noncommutative polynomial in PBW normal form.
+
+    terms maps words (nondecreasing tuples of 1-based generator indices) to
+    nonzero RatFunc coefficients.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def scalar(c):
+        c = c if isinstance(c, RatFunc) else RatFunc(c)
+        return NcPoly({(): c} if c else {})
 
     def max_index(self):
         """Largest generator index occurring, 0 for scalar polynomials."""
@@ -139,34 +176,11 @@ class NcPoly:
             return self.terms[()]
         return None
 
-    def __add__(self, other):
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        return NcPoly(add_terms(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other):
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return NcPoly({w: -c for w, c in self.terms.items()})
-
     def scaled(self, c):
         c = c if isinstance(c, RatFunc) else RatFunc(c)
         if not c:
             return NcPoly.zero()
         return NcPoly({w: cw * c for w, cw in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
 
     def sorted_terms(self):
         """The (word, coefficient) pairs ordered by (degree, word)."""
@@ -360,9 +374,9 @@ class OreAlgebra:
         self.h_elems = tuple(hs)
         self.steps_budget = steps_budget
         self._nf_cache = {}
-        # stores filled by delderiv: top-level X^-1 commutations with the
-        # recursion depth each took, the chains [w, d_N(w), d_N^2(w), ...]
-        # per PBW word w, and theta's level factors ((1-q_N)^n [n]!)^-1
+        # stores filled by delderiv: top-level X^-1 commutations, the chains
+        # [w, d_N(w), d_N^2(w), ...] per PBW word w, and theta's level
+        # factors ((1-q_N)^n [n]!)^-1
         self._xinv_cache = {}
         self._delta_chains = {}
         self._theta_factors = [ONE]

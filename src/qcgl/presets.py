@@ -7,7 +7,6 @@ file is rejected before any computation runs.
 from __future__ import annotations
 
 import json
-import os
 from importlib import resources
 
 from .ncalg import STEPS_BUDGET, OreAlgebra, quantum_plane
@@ -22,13 +21,6 @@ def preset_names():
     return ["qplane"] + sorted(_FILE_PRESETS)
 
 
-def _read_spec_text(path):
-    if os.path.isabs(path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    return resources.files("qcgl").joinpath(path).read_text(encoding="utf-8")
-
-
 def load_preset(name, steps_budget=STEPS_BUDGET):
     if name == "qplane":
         return quantum_plane(steps_budget=steps_budget)
@@ -37,11 +29,16 @@ def load_preset(name, steps_budget=STEPS_BUDGET):
     except KeyError:
         raise ValueError("unknown preset %r (available: %s)"
                          % (name, ", ".join(preset_names())))
-    alg = OreAlgebra.from_json(json.loads(_read_spec_text(path)),
-                               steps_budget=steps_budget)
+    doc = json.loads(resources.files("qcgl").joinpath(path).read_text(encoding="utf-8"))
+    # check at the default budget, so that a small budget is not mistaken for
+    # a broken preset; for another budget build afresh, so that no normal form
+    # the check cached escapes that budget
+    alg = OreAlgebra.from_json(doc)
     report = alg.check_cgl_axioms()
     if not report.ok:
         raise ValueError("preset %r fails the CGL axioms:\n%s" % (name, report))
+    if steps_budget != STEPS_BUDGET:
+        alg = OreAlgebra.from_json(doc, steps_budget=steps_budget)
     return alg
 
 

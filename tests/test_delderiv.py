@@ -9,6 +9,7 @@ from qcgl.ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, OreAl
                         random_poly)
 from qcgl.presets import load_preset
 from qcgl.qmat import oqm
+from qcgl.verify import mutated_specs
 
 ALG = oqm(2, 2)
 X = LaurentElem.x_power(1)
@@ -202,8 +203,8 @@ def test_theta_alt_reads_no_theta_store():
     for w, chain in alg._delta_chains.items():
         alg._delta_chains[w] = chain[:1] + [d.scaled(Q) for d in chain[1:]]
     alg._theta_factors[1:] = [f * 3 for f in alg._theta_factors[1:]]
-    for c, (res, depth) in list(alg._xinv_cache.items()):
-        alg._xinv_cache[c] = res.scaled(Q), depth
+    for c, res in list(alg._xinv_cache.items()):
+        alg._xinv_cache[c] = res.scaled(Q)
     assert [theta(alg, a) for a in sample] != expected
     assert [theta_alt(alg, a) for a in sample] == expected
 
@@ -227,7 +228,7 @@ def test_nilpotence_errors_carry_bound_and_element():
 
 def test_laurent_cancellation_leaves_no_stored_zeros():
     u = theta(ALG, ALG.x(1, 1))
-    assert (u - u).coeffs == {}
+    assert (u - u).terms == {}
     # X x12 = q^-1 x12 X, so the x12*X terms of (X - q^-1 x12)(x12 + X) cancel
     x12 = LaurentElem.from_poly(ALG.x(1, 2))
     product = laurent_mul(ALG, X - x12.scaled(qpow(-1)), x12 + X)
@@ -263,6 +264,33 @@ def test_nilpotence_bound_is_enforced():
     with pytest.raises(NilpotenceBoundExceeded):
         laurent_mul(nonnil, LaurentElem.x_power(-1),
                     LaurentElem.from_poly(nonnil.gen(1)), bound=8)
+
+
+def test_xinv_commutation_depth_is_bounded_not_recursive():
+    # at a bound far past the interpreter's recursion limit, a non-nilpotent
+    # d still ends in the bound's own error
+    nonnil = next(alg for name, alg, _ in mutated_specs() if name == "non-nilpotent-derivation")
+    g1 = nonnil.gen(1)
+    with pytest.raises(NilpotenceBoundExceeded) as info:
+        laurent_mul(nonnil, XINV, LaurentElem.from_poly(g1), bound=5000)
+    assert (info.value.bound, info.value.element) == (5000, g1)
+    assert not nonnil._xinv_cache
+
+
+def test_xinv_cache_holds_each_chain_value():
+    # X^-1 c is the sum of (-1)^n s^-1(T^n c) X^-(n+1) with T = d s^-1, and
+    # one product caches the value of every chain element it met
+    alg = oqm(2, 2)
+    c = alg.multiply(alg.x(1, 1), alg.x(1, 1))
+    value = laurent_mul(alg, XINV, LaurentElem.from_poly(c))
+    expected, t, n = LaurentElem.zero(), c, 0
+    while t:
+        s = alg.apply_sigma_inv(alg.N, t)
+        expected = expected + LaurentElem.from_poly(s.scaled((-1) ** n), -(n + 1))
+        t, n = alg.apply_delta(alg.N, s), n + 1
+    assert value == expected and value.min_exp() == -n == -3
+    assert len(alg._xinv_cache) == n
+    assert all(isinstance(v, LaurentElem) for v in alg._xinv_cache.values())
 
 
 def test_min_shift_matches_nilpotency_index():

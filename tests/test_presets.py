@@ -3,7 +3,8 @@ import json
 import pytest
 
 from qcgl import presets
-from qcgl.ncalg import quantum_plane
+from qcgl.cli import main
+from qcgl.ncalg import StepBudgetExceeded, quantum_plane
 from qcgl.presets import load_algebra, load_preset
 
 
@@ -28,6 +29,29 @@ def test_corrupt_preset_is_rejected_at_load(tmp_path, monkeypatch):
     monkeypatch.setitem(presets._FILE_PRESETS, "broken", str(path))
     with pytest.raises(ValueError, match="CGL axioms"):
         load_preset("broken")
+
+
+def _cli(argv, capsys):
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    return rc, out + err
+
+
+def test_small_step_budgets_do_not_fail_the_preset_check(capsys):
+    # overlap check (g) straightens g_3*g_2*g_1 in 3 steps: the load-time
+    # check runs at the default budget, the algebra straightens at the given one
+    for budget in (0, 1, 2):
+        alg = load_preset("uq-sl3-plus", steps_budget=budget)
+        assert alg.steps_budget == budget
+        with pytest.raises(StepBudgetExceeded):
+            alg.normal_form_word((3, 2, 1))
+        assert _cli(["nf", "-a", "uq-sl3-plus", "--steps-budget", str(budget), "g_1"],
+                    capsys) == (0, "g_1\n")
+    rc, text = _cli(["nf", "-a", "uq-sl3-plus", "--steps-budget", "1", "g_3*g_2*g_1"], capsys)
+    assert rc == 1 and "straightening g_2*g_3*g_1 exceeded 1 steps" in text
+    rc, text = _cli(["axioms", "-a", "uq-sl3-plus", "--steps-budget", "2"], capsys)
+    assert rc == 1 and "FAIL level 3 (g)" in text
+    assert load_preset("uq-sl3-plus", steps_budget=3).check_cgl_axioms().ok
 
 
 def test_load_algebra_tokens(tmp_path):
