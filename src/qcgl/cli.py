@@ -287,8 +287,11 @@ def main(argv=None):
     except (ExprSyntaxError, ExprEvalError, ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
-    except (StepBudgetExceeded, NilpotenceBoundExceeded) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except (StepBudgetExceeded, NilpotenceBoundExceeded, RecursionError, MemoryError,
+            ArithmeticError) as exc:
+        # a computation that ran out of a resource, or whose arithmetic failed
+        # past the usage checks above; MemoryError usually carries no message
+        print("error: %s" % (str(exc) or type(exc).__name__), file=sys.stderr)
         return CHECK_FAILED
     return 0 if ok else CHECK_FAILED
 

@@ -373,7 +373,12 @@ class OreAlgebra:
             raise ValueError("need one distinguished torus element per level")
         self.h_elems = tuple(hs)
         self.steps_budget = steps_budget
+        # normal forms by (word, strategy): normal_form_word caches each word
+        # it straightens, while a word that multiply, apply_delta and the
+        # other sums form is cached from its second use; _nf_seen holds the
+        # words those sums have met once
         self._nf_cache = {}
+        self._nf_seen = set()
         # stores filled by delderiv: top-level X^-1 commutations, the chains
         # [w, d_N(w), d_N^2(w), ...] per PBW word w, and theta's level
         # factors ((1-q_N)^n [n]!)^-1
@@ -417,11 +422,37 @@ class OreAlgebra:
             return cached
         if strategy not in ("leftmost", "rightmost"):
             raise ValueError("unknown strategy %r" % strategy)
-        leftmost = strategy == "leftmost"
+        result = NcPoly(self._straighten({}, word, strategy == "leftmost", (1, 0, None)))
+        self._nf_cache[key] = result
+        return result
+
+    def _add_normal_form(self, out, word, c):
+        """Add c * NF(word) into the dict out, as add_terms does, and return it.
+
+        A word met for the first time is straightened straight into out with
+        c as its starting coefficient and only marked; its normal form is
+        cached from its second use, so a word used once costs no stored form.
+        """
+        cached = self._nf_cache.get((word, "leftmost"))
+        if cached is None:
+            if word not in self._nf_seen:
+                self._straighten(out, word, True, _qpow_parts(c))
+                self._nf_seen.add(word)
+                return out
+            self._nf_seen.remove(word)
+            cached = self.normal_form_word(word)
+        return add_terms(out, cached.terms.items(), c)
+
+    def _straighten(self, out, word, leftmost, parts):
+        """Rewrite word to sorted words, adding each leaf into the dict out.
+
+        parts is the starting coefficient split as by _qpow_parts; out is
+        left as it was when the step budget runs out.
+        """
         rules = self._rules
         leaves = []
         # a path's coefficient is rest * sign * q^k, rest None standing for 1
-        stack = [(word, 1, 0, None)]
+        stack = [(word,) + parts]
         steps = 0
         while stack:
             w, sign, k, rest = stack.pop()
@@ -446,16 +477,14 @@ class OreAlgebra:
                 elif rest is not None:
                     c = rest * c
                 stack.append((head + rw + tail, sign * s, k + e, c))
-        result = NcPoly(add_terms({}, leaves))
-        self._nf_cache[key] = result
-        return result
+        return add_terms(out, leaves)
 
     def multiply(self, a, b):
         out = {}
         for wa, ca in a.terms.items():
             for wb, cb in b.terms.items():
                 c = cb if ca.is_one() else ca if cb.is_one() else ca * cb
-                add_terms(out, self.normal_form_word(wa + wb).terms.items(), c)
+                self._add_normal_form(out, wa + wb, c)
         return NcPoly(out)
 
     def word_text(self, word):
@@ -512,8 +541,7 @@ class OreAlgebra:
                     head, tail = w[:t], w[t + 1:]
                     ct = c.times_qpow(k, sign)
                     for dw, dc in d.terms.items():
-                        add_terms(out, self.normal_form_word(head + dw + tail).terms.items(),
-                                  ct * dc)
+                        self._add_normal_form(out, head + dw + tail, ct * dc)
                 s, m, rest = self._lam_parts[(j, g)]
                 sign *= s
                 k += m
@@ -811,5 +839,5 @@ def random_poly(alg, rng, max_degree=3, max_terms=3, max_level=None):
     for _ in range(rng.randint(1, max_terms)):
         c = RatFunc(rng.choice((1, 1, 2, -1, 3))) * qpow(rng.randint(-2, 2))
         w = random_word(alg, rng, max_len=max_degree, max_level=max_level)
-        add_terms(out, alg.normal_form_word(w).terms.items(), c)
+        alg._add_normal_form(out, w, c)
     return NcPoly(out)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .coef import MINUS_ONE, ONE, Q, qpow
-from .ncalg import STEPS_BUDGET, NcPoly, OreAlgebra, add_terms
+from .ncalg import STEPS_BUDGET, NcPoly, OreAlgebra
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ class QuantumMatrixAlgebra(OreAlgebra):
             for g in w:
                 i, j = divmod(g - 1, self.n)
                 image.append(target.gen_index(j + 1, i + 1))
-            add_terms(out, target.normal_form_word(tuple(image)).terms.items(), c)
+            target._add_normal_form(out, tuple(image), c)
         return NcPoly(out)
 
 

@@ -368,6 +368,23 @@ def test_cli_malformed_seed_env(monkeypatch):
     assert run_cli(["nf", "x[2,2]*x[1,1]"])[0] == 0
 
 
+def test_cli_maps_resource_and_arithmetic_errors_to_exit_codes(monkeypatch):
+    from qcgl import cli
+
+    # ZeroDivisionError is an ArithmeticError, but stays a usage error
+    cases = [(ZeroDivisionError("division by zero"), 2, "error: division by zero\n"),
+             (OverflowError("int too large"), 1, "error: int too large\n"),
+             (ArithmeticError("bad arithmetic"), 1, "error: bad arithmetic\n"),
+             (RecursionError("maximum recursion depth exceeded"), 1,
+              "error: maximum recursion depth exceeded\n"),
+             (MemoryError(), 1, "error: MemoryError\n")]
+    for exc, code, message in cases:
+        def handler(args, exc=exc):
+            raise exc
+        monkeypatch.setitem(cli._HANDLERS, "nf", handler)
+        assert run_cli(["nf", "x[1,1]"]) == (code, "", message), exc
+
+
 # Each command takes only the options its handler reads: --json everywhere,
 # --algebra and --steps-budget where an algebra is loaded, --nilpotence-bound
 # on theta and axioms, --seed on verify.

@@ -356,6 +356,127 @@ def test_rewrite_table_keeps_the_step_count():
                 assert info.value.word == w and info.value.steps == steps
 
 
+# multiply, apply_delta and transpose_poly add c * NF(w) for each word w they
+# form: straightened straight into the sum on first sight, straightened and
+# cached on second sight, read from the cache after that.  All three paths
+# must give the reference normal forms.
+
+def _reference_sum(alg, scaled_words):
+    """Sum of c * NF(w) over (c, w) pairs, by the reference straightener."""
+    out = alg.zero()
+    for c, w in scaled_words:
+        out = out + _reference_normal_form(alg, w, "leftmost")[0].scaled(c)
+    return out
+
+
+def _fresh(alg):
+    return _with_budget(alg, alg.steps_budget)
+
+
+def _cancelling_pair(alg):
+    """a, b whose product loses its term x_i x_j: with j > i and
+    lambda_ji != 0, (x_j - lambda_ji x_i)(x_i + x_j) cancels it."""
+    (j, i), lam = next((ji, lam) for ji, lam in sorted(alg.lam.items()) if lam)
+    return NcPoly({(j,): ONE, (i,): -lam}), NcPoly({(i,): ONE, (j,): ONE})
+
+
+def _straightener_algebras():
+    return [oqm(2, 3), oqm(3, 3), quantum_plane(), load_preset("uq-sl3-plus"),
+            _general_coefficient_algebra()]
+
+
+def test_product_paths_match_the_reference_straightener():
+    rng = random.Random(14)
+    for base in _straightener_algebras():
+        pairs = [(random_poly(base, rng), random_poly(base, rng)) for _ in range(12)]
+        pairs.append((base.gen(base.N).scaled(ONE + Q), base.gen(1).scaled(qpow(-2))))
+        pairs.append(_cancelling_pair(base))
+        alg = _fresh(base)
+        for a, b in pairs:
+            expected = _reference_sum(alg, [(ca * cb, wa + wb) for wa, ca in a.items()
+                                            for wb, cb in b.items()])
+            for _ in ("first sight", "second sight", "cached"):
+                product = alg.multiply(a, b)
+                assert product == expected, (base, a, b)
+                assert all(product.terms.values())
+        a, b = pairs[-1]
+        wi, wj = sorted(b.terms)
+        assert wi + wj not in alg.multiply(a, b).terms
+
+
+def test_nf_cache_holds_a_product_word_from_its_second_use():
+    rng = random.Random(15)
+    for base in _straightener_algebras():
+        a, b = random_poly(base, rng, max_terms=4), random_poly(base, rng, max_terms=4)
+        alg = _fresh(base)
+        uses = {}
+        for _ in range(3):
+            alg.multiply(a, b)
+            for wa in a.terms:
+                for wb in b.terms:
+                    uses[wa + wb] = uses.get(wa + wb, 0) + 1
+            assert {w for w, _ in alg._nf_cache} == {w for w, n in uses.items() if n > 1}
+            assert alg._nf_seen == {w for w, n in uses.items() if n == 1}
+            assert all(s == "leftmost" for _, s in alg._nf_cache)
+
+
+def test_delta_and_transpose_paths_match_the_reference_straightener():
+    rng = random.Random(16)
+    for base in _straightener_algebras():
+        for j in range(2, base.N + 1):
+            samples = [random_poly(base, rng, max_level=j - 1) for _ in range(4)]
+            alg = _fresh(base)
+            for a in samples:
+                # d_j(w) = sum over t of s_j(w[:t]) d_j(w[t]) w[t+1:]
+                scaled_words = []
+                for w, c in a.items():
+                    for t, g in enumerate(w):
+                        d = alg.delta.get((j, g))
+                        if d is not None:
+                            scaled_words += [(c * dc, w[:t] + dw + w[t + 1:])
+                                             for dw, dc in d.items()]
+                        c = c * alg.lam[(j, g)]
+                expected = _reference_sum(alg, scaled_words)
+                for _ in ("first sight", "second sight", "cached"):
+                    assert alg.apply_delta(j, a) == expected, (base, j, a)
+    for m, n in ((2, 3), (3, 3), (3, 2)):
+        samples = [random_poly(oqm(m, n), rng, max_degree=4) for _ in range(10)]
+        source = oqm(m, n)
+        target = source.transposed()
+        for a in samples:
+            scaled_words = []
+            for w, c in a.items():
+                scaled_words.append((c, tuple(target.gen_index(j + 1, i + 1)
+                                              for i, j in (divmod(g - 1, n) for g in w))))
+            expected = _reference_sum(target, scaled_words)
+            for _ in ("first sight", "second sight", "cached"):
+                assert source.transpose_poly(a) == expected, (m, n, a)
+
+
+def test_first_sight_budget_error_matches_normal_form_word():
+    rng = random.Random(17)
+    for alg in (oqm(2, 3), _general_coefficient_algebra()):
+        for _ in range(8):
+            w = random_word(alg, rng, max_len=6)
+            _, steps = _reference_normal_form(alg, w, "leftmost")
+            if not steps:
+                continue
+            with pytest.raises(StepBudgetExceeded) as direct:
+                _with_budget(alg, steps - 1).normal_form_word(w)
+            tight = _with_budget(alg, steps - 1)
+            out = {(): ONE}
+            for _ in ("first sight", "still first sight"):
+                with pytest.raises(StepBudgetExceeded) as info:
+                    tight._add_normal_form(out, w, ONE + Q)
+                assert (info.value.word, info.value.steps, str(info.value)) == \
+                    (direct.value.word, direct.value.steps, str(direct.value))
+                assert out == {(): ONE}
+                assert w not in tight._nf_seen and not tight._nf_cache
+            with pytest.raises(StepBudgetExceeded) as info:
+                tight.multiply(NcPoly({w[:1]: ONE}), NcPoly({w[1:]: Q}))
+            assert info.value.word == w and info.value.steps == steps
+
+
 def test_level_maps_match_their_definitions():
     # s_j scales each word by the product of its letters' lambda_jg, and
     # d_j(w) = sum over t of s_j(w[:t]) d_j(w[t]) w[t+1:]
