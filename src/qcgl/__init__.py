@@ -17,8 +17,7 @@ from .ncalg import (
     quantum_plane,
 )
 from .qmat import MinorIndex, QuantumMatrixAlgebra, oqm
-from .cauchon import CauchonDiagram, count, count_by_black, enumerate_diagrams, \
-    height_one_diagrams, is_valid
+from .cauchon import CauchonDiagram, count, count_by_black, enumerate_diagrams, is_valid
 from .delderiv import LaurentElem, delete_top_variable, format_laurent, laurent_mul, \
     min_shift, theta, theta_alt
 from .grassmann import extremal_normality_report, maximal_minors, phi, phi_scaling_check
@@ -32,8 +31,7 @@ __all__ = [
     "QuantumMatrixAlgebra", "RatFunc", "StepBudgetExceeded", "ZERO", "count",
     "count_by_black", "delete_top_variable", "enumerate_diagrams",
     "extremal_normality_report", "format_laurent", "format_poly",
-    "height_one_diagrams", "is_root_of_unity", "is_valid", "laurent_mul",
-    "load_algebra", "load_preset", "maximal_minors", "min_shift", "oqm", "phi",
-    "phi_scaling_check", "q_factorial", "q_int", "qpow", "quantum_plane",
-    "theta", "theta_alt",
+    "is_root_of_unity", "is_valid", "laurent_mul", "load_algebra", "load_preset",
+    "maximal_minors", "min_shift", "oqm", "phi", "phi_scaling_check", "q_factorial",
+    "q_int", "qpow", "quantum_plane", "theta", "theta_alt",
 ]

@@ -22,6 +22,7 @@ which bounds its states by 2^min(m, n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
 SIZE_LIMIT = 20  # cells, for listing diagrams one by one
@@ -112,18 +113,31 @@ def _row_patterns(n, fullcols):
 
 
 def enumerate_diagrams(m, n):
-    """All valid diagrams, exactly once, by row-wise construction."""
+    """All valid diagrams, exactly once, by row-wise construction.
+
+    Each (row, all-black columns) state lists its patterns once, as shared
+    cell tuples with the next state (none after the last row), so the memo
+    holds few objects for the garbage collector to walk.
+    """
     _check_size(m, n, SIZE_LIMIT, "enumeration")
+    grid = [[(r, c) for c in range(n + 1)] for r in range(m + 1)]
+
+    @cache
+    def moves(r, fullcols):
+        cell = grid[r].__getitem__
+        return [(tuple(map(cell, pattern)),
+                 fullcols.intersection(pattern) if r < m else None)
+                for pattern in _row_patterns(n, fullcols)]
 
     def rec(r, fullcols, acc):
-        if r > m:
-            yield CauchonDiagram(m, n, frozenset(acc))
+        if r == m:
+            for cells, _ in moves(r, fullcols):
+                yield CauchonDiagram(m, n, frozenset(acc + cells))
             return
-        for pattern in _row_patterns(n, fullcols):
-            pat = set(pattern)
-            yield from rec(r + 1, fullcols & pat, acc + [(r, c) for c in pattern])
+        for cells, nxt in moves(r, fullcols):
+            yield from rec(r + 1, nxt, acc + cells)
 
-    yield from rec(1, frozenset(range(1, n + 1)), [])
+    yield from rec(1, frozenset(range(1, n + 1)), ())
 
 
 def count(m, n):
@@ -154,13 +168,3 @@ def count_by_black(m, n):
         for black, ways in hist.items():
             total[black] = total.get(black, 0) + ways
     return dict(sorted(total.items()))
-
-
-def height_one_diagrams(m, n):
-    """The single-black-cell diagrams: one box in the first row or column."""
-    out = []
-    for c in range(1, n + 1):
-        out.append(CauchonDiagram(m, n, frozenset({(1, c)})))
-    for r in range(2, m + 1):
-        out.append(CauchonDiagram(m, n, frozenset({(r, 1)})))
-    return out

@@ -26,6 +26,7 @@ from .qmat import oqm
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+LIST_LIMIT = 2 ** 16  # diagrams printed by one `cauchon list`
 
 
 @functools.cache
@@ -106,7 +107,7 @@ def build_parser():
 
 
 # Each handler returns (ok, result, text): the verdict, the --json result and
-# the plain-text output.
+# the plain-text output, which a handler may leave as None under --json.
 
 
 def _load(args):
@@ -196,9 +197,16 @@ def _cmd_cauchon(args):
         result["histogram"] = {str(k): v for k, v in hist.items()}
         text = "\n".join("%d: %d" % (k, v) for k, v in hist.items())
     else:
+        # a grid of k cells has at most 2^k diagrams; only past that is a count needed
+        if m * n <= SIZE_LIMIT and 2 ** (m * n) > LIST_LIMIT:
+            total = count(m, n)
+            if total > LIST_LIMIT:
+                raise ValueError("the %dx%d grid has %d diagrams, more than the list "
+                                 "limit of %d" % (m, n, total, LIST_LIMIT))
         diagrams = list(enumerate_diagrams(m, n))
         result["diagrams"] = [d.to_cells() for d in diagrams]
-        text = "\n\n".join(str(d) for d in diagrams)
+        # under --json the text is never printed
+        text = None if args.json else "\n\n".join(str(d) for d in diagrams)
     return True, result, text
 
 
@@ -281,7 +289,8 @@ def main(argv=None):
         if args.json:
             doc = {"command": args.command, "ok": ok,
                    "algebra": getattr(args, "algebra", None), "result": result}
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            # one line: json's C encoder runs only without indent
+            print(json.dumps(doc, sort_keys=True))
         else:
             print(text)
     except (ExprSyntaxError, ExprEvalError, ValueError, ZeroDivisionError) as exc:

@@ -5,8 +5,8 @@ from math import factorial
 
 import pytest
 
-from qcgl.cauchon import (COUNT_LIMIT, CauchonDiagram, count, count_by_black,
-                          enumerate_diagrams, height_one_diagrams, is_valid)
+from qcgl.cauchon import (COUNT_LIMIT, CauchonDiagram, _row_patterns, count,
+                          count_by_black, enumerate_diagrams, is_valid)
 
 SMALL_SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
 
@@ -51,6 +51,25 @@ def test_enumeration_agrees_with_brute_force(shape):
     assert set(enumerated) == brute_force(m, n)
 
 
+def _reference_diagrams(m, n):
+    """The plain row-wise recursion, one pattern at a time, with no memo."""
+    def rec(r, fullcols, acc):
+        if r > m:
+            yield CauchonDiagram(m, n, frozenset(acc))
+            return
+        for pattern in _row_patterns(n, fullcols):
+            pat = set(pattern)
+            yield from rec(r + 1, fullcols & pat, acc + [(r, c) for c in pattern])
+
+    return list(rec(1, frozenset(range(1, n + 1)), []))
+
+
+def test_enumeration_order_matches_the_reference():
+    # `cauchon list` prints diagrams in this order
+    for m, n in SMALL_SHAPES + [(4, 4)]:
+        assert list(enumerate_diagrams(m, n)) == _reference_diagrams(m, n), (m, n)
+
+
 def test_enumeration_is_transpose_symmetric():
     # transposing swaps left-filled and top-filled; counting relies on it
     for m, n in SMALL_SHAPES:
@@ -87,16 +106,13 @@ def test_histogram_matches_enumeration():
 
 
 def test_height_one_diagrams():
-    d22 = height_one_diagrams(2, 2)
-    assert [sorted(d.black) for d in d22] == [[(1, 1)], [(1, 2)], [(2, 1)]]
-    assert len(height_one_diagrams(1, 5)) == 5
-    assert len(height_one_diagrams(3, 3)) == 5
-    for m, n in [(2, 2), (2, 3), (3, 3)]:
-        listed = {frozenset(d.black) for d in height_one_diagrams(m, n)}
-        for d in listed:
-            assert is_valid(m, n, d) and len(d) == 1
-        singles = {b for b in brute_force(m, n) if len(b) == 1}
-        assert listed == singles
+    # one black cell: exactly the m+n-1 singletons in the first row or column
+    for m, n in SMALL_SHAPES:
+        listed = [d.black for d in enumerate_diagrams(m, n) if d.black_count() == 1]
+        expected = ({frozenset({(1, c)}) for c in range(1, n + 1)}
+                    | {frozenset({(r, 1)}) for r in range(2, m + 1)})
+        assert len(listed) == len(expected) == m + n - 1, (m, n)
+        assert set(listed) == expected == {b for b in brute_force(m, n) if len(b) == 1}
 
 
 def test_histogram_totals():

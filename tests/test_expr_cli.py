@@ -6,7 +6,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import jsonschema
 import pytest
 
-from qcgl.cli import main
+from qcgl.cauchon import CauchonDiagram, count, enumerate_diagrams
+from qcgl.cli import LIST_LIMIT, main
 from qcgl.coef import ONE, Q, RatFunc
 from qcgl.delderiv import LaurentElem, format_laurent, theta
 from qcgl.expr import (MAX_EXPONENT, ExprEvalError, ExprSyntaxError, eval_free,
@@ -176,6 +177,7 @@ def test_cli_json_outputs_validate():
     for argv in cases:
         rc, out, _ = run_cli(argv)
         assert rc == 0, argv
+        assert out.endswith("\n") and "\n" not in out[:-1], argv  # one line
         doc = json.loads(out)
         jsonschema.validate(doc, OUTPUT_SCHEMA)
 
@@ -295,6 +297,26 @@ def test_cli_cauchon_bounds():
                  ["cauchon", "histogram", "1", "65"]):
         rc, _, err = run_cli(argv)
         assert rc == 2 and err.startswith("error:"), argv
+    # within the 20-cell limit, a list past LIST_LIMIT diagrams is refused
+    for m, n in ((1, 17), (2, 10), (10, 2)):
+        rc, out, err = run_cli(["cauchon", "list", str(m), str(n)])
+        assert rc == 2 and out == "" and err.startswith("error:"), (m, n)
+        assert str(count(m, n)) in err and str(LIST_LIMIT) in err, err
+
+
+def test_cli_cauchon_list_json_builds_no_text(monkeypatch):
+    expected = [d.to_cells() for d in enumerate_diagrams(3, 4)]
+    with monkeypatch.context() as patch:
+        def refuse(self):
+            raise AssertionError("text formatted under --json")
+        patch.setattr(CauchonDiagram, "__str__", refuse)
+        rc, out, _ = run_cli(["cauchon", "list", "3", "4", "--json"])
+    assert rc == 0
+    assert json.loads(out)["result"]["diagrams"] == expected and len(expected) == 1066
+    rc, out, _ = run_cli(["cauchon", "list", "2", "2"])
+    assert rc == 0
+    assert out == "\n\n".join(str(d) for d in enumerate_diagrams(2, 2)) + "\n"
+    assert out.count("\n\n") == count(2, 2) - 1
 
 
 def test_cli_verify_small():
