@@ -16,22 +16,20 @@ from .ncalg import (
     format_poly,
     quantum_plane,
 )
-from .qmat import MinorIndex, QuantumMatrixAlgebra, oqm
+from .qmat import QuantumMatrixAlgebra, oqm
 from .cauchon import CauchonDiagram, count, count_by_black, enumerate_diagrams, is_valid
-from .delderiv import LaurentElem, delete_top_variable, format_laurent, laurent_mul, \
-    min_shift, theta, theta_alt
-from .grassmann import extremal_normality_report, maximal_minors, phi, phi_scaling_check
+from .delderiv import LaurentElem, format_laurent, laurent_mul, theta, theta_alt
+from .grassmann import extremal_normality_report, maximal_minors
 from .presets import load_algebra, load_preset
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxiomReport", "CauchonDiagram", "LaurentElem", "MinorIndex", "NcPoly",
+    "AxiomReport", "CauchonDiagram", "LaurentElem", "NcPoly",
     "NilpotenceBoundExceeded", "NormalityReport", "ONE", "OreAlgebra", "Q",
     "QuantumMatrixAlgebra", "RatFunc", "StepBudgetExceeded", "ZERO", "count",
-    "count_by_black", "delete_top_variable", "enumerate_diagrams",
-    "extremal_normality_report", "format_laurent", "format_poly",
-    "is_root_of_unity", "is_valid", "laurent_mul", "load_algebra", "load_preset",
-    "maximal_minors", "min_shift", "oqm", "phi", "phi_scaling_check", "q_factorial",
-    "q_int", "qpow", "quantum_plane", "theta", "theta_alt",
+    "count_by_black", "enumerate_diagrams", "extremal_normality_report",
+    "format_laurent", "format_poly", "is_root_of_unity", "is_valid", "laurent_mul",
+    "load_algebra", "load_preset", "maximal_minors", "oqm", "q_factorial", "q_int",
+    "qpow", "quantum_plane", "theta", "theta_alt",
 ]

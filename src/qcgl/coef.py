@@ -19,6 +19,7 @@ q^min(val, exponent).  Every other denominator takes the general gcd path.
 from __future__ import annotations
 
 import math
+import operator
 
 # ---------------------------------------------------------------------------
 # dense integer polynomials in q: tuple of coefficients, index = degree
@@ -165,27 +166,6 @@ def _pis_monomial(a):
     return bool(a) and not any(a[:-1])
 
 
-def _reduce(num, den):
-    num = _ptrim(num)
-    den = _ptrim(den)
-    if not den:
-        raise ZeroDivisionError("zero denominator in Q(q)")
-    if not num:
-        return _PZERO, _PONE
-    cn, pn = _pprim(num)
-    cd, pd = _pprim(den)
-    g = _pgcd(pn, pd)
-    if g != _PONE:
-        pn = _pdivexact(pn, g)
-        pd = _pdivexact(pd, g)
-    c = math.gcd(cn, cd)
-    cn //= c
-    cd //= c
-    if cd < 0:
-        cn, cd = -cn, -cd
-    return _pscale(pn, cn), _pscale(pd, cd)
-
-
 def _render_intpoly(p):
     if not p:
         return "0"
@@ -229,7 +209,8 @@ def _laurent(num, e):
 
 
 def _cancel(n, d):
-    """n and d divided by their gcd in Z[q], for a nonzero n and a canonical d.
+    """n and d divided by their gcd in Z[q], for a nonzero n and a d with
+    positive leading coefficient: the canonical form of n/d.
 
     When d is q^e the gcd is q^min(val n, e), stripped without a gcd.
     """
@@ -256,11 +237,13 @@ class RatFunc:
             self.num = (num,) if num else _PZERO
             self.den = _PONE
             return
-        if isinstance(num, int):
-            num = (num,) if num else _PZERO
-        if isinstance(den, int):
-            den = (den,) if den else _PZERO
-        self.num, self.den = _reduce(tuple(num), tuple(den))
+        num, den = (_ptrim([operator.index(c) for c in ((x,) if isinstance(x, int) else x)])
+                    for x in (num, den))
+        if not den:
+            raise ZeroDivisionError("zero denominator in Q(q)")
+        if den[-1] < 0:
+            num, den = _pneg(num), _pneg(den)
+        self.num, self.den = _cancel(num, den) if num else (_PZERO, _PONE)
 
     @classmethod
     def _raw(cls, num, den):
@@ -277,13 +260,6 @@ class RatFunc:
 
     def is_one(self):
         return self.num == _PONE and self.den == _PONE
-
-    def as_unit_q_power(self):
-        """The integer s with self == q^s, or None."""
-        if self.num and self.num[-1] == 1 and _pis_monomial(self.num) \
-                and self.den[-1] == 1 and _pis_monomial(self.den):
-            return len(self.num) - len(self.den)
-        return None
 
     def as_signed_q_power(self):
         """(sign, s) with self == sign * q^s for sign in {1,-1}, or None."""
@@ -327,7 +303,9 @@ class RatFunc:
                 return ZERO
             return _laurent(num, a) if a else RatFunc._raw(num, _PONE)
         num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return RatFunc._raw(*_reduce(num, _pmul(self.den, other.den)))
+        if not num:
+            return ZERO
+        return RatFunc._raw(*_cancel(num, _pmul(self.den, other.den)))
 
     __radd__ = __add__
 

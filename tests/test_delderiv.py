@@ -3,8 +3,7 @@ import random
 import pytest
 
 from qcgl.coef import ONE, Q, q_factorial, qpow
-from qcgl.delderiv import (LaurentElem, delete_top_variable, format_laurent,
-                           laurent_mul, min_shift, theta, theta_alt)
+from qcgl.delderiv import LaurentElem, format_laurent, laurent_mul, theta, theta_alt
 from qcgl.ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, OreAlgebra,
                         random_poly)
 from qcgl.presets import load_preset
@@ -294,18 +293,18 @@ def test_xinv_cache_holds_each_chain_value():
 
 
 def test_min_shift_matches_nilpotency_index():
-    assert min_shift(ALG, ALG.x(1, 1)) == 1
-    assert min_shift(ALG, ALG.x(2, 1)) == 0
+    # the minimal shift s >= 0 with theta(a) X^s free of negative exponents
+    # is the nilpotency index of d_N on a
+    assert -theta(ALG, ALG.x(1, 1)).min_exp() == 1
+    assert -theta(ALG, ALG.x(2, 1)).min_exp() == 0
     sq = ALG.multiply(ALG.x(1, 1), ALG.x(1, 1))
-    assert min_shift(ALG, sq) == 2
+    assert -theta(ALG, sq).min_exp() == 2
     rng = random.Random(4)
     for _ in range(30):
         a = random_poly(ALG, rng, max_level=3)
         if a.is_zero():
             continue
-        assert min_shift(ALG, a) == ALG.nilpotency_index(4, a)
-    with pytest.raises(ValueError):
-        min_shift(ALG, ALG.zero())
+        assert -theta(ALG, a).min_exp() == ALG.nilpotency_index(4, a)
 
 
 def test_image_commutation_with_x():
@@ -331,15 +330,16 @@ def test_theta_preserves_torus_weights():
                 assert wa == tuple(c + k * x for c, x in zip(wc, wx))
 
 
-def test_delete_top_variable():
-    deleted = delete_top_variable(ALG)
-    assert all(j != ALG.N for j, _ in deleted.delta)
-    assert deleted.lam == ALG.lam
-    assert deleted.check_cgl_axioms().ok
-    assert delete_top_variable(deleted).spec_equals(deleted)
-    assert not deleted.spec_equals(ALG)
-    # in the deleted algebra the old correction pair now plainly commutes
-    assert deleted.qcommute_exponent(deleted.gen(1), deleted.gen(4)) == 0
+def test_dropping_the_top_derivation_leaves_a_cgl_algebra():
+    # the pure skew extension B[X; alpha] behind the embedding
+    plain = OreAlgebra(ALG.names, ALG.lam, {k: v for k, v in ALG.delta.items() if k[0] != ALG.N},
+                       ALG.level_q, ALG.torus_rank, ALG.weights, ALG.h_elems)
+    assert all(j != ALG.N for j, _ in plain.delta)
+    assert plain.lam == ALG.lam
+    assert plain.check_cgl_axioms().ok
+    assert not plain.spec_equals(ALG)
+    # the old correction pair now plainly commutes
+    assert plain.qcommute_exponent(plain.gen(1), plain.gen(4)) == 0
 
 
 def test_format_laurent():

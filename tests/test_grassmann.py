@@ -1,28 +1,23 @@
-import random
 from math import comb
 
 import pytest
 
-from qcgl.coef import qpow
-from qcgl.grassmann import (extremal_normality_report, maximal_minors, phi,
-                            phi_scaling_check)
-from qcgl.ncalg import random_poly
-from qcgl.qmat import oqm
+from qcgl import verify
+from qcgl.grassmann import extremal_normality_report, maximal_minors
+from qcgl.ncalg import OreAlgebra
 
 
 def test_maximal_minor_counts():
-    assert len(maximal_minors(2, 4)) == 6
-    mm = maximal_minors(1, 3)
-    assert len(mm) == 3
-    assert list(mm.minors.values()) == [mm.algebra.x(1, j) for j in (1, 2, 3)]
-    mm22 = maximal_minors(2, 2)
-    assert list(mm22.minors.values()) == [mm22.algebra.det()]
+    assert len(maximal_minors(2, 4)[1]) == 6
+    alg, minors = maximal_minors(1, 3)
+    assert list(minors.values()) == [alg.x(1, j) for j in (1, 2, 3)]
+    alg22, minors22 = maximal_minors(2, 2)
+    assert list(minors22.values()) == [alg22.det()]
 
 
 def test_maximal_minor_weights():
-    mm = maximal_minors(2, 4)
-    alg = mm.algebra
-    for J, minor in mm.minors.items():
+    alg, minors = maximal_minors(2, 4)
+    for J, minor in minors.items():
         expected = (1, 1) + tuple(1 if j in J else 0 for j in range(1, 5))
         assert alg.torus_weight(minor) == expected
 
@@ -39,28 +34,41 @@ def test_extremal_normality_desk_scale_guard():
         extremal_normality_report(3, 9)
 
 
-def test_phi_on_generators_and_minors():
-    alg = oqm(2, 2)
-    assert phi(alg.x(1, 1)) == alg.x(1, 1).scaled(qpow(-1))
-    det = alg.det()
-    assert phi(det) == det.scaled(qpow(-2))
-    assert phi(alg.one()) == alg.one()
+def _adjacent(report, which, extreme):
+    """Exponents of the extreme against the minors that differ from it in one column."""
+    return [e for w, J, e in report.entries if w == which and len(set(J) - set(extreme)) == 1]
 
 
-def test_phi_is_an_algebra_automorphism_on_samples():
-    alg = oqm(2, 3)
-    rng = random.Random(0)
-    for _ in range(30):
-        a = random_poly(alg, rng, max_terms=2)
-        b = random_poly(alg, rng, max_terms=2)
-        assert phi(alg.multiply(a, b)) == alg.multiply(phi(a), phi(b))
-        # inverse scaling by q undoes phi
-        undone = {w: c * qpow(len(w)) for w, c in phi(a).terms.items()}
-        assert undone == a.terms
+@pytest.mark.parametrize("shape", [(1, 2), (2, 3), (2, 4), (2, 5), (3, 5)])
+def test_dehomogenisation_twist(shape):
+    # conjugation by u = [1..m] scales each of its m(n-m) adjacent minors by
+    # q, and by u = [n-m+1..n] by q^-1
+    m, n = shape
+    report = extremal_normality_report(m, n)
+    assert report.ok and report.twist == (1, -1)
+    left = _adjacent(report, "[1..m]", range(1, m + 1))
+    right = _adjacent(report, "[n-m+1..n]", range(n - m + 1, n + 1))
+    assert left == [1] * (m * (n - m)) and right == [-1] * (m * (n - m))
 
 
-def test_phi_scaling_reports():
-    report = phi_scaling_check(2, 2)
-    assert report.ok
-    assert len(report.entries) == 4 + 1  # four 1x1 minors and the determinant
-    assert phi_scaling_check(2, 3).ok
+def test_square_twist_is_vacuous():
+    report = extremal_normality_report(2, 2)
+    assert report.ok and report.twist == (0, 0)
+    assert _adjacent(report, "[1..m]", (1, 2)) == []
+
+
+def test_a_split_twist_fails_the_report_and_criterion_8(monkeypatch):
+    # shift the exponent of [1,2] against the adjacent [1,3] by one: every
+    # exponent still exists, but the twist is no longer one power of q
+    alg, minors = maximal_minors(2, 3)
+    original = OreAlgebra.qcommute_exponent
+
+    def shifted(self, a, b):
+        e = original(self, a, b)
+        return e + 1 if (a, b) == (minors[(1, 2)], minors[(1, 3)]) else e
+
+    monkeypatch.setattr(OreAlgebra, "qcommute_exponent", shifted)
+    report = extremal_normality_report(2, 3)
+    assert all(e is not None for _, _, e in report.entries)
+    assert report.twist == (None, -1) and not report.ok
+    assert not verify.check_grassmann(((2, 3),)).ok

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -415,9 +416,16 @@ def test_nf_cache_holds_a_product_word_from_its_second_use():
             for wa in a.terms:
                 for wb in b.terms:
                     uses[wa + wb] = uses.get(wa + wb, 0) + 1
-            assert {w for w, _ in alg._nf_cache} == {w for w, n in uses.items() if n > 1}
+            assert set(alg._nf_cache) == {w for w, n in uses.items() if n > 1}
             assert alg._nf_seen == {w for w, n in uses.items() if n == 1}
-            assert all(s == "leftmost" for _, s in alg._nf_cache)
+        # a rightmost straightening is neither served from the cache nor cached
+        for w in uses:
+            right = alg.normal_form_word(w, "rightmost")
+            assert right == alg._nf_cache[w] and right is not alg._nf_cache[w]
+        fresh = {w[::-1] + w for w in uses} - set(alg._nf_cache)
+        for w in fresh:
+            alg.normal_form_word(w, "rightmost")
+        assert fresh and not fresh & set(alg._nf_cache)
 
 
 def test_delta_and_transpose_paths_match_the_reference_straightener():
@@ -523,6 +531,44 @@ def test_is_torsionfree():
                       [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
                       [(Q, ONE, ONE), (-Q, Q, ONE), (Q, ONE, Q)])
     assert both.is_torsionfree() is False
+
+
+def _reference_torsionfree(lams):
+    """The lattice test: -1 lies in the group generated by the sign_i q^(k_i)
+    iff (0, 1) lies in the lattice spanned by the (k_i, e_i), sign_i = (-1)^e_i,
+    and (0, 2)."""
+    rows = []
+    for v in lams:
+        sign, k = v.as_signed_q_power()
+        rows.append((k, 0 if sign > 0 else 1))
+    if all(e == 0 for _, e in rows):
+        return True
+    rows.append((0, 2))
+    a, b = 0, 0
+    seconds = []
+    for k, e in rows:
+        while k:
+            if a == 0:
+                a, b, k, e = k, e, 0, 0
+                break
+            t = a // k
+            a, b, k, e = k, e, a - t * k, b - t * e
+        seconds.append(e)
+    c = 0
+    for e in seconds:
+        c = math.gcd(c, e)
+    return c != 1
+
+
+def test_is_torsionfree_matches_the_lattice_reference():
+    rng = random.Random(18)
+    for _ in range(600):
+        n = rng.choice((2, 3, 4))
+        pairs = [(j, i) for j in range(2, n + 1) for i in range(1, j)]
+        lam = {ji: rng.choice((ONE, MINUS_ONE)) * qpow(rng.randint(-4, 4)) for ji in pairs}
+        alg = OreAlgebra(tuple("g_%d" % k for k in range(1, n + 1)), lam, {},
+                         {j: Q for j in range(2, n + 1)}, 1, [(1,)] * n, [(Q,)] * n)
+        assert alg.is_torsionfree() is _reference_torsionfree(lam.values()), lam
 
 
 def test_serialization_round_trip():
