@@ -21,7 +21,7 @@ from .delderiv import LaurentElem, format_laurent, theta, theta_alt
 from .expr import ExprEvalError, ExprSyntaxError, evaluate
 from .ncalg import (NILPOTENCE_BOUND, STEPS_BUDGET, NcPoly, NilpotenceBoundExceeded,
                     StepBudgetExceeded, format_poly)
-from .presets import load_algebra, load_preset
+from .presets import load_algebra, load_preset, load_unchecked
 from .qmat import oqm
 
 USAGE_ERROR = 2
@@ -257,7 +257,7 @@ def _cmd_verify(args):
 
 
 def _cmd_axioms(args):
-    alg = _load(args)
+    alg = load_unchecked(args.algebra, steps_budget=args.steps_budget)
     report = alg.check_cgl_axioms(nilpotence_bound=args.nilpotence_bound)
     result = {"ok": report.ok, "checks": [
         {"level": c.level, "axiom": c.axiom, "ok": c.ok, "detail": c.detail}

@@ -2,27 +2,34 @@
 
 For R = A[X; s, d] with X the top generator, elements of the localization
 at the powers of X are finite sums sum_i a_i X^i with a_i in the base
-algebra A.  Commuting X forward uses X a = s(a) X + d(a).  Commuting X^-1
-forward unrolls X^-1 a = s^-1(a) X^-1 - X^-1 d(s^-1(a)) X^-1 into the sum
+algebra A, and X a = s(a) X + d(a).  Under CGL axiom (a), s d = q d s with
+q the top-level constant q_N, one level sum
 
-    X^-1 a  =  sum_n (-1)^n s^-1(T^n a) X^-(n+1),    T = d s^-1,
+    sum_n  c_n d^n(s^(m-n)(a)) X^(m-n)
 
-which is finite because d is locally nilpotent.  The embedding of A sends
+gives both the powers of X and the embedding of A.  With c_n the Gaussian
+binomial [m n]_q it is X^m a, for every integer m: n runs up to m for
+m >= 0 and ends by the local nilpotence of d for m < 0, where
+[-1 n]_q = (-1)^n q^(-n(n+1)/2) turns it into the walk
+X^-1 a = sum_n (-1)^n s^-1(T^n a) X^-(n+1) with T = d s^-1.  With m = 0
+and c_n = ((1-q)^n [n]!_q)^-1 it is the deleting-derivations map
 
-    a  |->  sum_n (1-q)^-n / [n]!_q  d^n(s^-n(a)) X^-n
+    a  |->  sum_n (1-q)^-n / [n]!_q  d^n(s^-n(a)) X^-n.
 
-with q the top-level constant q_N; the sum is finite by nilpotence.
-`theta` sums each level n over the Laurent coefficients of s^-n(a) and scales
-the sum once by the level factor ((1-q)^n [n]!_q)^-1, so a denominator that is
-not a power of q costs one product per output word.  Two stores on the
-algebra serve it: `_theta_factors`, the level factors for its q_N, and
-`_delta_chains`, the powers d^n(w) of each PBW word w.  `theta_alt` reads
-neither and stays an independent check on both.
+Each level sums the powers d^n(w) of the PBW words w of a, kept in the
+algebra's `_delta_chains`, over the Laurent coefficients of s^(m-n)(a), and
+is scaled once by c_n, so a denominator that is not a power of q costs one
+product per output word; theta's c_n are kept in `_theta_factors`.
+`theta_alt` reads neither store and stays an independent check on both.
+The closed forms hold only under axiom (a): spec files are axiom-checked when
+they load, and an algebra made in the library is for its caller to check.
 """
 
 from __future__ import annotations
 
-from .coef import ONE, RatFunc, q_int
+import functools
+
+from .coef import ONE, ZERO, RatFunc, q_int
 from .ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, TermMap, _format_terms,
                     add_terms)
 
@@ -37,27 +44,14 @@ class LaurentElem(TermMap):
         return LaurentElem({exp: p} if not p.is_zero() else {})
 
     @staticmethod
-    def one():
-        return LaurentElem({0: NcPoly.scalar(ONE)})
-
-    @staticmethod
     def x_power(k):
         return LaurentElem({k: NcPoly.scalar(ONE)})
-
-    def min_exp(self):
-        return min(self.terms) if self.terms else 0
 
     def scaled(self, c):
         c = c if isinstance(c, RatFunc) else RatFunc(c)
         if not c:
             return LaurentElem.zero()
         return LaurentElem({k: p.scaled(c) for k, p in self.terms.items()})
-
-    def shifted(self, d):
-        """Right multiplication by X^d (X commutes with itself)."""
-        if d == 0:
-            return self
-        return LaurentElem({k + d: p for k, p in self.terms.items()})
 
     def scalar_x_power(self):
         """(c, k) if the element is a scalar multiple of X^k, else None."""
@@ -82,57 +76,78 @@ def format_laurent(names, u):
 
 
 # ---------------------------------------------------------------------------
-# commuting powers of X across base elements
+# the one level sum behind theta and every power of X
 
 
-def _xinv_times_poly(alg, c, bound):
-    """X^-1 * c for a nonzero c, as a LaurentElem, by the closed sum over the
-    chain c, Tc, T^2 c, ...
+def _level_sum(alg, a, m, factors, bound, what):
+    """sum_n c_n d^n(s^(m-n)(a)) X^(m-n), with (c_0, ..., c_(k-1)) = factors(k)
+    for the k nonzero levels; a zero level makes every later one 0.
 
-    The walk stops at the first chain element whose product the algebra has
-    cached (0 included) and then caches the product of every element it met,
-    or stops after bound elements.  The product of T^n c has one X-power per
-    nonzero chain element, so its depth is -min_exp(): past bound it raises,
-    warm as cold.
+    With no bound the levels also end after level m.  With one, a nonzero
+    level at index bound raises before any factor is built, so the verdict
+    costs no more than the level sums.
     """
-    cache = alg._xinv_cache
-    met = []   # (T^n c, s^-1(T^n c)) for the uncached chain elements
-    e, tail = c, cache.get(c)
-    while tail is None and len(met) < bound:
-        s = alg.apply_sigma_inv(alg.N, e)
-        met.append((e, s))
-        e = alg.apply_delta(alg.N, s)
-        tail = cache.get(e) if e else LaurentElem.zero()
-    if tail is not None:
-        for e, s in reversed(met):
-            tail = cache[e] = LaurentElem.from_poly(s, -1) - tail.shifted(-1)
-    if tail is None or -tail.min_exp() > bound:
-        raise NilpotenceBoundExceeded(
-            "X^-1 commutation did not terminate within bound %d" % bound, bound, c)
-    return tail
+    u = t = alg._twist(alg.N, a, m)
+    levels = []
+    while t:
+        if len(levels) == bound:
+            raise NilpotenceBoundExceeded(
+                "%s did not terminate within bound %d" % (what, bound), bound, a)
+        levels.append(t)
+        if bound is None and len(levels) > m:
+            break
+        u = alg.apply_sigma_inv(alg.N, u)
+        acc = {}
+        for w, c in u.terms.items():
+            add_terms(acc, _delta_power(alg, w, len(levels)).terms.items(), c)
+        t = NcPoly(acc)
+    out = {}
+    for n, (t, c) in enumerate(zip(levels, factors(len(levels)))):
+        if c:
+            out[m - n] = t if c.is_one() else NcPoly(add_terms({}, t.terms.items(), c))
+    return LaurentElem(out)
 
 
-def _x_power_times(alg, i, p, bound):
-    """X^i * p for p in the base algebra, as a LaurentElem, one X^+-1 at a time."""
-    u = LaurentElem.from_poly(p)
-    for _ in range(abs(i)):
-        out = {}
-        for k, c in u.items():
-            if i > 0:
-                step = ((1, alg.apply_sigma(alg.N, c)), (0, alg.apply_delta(alg.N, c)))
-            else:
-                step = _xinv_times_poly(alg, c, bound).items()
-            add_terms(out, ((k + e, v) for e, v in step))
-        u = LaurentElem(out)
-    return u
+def _delta_power(alg, w, n):
+    """d^n(w) for a PBW word w, from the algebra's chain [w, d(w), ...],
+    which ends with 0 once d has killed w."""
+    chain = alg._delta_chains.get(w)
+    if chain is None:
+        chain = alg._delta_chains[w] = [NcPoly({w: ONE})]
+    while len(chain) <= n and chain[-1]:
+        chain.append(alg.apply_delta(alg.N, chain[-1]))
+    return chain[n] if n < len(chain) else chain[-1]
+
+
+def _binomials(q, m, k):
+    """The Gaussian binomials [m n]_q for n < k, by q-Pascal rows from
+    [0 n] = (n == 0): up by [r n] = [r-1 n-1] + q^n [r-1 n], down by
+    [r-1 n] = q^-n ([r n] - [r-1 n-1]).  No step divides, so q = 1 gives
+    the ordinary binomials; [-1 n] = (-1)^n q^(-n(n+1)/2)."""
+    step = q if m >= 0 else q.inverse()
+    pw = [ONE]
+    while len(pw) < k:
+        pw.append(pw[-1] * step)
+    row = [ONE] + [ZERO] * (k - 1)
+    for _ in range(abs(m)):
+        new = [ONE]
+        for n in range(1, k):
+            new.append(row[n - 1] + pw[n] * row[n] if m > 0
+                       else pw[n] * (row[n] - new[n - 1]))
+        row = new
+    return row[:k]
 
 
 def laurent_mul(alg, u, v, bound=NILPOTENCE_BOUND):
-    """Product in the localised skew extension, in canonical form."""
+    """Product in the localised skew extension, in canonical form: X^i v_j
+    is the level sum with the Gaussian binomials [i n]_{q_N}, whose depth
+    bound limits only i < 0."""
+    qN = alg.level_q[alg.N]
     out = {}
     for i, ui in u.items():
         for j, vj in v.items():
-            w = _x_power_times(alg, i, vj, bound)
+            w = _level_sum(alg, vj, i, functools.partial(_binomials, qN, i),
+                           bound if i < 0 else None, "X^-1 commutation")
             add_terms(out, ((k + j, alg.multiply(ui, wk)) for k, wk in w.items()))
     return LaurentElem(out)
 
@@ -150,75 +165,42 @@ def _check_theta_ready(alg, a):
         raise ValueError("theta applies to elements of the base algebra only")
 
 
-def _level_factor(alg, n):
-    """((1-q_N)^n [n]!_{q_N})^-1, from the algebra's list of level factors."""
+def _level_factors(alg, k):
+    """The first k level factors ((1-q_N)^n [n]!_{q_N})^-1, from the algebra's list."""
     factors = alg._theta_factors
     qN = alg.level_q[alg.N]
-    while len(factors) <= n:
-        m = len(factors)
-        factors.append(factors[-1] / ((ONE - qN) * q_int(m, qN)))
-    return factors[n]
-
-
-def _delta_power(alg, w, n):
-    """d^n(w) for a PBW word w, from the algebra's chain [w, d(w), ...],
-    which ends with 0 once d has killed w."""
-    chain = alg._delta_chains.get(w)
-    if chain is None:
-        chain = alg._delta_chains[w] = [NcPoly({w: ONE})]
-    while len(chain) <= n and chain[-1]:
-        chain.append(alg.apply_delta(alg.N, chain[-1]))
-    return chain[n] if n < len(chain) else chain[-1]
+    while len(factors) < k:
+        factors.append(factors[-1] / ((ONE - qN) * q_int(len(factors), qN)))
+    return factors[:k]
 
 
 def theta(alg, a, bound=NILPOTENCE_BOUND):
-    """Image of a base-algebra element under the deleting-derivations map.
+    """Image of a base-algebra element under the deleting-derivations map:
+    the level sum with m = 0 and the level factors of `_theta_factors`.
 
-    sigma^-1 scales each PBW word w of a, so d^n(s^-n(a)) is the sum over
-    the words of a of (the coefficient of w in s^-n(a)) * d^n(w).  Each
-    level is summed with those Laurent coefficients and then scaled once by
-    its level factor; d^n(w) comes from the algebra's `_delta_chains` and the
-    factor from its `_theta_factors`.  The bound raises exactly when the term
-    at index bound is nonzero, whatever the stores hold.
+    The bound raises exactly when the term at index bound is nonzero,
+    whatever the stores hold.
     """
     _check_theta_ready(alg, a)
-    out = {}
-    u = a
-    n = 0
-    while True:
-        t = {}
-        for w in a.terms:
-            add_terms(t, _delta_power(alg, w, n).terms.items(), u.terms[w])
-        if not t:
-            break
-        out[-n] = NcPoly(t).scaled(_level_factor(alg, n)) if n else NcPoly(t)
-        n += 1
-        if n > bound:
-            raise NilpotenceBoundExceeded("theta did not terminate within bound %d" % bound,
-                                          bound, a)
-        u = alg.apply_sigma_inv(alg.N, u)
-    return LaurentElem(out)
+    return _level_sum(alg, a, 0, functools.partial(_level_factors, alg), bound, "theta")
 
 
 def theta_alt(alg, a, bound=NILPOTENCE_BOUND):
-    """The equivalent expansion with the q^(n^2) twist and maps in swapped order."""
+    """The equivalent expansion with the q^(n^2) twist and maps in swapped
+    order.  The powers d^n(a) come first, so the bound raises before any
+    level factor is built."""
     _check_theta_ready(alg, a)
-    qN = alg.level_q[alg.N]
-    one_minus = ONE - qN
-    out = {}
-    t = a
-    factor = ONE
-    n = 0
-    while not t.is_zero():
-        s = t
-        for _ in range(n):
-            s = alg.apply_sigma_inv(alg.N, s)
-        out[-n] = s.scaled(factor * qN ** (n * n))
-        t = alg.apply_delta(alg.N, t)
-        n += 1
-        if n > bound:
+    powers, t = [], a
+    while t:
+        if len(powers) == bound:
             raise NilpotenceBoundExceeded("theta did not terminate within bound %d" % bound,
                                           bound, a)
-        factor = factor / (one_minus * q_int(n, qN))
+        powers.append(t)
+        t = alg.apply_delta(alg.N, t)
+    qN = alg.level_q[alg.N]
+    out = {}
+    factor = ONE
+    for n, t in enumerate(powers):
+        out[-n] = alg._twist(alg.N, t, -n).scaled(factor * qN ** (n * n))
+        factor = factor / ((ONE - qN) * q_int(n + 1, qN))
     return LaurentElem(out)
-

@@ -379,10 +379,8 @@ class OreAlgebra:
         # those sums have met once
         self._nf_cache = {}
         self._nf_seen = set()
-        # stores filled by delderiv: top-level X^-1 commutations, the chains
-        # [w, d_N(w), d_N^2(w), ...] per PBW word w, and theta's level
-        # factors ((1-q_N)^n [n]!)^-1
-        self._xinv_cache = {}
+        # stores filled by delderiv: the chains [w, d_N(w), d_N^2(w), ...]
+        # per PBW word w, and theta's level factors ((1-q_N)^n [n]!)^-1
         self._delta_chains = {}
         self._theta_factors = [ONE]
 
@@ -512,10 +510,12 @@ class OreAlgebra:
         return self._twist(j, a, -1)
 
     def _twist(self, j, a, e):
-        """s_j^e applied to a, for e = 1 or -1: each word w scales by the
+        """s_j^e applied to a, for any integer e: each word w scales by the
         product of lambda_jg^e over its letters g."""
         self._require_level(j)
         self._require_below(a, j)
+        if e == 0:
+            return a
         out = {}
         for w, c in a.terms.items():
             sign, k = 1, 0
@@ -524,8 +524,8 @@ class OreAlgebra:
                 sign *= s
                 k += m
                 if rest is not None:
-                    c = c * (rest if e > 0 else rest.inverse())
-            c = c.times_qpow(e * k, sign)
+                    c = c * rest ** e
+            c = c.times_qpow(e * k, sign if e % 2 else 1)
             if c:
                 out[w] = c
         return NcPoly(out)

@@ -22,8 +22,8 @@ def test_xinv_past_a_generator():
 
 
 def test_x_times_x_inverse():
-    assert laurent_mul(ALG, X, XINV) == LaurentElem.one()
-    assert laurent_mul(ALG, XINV, X) == LaurentElem.one()
+    assert laurent_mul(ALG, X, XINV) == LaurentElem.x_power(0)
+    assert laurent_mul(ALG, XINV, X) == LaurentElem.x_power(0)
 
 
 def test_laurent_associativity_with_x11():
@@ -52,7 +52,7 @@ def test_laurent_ring_identities_random():
 
 def test_theta_kills_nothing_without_corrections():
     assert theta(ALG, ALG.x(2, 1)) == LaurentElem.from_poly(ALG.x(2, 1))
-    assert theta(ALG, ALG.one()) == LaurentElem.one()
+    assert theta(ALG, ALG.one()) == LaurentElem.x_power(0)
     assert theta(ALG, ALG.zero()).is_zero()
 
 
@@ -186,7 +186,7 @@ def test_warm_stores_keep_the_bound_verdicts():
                 seen.update(("raised", bound) == c for c in cold)
         assert seen == {True, False}
     # X^-1 past x[1,1]^2 needs more than one level, also once a default-bound
-    # call has cached it
+    # call has filled the chain store
     alg = oqm(2, 2)
     sq = LaurentElem.from_poly(alg.multiply(alg.x(1, 1), alg.x(1, 1)))
     laurent_mul(alg, XINV, sq)
@@ -202,8 +202,6 @@ def test_theta_alt_reads_no_theta_store():
     for w, chain in alg._delta_chains.items():
         alg._delta_chains[w] = chain[:1] + [d.scaled(Q) for d in chain[1:]]
     alg._theta_factors[1:] = [f * 3 for f in alg._theta_factors[1:]]
-    for c, res in list(alg._xinv_cache.items()):
-        alg._xinv_cache[c] = res.scaled(Q)
     assert [theta(alg, a) for a in sample] != expected
     assert [theta_alt(alg, a) for a in sample] == expected
 
@@ -273,38 +271,89 @@ def test_xinv_commutation_depth_is_bounded_not_recursive():
     with pytest.raises(NilpotenceBoundExceeded) as info:
         laurent_mul(nonnil, XINV, LaurentElem.from_poly(g1), bound=5000)
     assert (info.value.bound, info.value.element) == (5000, g1)
-    assert not nonnil._xinv_cache
 
 
-def test_xinv_cache_holds_each_chain_value():
-    # X^-1 c is the sum of (-1)^n s^-1(T^n c) X^-(n+1) with T = d s^-1, and
-    # one product caches the value of every chain element it met
-    alg = oqm(2, 2)
-    c = alg.multiply(alg.x(1, 1), alg.x(1, 1))
-    value = laurent_mul(alg, XINV, LaurentElem.from_poly(c))
-    expected, t, n = LaurentElem.zero(), c, 0
+def test_theta_bound_verdict_builds_no_level_factor():
+    # in both expansions the depth is found before any level factor
+    # ((1-q)^n [n]!)^-1 is built, so a verdict at a large bound costs only
+    # the level sums
+    nonnil = next(alg for name, alg, _ in mutated_specs() if name == "non-nilpotent-derivation")
+    g1 = nonnil.gen(1)
+    for f in (theta, theta_alt):
+        with pytest.raises(NilpotenceBoundExceeded, match="theta did not terminate") as info:
+            f(nonnil, g1, bound=5000)
+        assert (info.value.bound, info.value.element) == (5000, g1)
+    assert len(nonnil._theta_factors) == 1
+
+
+def _walk_xinv(alg, c, bound):
+    """X^-1 c as the literal sum of (-1)^n s^-1(T^n c) X^-(n+1), T = d s^-1,
+    raising once more than bound chain elements T^n c are nonzero."""
+    out, t, n = {}, c, 0
     while t:
+        if n == bound:
+            raise NilpotenceBoundExceeded("walk", bound, c)
         s = alg.apply_sigma_inv(alg.N, t)
-        expected = expected + LaurentElem.from_poly(s.scaled((-1) ** n), -(n + 1))
+        out[-(n + 1)] = s.scaled((-1) ** n)
         t, n = alg.apply_delta(alg.N, s), n + 1
-    assert value == expected and value.min_exp() == -n == -3
-    assert len(alg._xinv_cache) == n
-    assert all(isinstance(v, LaurentElem) for v in alg._xinv_cache.values())
+    return LaurentElem(out)
+
+
+def _walk_x_power(alg, m, p, bound):
+    """X^m p one X^+-1 at a time: X c = s(c) X + d(c), and X^-1 c by the walk."""
+    u = LaurentElem.from_poly(p)
+    for _ in range(abs(m)):
+        v = LaurentElem.zero()
+        for k, c in u.items():
+            if m > 0:
+                step = (LaurentElem.from_poly(alg.apply_sigma(alg.N, c), 1)
+                        + LaurentElem.from_poly(alg.apply_delta(alg.N, c)))
+            else:
+                step = _walk_xinv(alg, c, bound)
+            v = v + LaurentElem({e + k: w for e, w in step.items()})
+        u = v
+    return u
+
+
+def _raised_or_value(call):
+    try:
+        return call()
+    except NilpotenceBoundExceeded as exc:
+        return ("raised", exc.bound, exc.element)
+
+
+def test_x_powers_match_the_literal_walk():
+    # X^m p is one level sum with the Gaussian binomials [m n]_{q_N}; the
+    # literal walks above are its oracle, in value and in bound verdict
+    rng = random.Random(10)
+    seen = set()
+    for alg in (oqm(2, 2), oqm(2, 3), load_preset("uq-sl3-plus"), _weyl()):
+        x1 = alg.gen(1)
+        sample = [x1, alg.multiply(x1, x1)]
+        sample += [random_poly(alg, rng, max_degree=3, max_level=alg.N - 1) for _ in range(3)]
+        for p in filter(None, sample):
+            for m in range(-3, 4):
+                for bound in (0, 1, 2, 3, NILPOTENCE_BOUND):
+                    got = _raised_or_value(lambda: laurent_mul(
+                        alg, LaurentElem.x_power(m), LaurentElem.from_poly(p), bound=bound))
+                    assert got == _raised_or_value(lambda: _walk_x_power(alg, m, p, bound))
+                    seen.add(isinstance(got, tuple))
+    assert seen == {True, False}
 
 
 def test_min_shift_matches_nilpotency_index():
     # the minimal shift s >= 0 with theta(a) X^s free of negative exponents
     # is the nilpotency index of d_N on a
-    assert -theta(ALG, ALG.x(1, 1)).min_exp() == 1
-    assert -theta(ALG, ALG.x(2, 1)).min_exp() == 0
+    assert -min(theta(ALG, ALG.x(1, 1)).terms) == 1
+    assert -min(theta(ALG, ALG.x(2, 1)).terms) == 0
     sq = ALG.multiply(ALG.x(1, 1), ALG.x(1, 1))
-    assert -theta(ALG, sq).min_exp() == 2
+    assert -min(theta(ALG, sq).terms) == 2
     rng = random.Random(4)
     for _ in range(30):
         a = random_poly(ALG, rng, max_level=3)
         if a.is_zero():
             continue
-        assert -theta(ALG, a).min_exp() == ALG.nilpotency_index(4, a)
+        assert -min(theta(ALG, a).terms) == ALG.nilpotency_index(4, a)
 
 
 def test_image_commutation_with_x():

@@ -15,6 +15,7 @@ from qcgl.expr import (MAX_EXPONENT, ExprEvalError, ExprSyntaxError, eval_free,
 from qcgl.ncalg import format_poly, quantum_plane, random_poly
 from qcgl.qmat import oqm
 from qcgl.schema import OUTPUT_SCHEMA
+from qcgl.verify import mutated_specs
 
 ALG = oqm(2, 2)
 
@@ -58,7 +59,7 @@ def test_eval_free_cancellation_leaves_no_stored_zeros():
 def test_eval_laurent_expressions():
     v = evaluate(ALG, "x[1,1] - q*x[1,2]*x[2,1]*X^-1", allow_x=True)
     assert v == theta(ALG, ALG.x(1, 1))
-    assert evaluate(ALG, "X*X^-1", allow_x=True) == LaurentElem.one()
+    assert evaluate(ALG, "X*X^-1", allow_x=True) == LaurentElem.x_power(0)
     with pytest.raises(ExprEvalError):
         evaluate(ALG, "X", allow_x=False)
     with pytest.raises(ExprEvalError):
@@ -187,6 +188,21 @@ def test_cli_algebra_from_spec_file(tmp_path):
     path.write_text(json.dumps(quantum_plane().to_json()), encoding="utf-8")
     rc, out, _ = run_cli(["nf", "-a", str(path), "g_2*g_1"])
     assert rc == 0 and out.strip() == "q*g_1*g_2"
+
+
+def test_cli_spec_file_failing_the_axioms_is_rejected_at_load(tmp_path):
+    # d(g_1) = g_1 is not locally nilpotent, so theta and the powers of X,
+    # whose closed forms need the CGL axioms, never run on this file
+    nonnil = next(alg for name, alg, _ in mutated_specs() if name == "non-nilpotent-derivation")
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(nonnil.to_json()), encoding="utf-8")
+    for argv in (["nf", "X^-1*g_1"], ["nf", "g_2*g_1"], ["theta", "g_1"],
+                 ["weight", "g_1", "--steps-budget", "0"]):
+        rc, out, err = run_cli(argv + ["-a", str(path)])
+        assert rc == 2 and not out and err.startswith("error: spec file") \
+            and "fails the CGL axioms" in err and "FAIL level 2 (b)" in err, argv
+    rc, out, _ = run_cli(["axioms", "-a", str(path)])
+    assert rc == 1 and "FAIL level 2 (b) locally nilpotent delta" in out
 
 
 # A malformed spec file is a usage error (exit 2), never a traceback.

@@ -65,3 +65,19 @@ def test_load_algebra_tokens(tmp_path):
     path = tmp_path / "plane.json"
     path.write_text(json.dumps(quantum_plane().to_json()), encoding="utf-8")
     assert load_algebra(str(path)).spec_equals(quantum_plane())
+
+
+def test_spec_files_are_checked_at_the_default_budget(tmp_path):
+    # a spec file goes through the preset's check: a small budget is no
+    # failure, and a file that fails the axioms loads only unchecked
+    uq = load_preset("uq-sl3-plus")
+    path = tmp_path / "uq.json"
+    path.write_text(json.dumps(uq.to_json()), encoding="utf-8")
+    alg = load_algebra(str(path), steps_budget=0)
+    assert alg.spec_equals(uq) and alg.steps_budget == 0 and not alg._nf_cache
+    doc = uq.to_json()
+    doc["level_q"] = [[2, "1"], [3, "q^-2"]]  # root of unity: axiom (c) fails
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="spec file .* fails the CGL axioms"):
+        load_algebra(str(path))
+    assert not presets.load_unchecked(str(path)).check_cgl_axioms().ok
