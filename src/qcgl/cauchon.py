@@ -43,9 +43,6 @@ class CauchonDiagram:
             raise ValueError("not a valid Cauchon diagram")
         return cls(m, n, cells)
 
-    def black_count(self):
-        return len(self.black)
-
     def __str__(self):
         rows = []
         for r in range(1, self.m + 1):
@@ -70,8 +67,8 @@ class CauchonDiagram:
         return cls.validate(m, n, cells)
 
     def to_cells(self):
-        """JSON form: sorted list of black [row, col] pairs."""
-        return [list(cell) for cell in sorted(self.black)]
+        """JSON form: the sorted black (row, col) pairs, written as [row, col] arrays."""
+        return sorted(self.black)
 
 
 def is_valid(m, n, black):

@@ -18,7 +18,7 @@ import sys
 from . import verify as verify_mod
 from .cauchon import SIZE_LIMIT, count, count_by_black, enumerate_diagrams
 from .delderiv import LaurentElem, format_laurent, theta, theta_alt
-from .expr import ExprEvalError, ExprSyntaxError, evaluate
+from .expr import evaluate
 from .ncalg import (NILPOTENCE_BOUND, STEPS_BUDGET, NcPoly, NilpotenceBoundExceeded,
                     StepBudgetExceeded, format_poly)
 from .presets import load_algebra, load_preset, load_unchecked
@@ -293,7 +293,7 @@ def main(argv=None):
             print(json.dumps(doc, sort_keys=True))
         else:
             print(text)
-    except (ExprSyntaxError, ExprEvalError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return USAGE_ERROR
     except (StepBudgetExceeded, NilpotenceBoundExceeded, RecursionError, MemoryError,

@@ -87,7 +87,7 @@ def _level_sum(alg, a, m, factors, bound, what):
     level at index bound raises before any factor is built, so the verdict
     costs no more than the level sums.
     """
-    u = t = alg._twist(alg.N, a, m)
+    u = t = alg.apply_sigma(alg.N, a, m)
     levels = []
     while t:
         if len(levels) == bound:
@@ -96,7 +96,7 @@ def _level_sum(alg, a, m, factors, bound, what):
         levels.append(t)
         if bound is None and len(levels) > m:
             break
-        u = alg.apply_sigma_inv(alg.N, u)
+        u = alg.apply_sigma(alg.N, u, -1)
         acc = {}
         for w, c in u.terms.items():
             add_terms(acc, _delta_power(alg, w, len(levels)).terms.items(), c)
@@ -104,7 +104,7 @@ def _level_sum(alg, a, m, factors, bound, what):
     out = {}
     for n, (t, c) in enumerate(zip(levels, factors(len(levels)))):
         if c:
-            out[m - n] = t if c.is_one() else NcPoly(add_terms({}, t.terms.items(), c))
+            out[m - n] = t if c.is_one() else t.scaled(c)
     return LaurentElem(out)
 
 
@@ -190,17 +190,11 @@ def theta_alt(alg, a, bound=NILPOTENCE_BOUND):
     order.  The powers d^n(a) come first, so the bound raises before any
     level factor is built."""
     _check_theta_ready(alg, a)
-    powers, t = [], a
-    while t:
-        if len(powers) == bound:
-            raise NilpotenceBoundExceeded("theta did not terminate within bound %d" % bound,
-                                          bound, a)
-        powers.append(t)
-        t = alg.apply_delta(alg.N, t)
+    powers = alg.delta_powers(alg.N, a, bound, "theta")
     qN = alg.level_q[alg.N]
     out = {}
     factor = ONE
     for n, t in enumerate(powers):
-        out[-n] = alg._twist(alg.N, t, -n).scaled(factor * qN ** (n * n))
+        out[-n] = alg.apply_sigma(alg.N, t, -n).scaled(factor * qN ** (n * n))
         factor = factor / ((ONE - qN) * q_int(n + 1, qN))
     return LaurentElem(out)

@@ -47,7 +47,7 @@ class NilpotenceBoundExceeded(RuntimeError):
 
     bound is the bound that was passed, and element the NcPoly being worked
     on: theta's argument, the base element X^-1 was commuted past, or the
-    sample whose nilpotency index was sought.
+    element whose delta powers were sought.
     """
 
     def __init__(self, message, bound, element):
@@ -104,11 +104,10 @@ class TermMap:
     here, and every sum goes through add_terms, so no zero is ever stored.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms):
         self.terms = terms
-        self._hash = None
 
     @classmethod
     def zero(cls):
@@ -119,9 +118,6 @@ class TermMap:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def nterms(self):
-        return len(self.terms)
 
     def items(self):
         return self.terms.items()
@@ -143,11 +139,6 @@ class TermMap:
         if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
 
 
 class NcPoly(TermMap):
@@ -177,10 +168,10 @@ class NcPoly(TermMap):
         return None
 
     def scaled(self, c):
+        """c times the polynomial, through add_terms, so a signed power of q
+        shifts each coefficient with no Q(q) product."""
         c = c if isinstance(c, RatFunc) else RatFunc(c)
-        if not c:
-            return NcPoly.zero()
-        return NcPoly({w: cw * c for w, cw in self.terms.items()})
+        return NcPoly(add_terms({}, self.terms.items(), c))
 
     def sorted_terms(self):
         """The (word, coefficient) pairs ordered by (degree, word)."""
@@ -386,22 +377,10 @@ class OreAlgebra:
 
     # -- constructors of elements -------------------------------------------
 
-    def zero(self):
-        return NcPoly.zero()
-
-    def one(self):
-        return NcPoly.scalar(ONE)
-
-    def scalar(self, c):
-        return NcPoly.scalar(c)
-
     def gen(self, i):
         if not 1 <= i <= self.N:
             raise ValueError("generator index %d out of range" % i)
         return NcPoly({(i,): ONE})
-
-    def gens(self):
-        return [self.gen(i) for i in range(1, self.N + 1)]
 
     def gen_named(self, name):
         try:
@@ -502,16 +481,9 @@ class OreAlgebra:
         if a.max_index() >= j:
             raise ValueError("element uses generator index >= level %d" % j)
 
-    def apply_sigma(self, j, a):
-        """The automorphism s_j of the subalgebra on generators < j."""
-        return self._twist(j, a, 1)
-
-    def apply_sigma_inv(self, j, a):
-        return self._twist(j, a, -1)
-
-    def _twist(self, j, a, e):
-        """s_j^e applied to a, for any integer e: each word w scales by the
-        product of lambda_jg^e over its letters g."""
+    def apply_sigma(self, j, a, e=1):
+        """s_j^e on the subalgebra on generators < j, for any integer e: each
+        word w scales by the product of lambda_jg^e over its letters g."""
         self._require_level(j)
         self._require_below(a, j)
         if e == 0:
@@ -552,19 +524,17 @@ class OreAlgebra:
                     c = c * rest
         return NcPoly(out)
 
-    def nilpotency_index(self, j, a, bound=NILPOTENCE_BOUND):
-        """Smallest d with d_j^(d+1)(a) = 0, for nonzero a."""
-        if a.is_zero():
-            raise ValueError("nilpotency index of 0 is undefined")
-        cur = self.apply_delta(j, a)
-        d = 0
-        while not cur.is_zero():
-            d += 1
-            if d > bound:
+    def delta_powers(self, j, a, bound, what):
+        """[a, d_j(a), d_j^2(a), ...] up to the last nonzero power; raises
+        when d_j^bound(a) is nonzero, naming what did not terminate."""
+        powers, t = [], a
+        while t:
+            if len(powers) == bound:
                 raise NilpotenceBoundExceeded(
-                    "delta_%d not nilpotent on sample within bound %d" % (j, bound), bound, a)
-            cur = self.apply_delta(j, cur)
-        return d
+                    "%s did not terminate within bound %d" % (what, bound), bound, a)
+            powers.append(t)
+            t = self.apply_delta(j, t)
+        return powers
 
     # -- torus ---------------------------------------------------------------
 
@@ -673,7 +643,7 @@ class OreAlgebra:
                         samples.append(p)
             for p in samples:
                 try:
-                    self.nilpotency_index(j, p, bound=nilpotence_bound)
+                    self.delta_powers(j, p, nilpotence_bound + 1, "delta_%d" % j)
                 except NilpotenceBoundExceeded:
                     nil_ok = False
                     nil_detail = "delta_%d not nilpotent within %d" % (j, nilpotence_bound)
@@ -744,7 +714,7 @@ class OreAlgebra:
                 and self.h_elems == other.h_elems)
 
     def to_json(self):
-        doc = {
+        return {
             "format": "cgl-spec-v1",
             "names": list(self.names),
             "torus_rank": self.torus_rank,
@@ -755,10 +725,6 @@ class OreAlgebra:
             "weights": [list(w) for w in self.weights],
             "h": [[str(v) for v in h] for h in self.h_elems],
         }
-        qshape = getattr(self, "qmat_shape", None)
-        if qshape:
-            doc["qmat"] = list(qshape)
-        return doc
 
     @classmethod
     def from_json(cls, doc, steps_budget=STEPS_BUDGET):
@@ -827,7 +793,7 @@ def random_poly(alg, rng, max_degree=3, max_terms=3, max_level=None):
     normalised.  May be zero after cancellation."""
     out = {}
     for _ in range(rng.randint(1, max_terms)):
-        c = RatFunc(rng.choice((1, 1, 2, -1, 3))) * qpow(rng.randint(-2, 2))
+        c = RatFunc(rng.choice((1, 1, 2, -1, 3))).times_qpow(rng.randint(-2, 2))
         w = random_word(alg, rng, max_len=max_degree, max_level=max_level)
         alg._add_normal_form(out, w, c)
     return NcPoly(out)

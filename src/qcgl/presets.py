@@ -11,7 +11,7 @@ import json
 from importlib import resources
 
 from .ncalg import STEPS_BUDGET, OreAlgebra, quantum_plane
-from .qmat import oqm
+from .qmat import QuantumMatrixAlgebra, oqm
 
 _FILE_PRESETS = {
     "uq-sl3-plus": "data/uq-sl3-plus.json",
@@ -40,7 +40,7 @@ def _checked(doc, steps_budget, what):
     differ: a small budget is no failure, and no normal form the check cached
     escapes it.  A qmat-tagged document is certified against oqm by from_json."""
     alg = OreAlgebra.from_json(doc, steps_budget=steps_budget)
-    if not getattr(alg, "qmat_shape", None):
+    if not isinstance(alg, QuantumMatrixAlgebra):
         check = alg if steps_budget == STEPS_BUDGET else OreAlgebra.from_json(doc)
         report = check.check_cgl_axioms()
         if not report.ok:

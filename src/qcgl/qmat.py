@@ -32,7 +32,6 @@ class QuantumMatrixAlgebra(OreAlgebra):
                              % (m, n, m * n, MAX_GENERATORS))
         self.m = m
         self.n = n
-        self.qmat_shape = (m, n)
         names = ["x[%d,%d]" % (i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
         q_inv = qpow(-1)
         minus_corr = -(Q - q_inv)
@@ -71,6 +70,12 @@ class QuantumMatrixAlgebra(OreAlgebra):
         super().__init__(names, lam, delta, level_q, r, weights, h_elems,
                          steps_budget=steps_budget)
         self._transposed = None
+
+    def to_json(self):
+        """The spec document, tagged with the grid so that loading it builds oqm(m, n)."""
+        doc = super().to_json()
+        doc["qmat"] = [self.m, self.n]
+        return doc
 
     # -- indexing ----------------------------------------------------------
 

@@ -12,7 +12,7 @@ from qcgl.coef import ONE, Q, RatFunc
 from qcgl.delderiv import LaurentElem, format_laurent, theta
 from qcgl.expr import (MAX_EXPONENT, ExprEvalError, ExprSyntaxError, eval_free,
                        evaluate, parse, parse_scalar)
-from qcgl.ncalg import format_poly, quantum_plane, random_poly
+from qcgl.ncalg import NcPoly, format_poly, quantum_plane, random_poly
 from qcgl.qmat import oqm
 from qcgl.schema import OUTPUT_SCHEMA
 from qcgl.verify import mutated_specs
@@ -34,11 +34,11 @@ def test_eval_det_expression():
 def test_eval_reorders_products():
     v = evaluate(ALG, "x[2,2]*x[1,1]")
     assert v == ALG.multiply(ALG.x(2, 2), ALG.x(1, 1))
-    assert v.nterms() == 2
+    assert len(v.terms) == 2
 
 
 def test_eval_power_zero():
-    assert evaluate(ALG, "(x[1,2])^0") == ALG.one()
+    assert evaluate(ALG, "(x[1,2])^0") == NcPoly.scalar(ONE)
 
 
 def test_eval_minor_atom_and_scalar_division():
@@ -321,7 +321,8 @@ def test_cli_cauchon_bounds():
 
 
 def test_cli_cauchon_list_json_builds_no_text(monkeypatch):
-    expected = [d.to_cells() for d in enumerate_diagrams(3, 4)]
+    # to_cells gives (row, col) tuples, which json writes as [row, col] arrays
+    expected = json.loads(json.dumps([d.to_cells() for d in enumerate_diagrams(3, 4)]))
     with monkeypatch.context() as patch:
         def refuse(self):
             raise AssertionError("text formatted under --json")
@@ -358,6 +359,17 @@ def test_cli_verify_needs_samples():
         argv = ["verify", "paper", "--size", "2,2", "--pairs", "5", "--triples", "20"] + extra
         rc, out, err = run_cli(argv)
         assert rc == 2 and err.startswith("error:") and not out, extra
+
+
+def test_cli_axioms_nilpotence_bound_edge():
+    # d_4 x[1,1] != 0 = d_4^2 x[1,1] on O_q(M_2): check (b) passes exactly
+    # when the bound reaches that index, 1
+    rc, out, _ = run_cli(["axioms", "-a", "qmat:2,2", "--nilpotence-bound", "0"])
+    assert rc == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL level 4 (b) locally nilpotent delta -- delta_4 not nilpotent within 0"]
+    rc, out, _ = run_cli(["axioms", "-a", "qmat:2,2", "--nilpotence-bound", "1"])
+    assert rc == 0 and "FAIL" not in out
 
 
 def test_cli_budgets():

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from qcgl.coef import MINUS_ONE, ONE, Q, ZERO, qpow
-from qcgl.ncalg import (NcPoly, OreAlgebra, StepBudgetExceeded, format_poly,
-                        quantum_plane, random_poly, random_word)
+from qcgl.ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, OreAlgebra,
+                        StepBudgetExceeded, format_poly, quantum_plane, random_poly,
+                        random_word)
 from qcgl.presets import load_preset
 from qcgl.qmat import oqm
 from qcgl.verify import mutated_specs
@@ -31,7 +32,7 @@ def test_multiply_diagonal_relation():
 
 def test_multiply_identity():
     rng = random.Random(0)
-    one = ALG22.one()
+    one = NcPoly.scalar(ONE)
     for _ in range(20):
         b = random_poly(ALG22, rng)
         assert ALG22.multiply(one, b) == b
@@ -47,7 +48,7 @@ def test_sigma_inverse_round_trip():
     rng = random.Random(1)
     for _ in range(20):
         a = random_poly(ALG22, rng, max_level=3)
-        assert ALG22.apply_sigma_inv(4, ALG22.apply_sigma(4, a)) == a
+        assert ALG22.apply_sigma(4, ALG22.apply_sigma(4, a), -1) == a
 
 
 def test_sigma_rejects_high_indices():
@@ -64,18 +65,41 @@ def test_delta_on_generators():
     assert ALG22.apply_delta(4, ALG22.apply_delta(4, x22(1, 1))).is_zero()
 
 
+def _nilpotency_index(alg, j, a):
+    return len(alg.delta_powers(j, a, NILPOTENCE_BOUND, "delta_%d" % j)) - 1
+
+
 def test_nilpotency_index():
-    assert ALG22.nilpotency_index(4, x22(1, 1)) == 1
-    assert ALG22.nilpotency_index(4, x22(2, 1)) == 0
+    assert _nilpotency_index(ALG22, 4, x22(1, 1)) == 1
+    assert _nilpotency_index(ALG22, 4, x22(2, 1)) == 0
     sq = ALG22.multiply(x22(1, 1), x22(1, 1))
     # oracle: brute-force iteration of apply_delta
     it, d = ALG22.apply_delta(4, sq), 0
     while not it.is_zero():
         it, d = ALG22.apply_delta(4, it), d + 1
     assert d == 2
-    assert ALG22.nilpotency_index(4, sq) == 2
-    with pytest.raises(ValueError):
-        ALG22.nilpotency_index(4, NcPoly.zero())
+    assert _nilpotency_index(ALG22, 4, sq) == 2
+    assert ALG22.delta_powers(4, NcPoly.zero(), NILPOTENCE_BOUND, "delta_4") == []
+
+
+def test_delta_powers_raise_exactly_past_the_bound():
+    # delta_powers(j, a, B) raises iff d_j^B(a) != 0, with B and a in the
+    # error, and otherwise lists the nonzero powers d_j^n(a) one map at a time
+    nonnil = _mutation("non-nilpotent-derivation")
+    sq = ALG22.multiply(x22(1, 1), x22(1, 1))
+    for alg, a in ((ALG22, x22(1, 1)), (ALG22, sq), (nonnil, nonnil.gen(1))):
+        literal = [a]
+        for _ in range(3):
+            literal.append(alg.apply_delta(alg.N, literal[-1]))
+        for bound in range(4):
+            if literal[bound]:
+                message = "^delta did not terminate within bound %d$" % bound
+                with pytest.raises(NilpotenceBoundExceeded, match=message) as info:
+                    alg.delta_powers(alg.N, a, bound, "delta")
+                assert info.value.bound == bound and info.value.element == a
+            else:
+                nonzero = [t for t in literal if t]
+                assert alg.delta_powers(alg.N, a, bound, "delta") == nonzero
 
 
 def test_torus_weights():
@@ -110,7 +134,7 @@ def test_qcommute_exponents():
 
 def test_qcommute_antisymmetry():
     rng = random.Random(3)
-    gens = ALG23.gens()
+    gens = [ALG23.gen(i) for i in range(1, ALG23.N + 1)]
     for _ in range(60):
         a = rng.choice(gens)
         b = rng.choice(gens)
@@ -174,7 +198,7 @@ def test_overlap_check_catches_a_correction_that_is_no_derivation():
     assert [(c.level, c.axiom) for c in report.failures()] == [(3, "(g) overlaps resolve")]
     assert "g_3*g_2*g_1" in report.failures()[0].detail
     assert alg.is_torsionfree() is True
-    g1, g2, g3 = alg.gens()
+    g1, g2, g3 = (alg.gen(i) for i in (1, 2, 3))
     assert (alg.multiply(alg.multiply(g3, g2), g1)
             != alg.multiply(g3, alg.multiply(g2, g1)))
 
@@ -364,7 +388,7 @@ def test_rewrite_table_keeps_the_step_count():
 
 def _reference_sum(alg, scaled_words):
     """Sum of c * NF(w) over (c, w) pairs, by the reference straightener."""
-    out = alg.zero()
+    out = NcPoly.zero()
     for c, w in scaled_words:
         out = out + _reference_normal_form(alg, w, "leftmost")[0].scaled(c)
     return out
@@ -493,7 +517,7 @@ def test_level_maps_match_their_definitions():
         for j in range(2, alg.N + 1):
             for _ in range(10):
                 a = random_poly(alg, rng, max_level=j - 1)
-                sigma, delta = {}, alg.zero()
+                sigma, delta = {}, NcPoly.zero()
                 for w, c in a.terms.items():
                     lam = ONE
                     for t, g in enumerate(w):
@@ -508,7 +532,7 @@ def test_level_maps_match_their_definitions():
                 assert alg.apply_sigma(j, a) == NcPoly(sigma)
                 assert alg.apply_delta(j, a) == delta
                 if all(alg.lam[(j, g)] for w in a.terms for g in w):
-                    assert alg.apply_sigma_inv(j, NcPoly(sigma)) == a
+                    assert alg.apply_sigma(j, NcPoly(sigma), -1) == a
 
 
 def test_is_torsionfree():
@@ -598,4 +622,4 @@ def test_format_poly_is_deterministic():
     s2 = format_poly(ALG22.names, ALG22.multiply(x22(2, 2), x22(1, 1)))
     assert s1 == s2
     assert format_poly(ALG22.names, NcPoly.zero()) == "0"
-    assert format_poly(ALG22.names, ALG22.one()) == "1"
+    assert format_poly(ALG22.names, NcPoly.scalar(ONE)) == "1"

@@ -56,7 +56,7 @@ def test_small_step_budgets_do_not_fail_the_preset_check(capsys):
 
 def test_load_algebra_tokens(tmp_path):
     alg = load_algebra("qmat:2,3")
-    assert getattr(alg, "qmat_shape", None) == (2, 3)
+    assert (alg.m, alg.n) == (2, 3)
     assert load_algebra("qplane").spec_equals(quantum_plane())
     with pytest.raises(ValueError):
         load_algebra("qmat:two,three")

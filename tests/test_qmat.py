@@ -43,7 +43,7 @@ def test_minor_2x2():
 def test_minor_s3_against_permutation_oracle():
     alg = oqm(3, 3)
     det = alg.det()
-    assert det.nterms() == 6
+    assert len(det.terms) == 6
     # oracle: inversion count computed independently per permutation
     for perm in permutations((1, 2, 3)):
         word = tuple(alg.gen_index(i + 1, perm[i] - 1 + 1) for i in range(3))
