@@ -1,19 +1,23 @@
 """Exact arithmetic in the coefficient field k = Q(q).
 
-Elements are canonical fractions of integer-coefficient polynomials in the
-single symbol q: numerator and denominator share no content and no polynomial
-factor, and the denominator has positive leading coefficient.  Canonical forms
-are unique, so equality is plain structural comparison.  All arithmetic is
-exact big-integer arithmetic; nothing here ever touches floating point.
+An element is the canonical triple q^e * n/d: n and d are integer-coefficient
+polynomials in the single symbol q with nonzero constant terms, coprime in
+Z[q] (content included), and d has positive leading coefficient; zero is
+n = (), d = (1,), e = 0.  Canonical forms are unique, so equality is plain
+structural comparison.  All arithmetic is exact big-integer arithmetic;
+nothing here ever touches floating point.
 
-Almost every coefficient the engine meets is a Laurent polynomial n/q^a in
-Z[q^{+-1}]: straightening scales words by powers of q, and theta's images have
-only powers of q as denominators apart from its factors (1-q)^-n/[n]!.  Sums
-and products of two such elements skip the polynomial gcds.  Since q^a has
-content 1, gcd(n, q^a) = q^min(val n, a) in Z[q], so the canonical form of
-n/q^a only needs the common power of q removed: a product is n*m/q^(a+b), a
-sum is (n q^(e-a) + m q^(e-b))/q^e with e = max(a, b), each stripped of
-q^min(val, exponent).  Every other denominator takes the general gcd path.
+Almost every coefficient the engine meets is a Laurent polynomial, d = 1:
+straightening scales words by powers of q, and theta's images have only
+powers of q as denominators apart from its level factors (1-q)^-n/[n]!.
+A power of q is its exponent alone, so scaling by q^k adds k to e, a Laurent
+product is one polynomial product and a sum of exponents, and a Laurent sum
+shifts the operand with the larger e, stripping a valuation only when equal
+exponents cancel at the constant term.  A sum with one Laurent operand needs
+no gcd, and a product with one first tries to divide the Laurent numerator
+exactly by the other denominator.  Every other product or sum takes the gcd
+path.  The fraction `num`/`den`, with q^e on whichever side keeps both
+polynomials, is a derived view for printing and for callers that read it.
 """
 
 from __future__ import annotations
@@ -49,7 +53,15 @@ def _pneg(a):
 
 
 def _pmul(a, b):
-    if not a or not b:
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        # a constant factor, the commonest (a monomial's q-power sits in e)
+        c = a[0]
+        if c == 1:
+            return b
+        return (c * b[0],) if len(b) == 1 else tuple([c * x for x in b])
+    if not a:
         return _PZERO
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
@@ -113,38 +125,33 @@ def _prem(a, b):
 
 
 def _pgcd(a, b):
-    """Primitive gcd with positive leading coefficient (contents ignored)."""
-    if not a:
-        return _pprim(b)[1]
-    if not b:
-        return _pprim(a)[1]
-    # strip powers of q first: the overwhelmingly common operands are monomials
-    va, vb = _pval(a), _pval(b)
-    v = min(va, vb)
-    a = _pprim(a[va:])[1]
-    b = _pprim(b[vb:])[1]
+    """gcd of two nonzero primitive polynomials, primitive with positive
+    leading coefficient."""
     if len(a) == 1 or len(b) == 1:
-        return _pshift(_PONE, v)
+        return _PONE
     if len(a) < len(b):
         a, b = b, a
     while b:
         r = _prem(a, b)
         a, b = b, _pprim(r)[1]
-    return _pshift(a, v)
+    return a
 
 
 def _pfullgcd(a, b):
-    """gcd in Z[q] including integer content, positive leading coefficient."""
+    """gcd in Z[q] of two nonzero polynomials, integer content included,
+    with positive leading coefficient."""
     ca, pa = _pprim(a)
     cb, pb = _pprim(b)
     return _pscale(_pgcd(pa, pb), math.gcd(ca, cb))
 
 
 def _pdivexact(a, b):
-    """Quotient a // b assuming the division is exact."""
+    """The quotient a / b when b divides a in Z[q], else None."""
     if not a:
         return _PZERO
     db = len(b) - 1
+    if len(a) <= db or b[0] and a[0] % b[0]:
+        return None
     lb = b[-1]
     r = list(a)
     out = [0] * (len(a) - db)
@@ -153,20 +160,17 @@ def _pdivexact(a, b):
         if c:
             c, rem = divmod(c, lb)
             if rem:
-                raise ArithmeticError("inexact polynomial division")
+                return None
             out[k] = c
             for i in range(db + 1):
                 r[k + i] -= c * b[i]
     if any(r[:db]):
-        raise ArithmeticError("inexact polynomial division")
+        return None
     return _ptrim(out)
 
 
-def _pis_monomial(a):
-    return bool(a) and not any(a[:-1])
-
-
-def _render_intpoly(p):
+def _render_intpoly(p, shift=0):
+    """p * q^shift as text, highest power first."""
     if not p:
         return "0"
     parts = []
@@ -175,6 +179,7 @@ def _render_intpoly(p):
         if c == 0:
             continue
         mag = abs(c)
+        k += shift
         if k == 0:
             body = str(mag)
         elif k == 1:
@@ -197,80 +202,101 @@ def _nterms(p):
 # ---------------------------------------------------------------------------
 
 
-def _laurent(num, e):
-    """The canonical RatFunc of num/q^e, for a nonzero trimmed num and e > 0.
-
-    gcd(num, q^e) = q^min(val num, e), since q^e has content 1.
-    """
-    k = _pval(num)
-    if k > e:
-        k = e
-    return RatFunc._raw(num[k:], _pshift(_PONE, e - k))
-
-
-def _cancel(n, d):
-    """n and d divided by their gcd in Z[q], for a nonzero n and a d with
-    positive leading coefficient: the canonical form of n/d.
-
-    When d is q^e the gcd is q^min(val n, e), stripped without a gcd.
-    """
-    if d[-1] == 1 and not any(d[:-1]):
-        k = _pval(n)
-        if k > len(d) - 1:
-            k = len(d) - 1
-        return (n[k:], d[k:]) if k else (n, d)
+def _coprime(n, d):
+    """n and d divided by their gcd in Z[q]."""
     g = _pfullgcd(n, d)
-    if g != _PONE:
-        n = _pdivexact(n, g)
-        d = _pdivexact(d, g)
-    return n, d
+    if g == _PONE:
+        return n, d
+    return _pdivexact(n, g), _pdivexact(d, g)
+
+
+def _canonical(n, d, e):
+    """The canonical triple of q^e n/d, for nonzero trimmed n and d with
+    d[0] != 0: n's valuation moves into e, d's sign onto n, and the gcd of
+    n and d is divided out."""
+    v = _pval(n)
+    if v:
+        n = n[v:]
+        e += v
+    if d[-1] < 0:
+        n, d = _pneg(n), _pneg(d)
+    if d != _PONE:
+        n, d = _coprime(n, d)
+    return n, d, e
+
+
+def _times_laurent(m, n, d, e):
+    """q^e * m * n/d for a Laurent numerator m and a canonical n/d, d != 1.
+
+    When d divides m the product is Laurent and needs no gcd; otherwise
+    only m and d can share a factor, since n/d is reduced.
+    """
+    t = _pdivexact(m, d)
+    if t is not None:
+        return RatFunc._raw(_pmul(t, n), _PONE, e)
+    m, d = _coprime(m, d)
+    return RatFunc._raw(_pmul(m, n), d, e)
 
 
 class RatFunc:
-    """An element of Q(q) kept in canonical reduced form."""
+    """An element q^e * n/d of Q(q) kept in canonical reduced form."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("n", "d", "e")
 
     def __init__(self, num=0, den=1):
         if type(num) is int and type(den) is int and den == 1:
             # a plain integer is already canonical (a bool takes the path below)
-            self.num = (num,) if num else _PZERO
-            self.den = _PONE
+            self.n = (num,) if num else _PZERO
+            self.d = _PONE
+            self.e = 0
             return
         num, den = (_ptrim([operator.index(c) for c in ((x,) if isinstance(x, int) else x)])
                     for x in (num, den))
         if not den:
             raise ZeroDivisionError("zero denominator in Q(q)")
-        if den[-1] < 0:
-            num, den = _pneg(num), _pneg(den)
-        self.num, self.den = _cancel(num, den) if num else (_PZERO, _PONE)
+        if not num:
+            self.n, self.d, self.e = _PZERO, _PONE, 0
+            return
+        v = _pval(den)
+        self.n, self.d, self.e = _canonical(num, den[v:], -v)
 
     @classmethod
-    def _raw(cls, num, den):
-        # trusted constructor: (num, den) must already be canonical
+    def _raw(cls, n, d, e=0):
+        # trusted constructor: (n, d, e) must already be canonical
         self = object.__new__(cls)
-        self.num = num
-        self.den = den
+        self.n = n
+        self.d = d
+        self.e = e
         return self
+
+    @property
+    def num(self):
+        """The numerator of the reduced fraction, q^max(e, 0) * n."""
+        return _pshift(self.n, self.e) if self.e > 0 else self.n
+
+    @property
+    def den(self):
+        """The denominator of the reduced fraction, q^max(-e, 0) * d."""
+        return _pshift(self.d, -self.e) if self.e < 0 else self.d
 
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.n)
 
     def is_one(self):
-        return self.num == _PONE and self.den == _PONE
+        return self.e == 0 and self.n == _PONE and self.d == _PONE
 
     def as_signed_q_power(self):
         """(sign, s) with self == sign * q^s for sign in {1,-1}, or None."""
-        if self.num and abs(self.num[-1]) == 1 and _pis_monomial(self.num) \
-                and self.den[-1] == 1 and _pis_monomial(self.den):
-            return self.num[-1], len(self.num) - len(self.den)
+        n = self.n
+        if len(n) == 1 and (n[0] == 1 or n[0] == -1) and self.d == _PONE:
+            return n[0], self.e
         return None
 
     def display_negative(self):
         # canonical denominators are positive, so the sign sits on the numerator
-        return bool(self.num) and self.num[-1] < 0
+        return bool(self.n) and self.n[-1] < 0
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -286,31 +312,42 @@ class RatFunc:
         other = RatFunc._coerce(other)
         if other is None:
             return NotImplemented
-        da, db = self.den, other.den
-        if (da == _PONE or da[-1] == 1 and not any(da[:-1])) and \
-                (db == _PONE or db[-1] == 1 and not any(db[:-1])):
-            # Laurent operands n/q^a, m/q^b (1 tested first: the commonest
-            # denominator): shift both to q^max(a, b)
-            a, b = len(da) - 1, len(db) - 1
-            if a == b:
-                num = _padd(self.num, other.num)
-            elif a > b:
-                num = _padd(self.num, _pshift(other.num, a - b))
-            else:
-                num = _padd(_pshift(self.num, b - a), other.num)
-                a = b
-            if not num:
+        if not other.n:
+            return self
+        if not self.n:
+            return other
+        na, da, ea = self.n, self.d, self.e
+        nb, db, eb = other.n, other.d, other.e
+        if db != _PONE:
+            na = _pmul(na, db)
+        if da != _PONE:
+            nb = _pmul(nb, da)
+        # over q^min(ea, eb), the side with the smaller exponent keeps its
+        # nonzero constant term; equal exponents may cancel it
+        if ea > eb:
+            n, e = _padd(_pshift(na, ea - eb), nb), eb
+        elif eb > ea:
+            n, e = _padd(na, _pshift(nb, eb - ea)), ea
+        else:
+            n, e = _padd(na, nb), ea
+            if not n:
                 return ZERO
-            return _laurent(num, a) if a else RatFunc._raw(num, _PONE)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        if not num:
-            return ZERO
-        return RatFunc._raw(*_cancel(num, _pmul(self.den, other.den)))
+            if not n[0]:
+                v = _pval(n)
+                n, e = n[v:], e + v
+        # a factor common to n and one denominator divides the other
+        # operand's numerator, coprime to it; so one Laurent operand
+        # leaves nothing to cancel
+        if da == _PONE:
+            return RatFunc._raw(n, db, e)
+        if db == _PONE:
+            return RatFunc._raw(n, da, e)
+        return RatFunc._raw(*_canonical(n, _pmul(da, db), e))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc._raw(_pneg(self.num), self.den)
+        return RatFunc._raw(_pneg(self.n), self.d, self.e)
 
     def __sub__(self, other):
         other = RatFunc._coerce(other)
@@ -328,49 +365,36 @@ class RatFunc:
         other = RatFunc._coerce(other)
         if other is None:
             return NotImplemented
-        if not self.num or not other.num:
+        if not self.n or not other.n:
             return ZERO
-        na, da = self.num, self.den
-        nb, db = other.num, other.den
-        if (da == _PONE or da[-1] == 1 and not any(da[:-1])) and \
-                (db == _PONE or db[-1] == 1 and not any(db[:-1])):
-            # Laurent operands n/q^a, m/q^b: the product is nm/q^(a+b)
-            num = _pmul(na, nb)
-            e = len(da) + len(db) - 2
-            return _laurent(num, e) if e else RatFunc._raw(num, _PONE)
-        na, db = _cancel(na, db)
-        nb, da = _cancel(nb, da)
-        return RatFunc._raw(_pmul(na, nb), _pmul(da, db))
+        na, da = self.n, self.d
+        nb, db = other.n, other.d
+        e = self.e + other.e
+        if da == _PONE:
+            if db == _PONE:
+                return RatFunc._raw(_pmul(na, nb), _PONE, e)
+            return _times_laurent(na, nb, db, e)
+        if db == _PONE:
+            return _times_laurent(nb, na, da, e)
+        na, db = _coprime(na, db)
+        nb, da = _coprime(nb, da)
+        return RatFunc._raw(_pmul(na, nb), _pmul(da, db), e)
 
     __rmul__ = __mul__
 
     def times_qpow(self, k, sign=1):
-        """self * sign * q^k, for sign in {1, -1}, without a gcd.
-
-        gcd(num, den) = 1, so the only common factor num*q^k and den can
-        share is q^min(k, val den) for k > 0; for k < 0 it is
-        q^min(-k, val num).  Exact for every denominator.
-        """
-        num, den = self.num, self.den
-        if not num or (k == 0 and sign == 1):
+        """self * sign * q^k, for sign in {1, -1}: k is added to e."""
+        if not self.n or (k == 0 and sign == 1):
             return self
-        if sign < 0:
-            num = _pneg(num)
-        if k > 0:
-            v = min(k, _pval(den))
-            return RatFunc._raw(_pshift(num, k - v), den[v:])
-        if k < 0:
-            v = min(-k, _pval(num))
-            return RatFunc._raw(num[v:], _pshift(den, -k - v))
-        return RatFunc._raw(num, den)
+        return RatFunc._raw(_pneg(self.n) if sign < 0 else self.n, self.d, self.e + k)
 
     def inverse(self):
-        if not self.num:
+        if not self.n:
             raise ZeroDivisionError("inverse of 0 in Q(q)")
-        num, den = self.den, self.num
-        if den[-1] < 0:
-            num, den = _pneg(num), _pneg(den)
-        return RatFunc._raw(num, den)
+        n, d = self.d, self.n
+        if d[-1] < 0:
+            n, d = _pneg(n), _pneg(d)
+        return RatFunc._raw(n, d, -self.e)
 
     def __truediv__(self, other):
         other = RatFunc._coerce(other)
@@ -387,6 +411,11 @@ class RatFunc:
     def __pow__(self, s):
         if not isinstance(s, int):
             return NotImplemented
+        parts = self.as_signed_q_power()
+        if parts is not None:
+            # (sign q^e)^s = sign^s q^(e s), with no products
+            sign, e = parts
+            return RatFunc._raw((sign,) if s % 2 else _PONE, _PONE, e * s)
         if s == 0:
             return ONE
         if s < 0:
@@ -402,30 +431,30 @@ class RatFunc:
         other = RatFunc._coerce(other)
         if other is None:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.e == other.e and self.n == other.n and self.d == other.d
 
     def __hash__(self):
         # integer-valued elements must hash like the int they equal
-        if self.den == _PONE and len(self.num) <= 1:
-            return hash(self.num[0] if self.num else 0)
-        return hash((self.num, self.den))
+        if self.e == 0 and self.d == _PONE and len(self.n) <= 1:
+            return hash(self.n[0] if self.n else 0)
+        return hash((self.n, self.d, self.e))
 
     # -- rendering -------------------------------------------------------------
 
     def __str__(self):
-        num, den = self.num, self.den
-        if not num:
+        n, d, e = self.n, self.d, self.e
+        if not n:
             return "0"
-        if den == _PONE:
-            return _render_intpoly(num)
-        if num in (_PONE, (-1,)) and _pis_monomial(den) and den[-1] == 1:
-            k = len(den) - 1
-            return ("-" if num == (-1,) else "") + "q^-%d" % k
-        num_s = _render_intpoly(num)
-        if _nterms(num) > 1:
+        if d == _PONE:
+            if e >= 0:
+                return _render_intpoly(n, e)
+            if n == _PONE or n == (-1,):
+                return ("-" if n[0] < 0 else "") + "q^%d" % e
+        num_s = _render_intpoly(n, max(e, 0))
+        if _nterms(n) > 1:
             num_s = "(" + num_s + ")"
-        den_s = _render_intpoly(den)
-        if _nterms(den) > 1 or "*" in den_s:
+        den_s = _render_intpoly(d, max(-e, 0))
+        if _nterms(d) > 1 or "*" in den_s:
             den_s = "(" + den_s + ")"
         return num_s + "/" + den_s
 
@@ -436,14 +465,12 @@ class RatFunc:
 ZERO = RatFunc._raw(_PZERO, _PONE)
 ONE = RatFunc._raw(_PONE, _PONE)
 MINUS_ONE = RatFunc._raw((-1,), _PONE)
-Q = RatFunc._raw((0, 1), _PONE)
+Q = RatFunc._raw(_PONE, _PONE, 1)
 
 
 def qpow(s):
     """q^s for any integer s."""
-    if s >= 0:
-        return RatFunc._raw((0,) * s + (1,), _PONE)
-    return RatFunc._raw(_PONE, (0,) * (-s) + (1,))
+    return RatFunc._raw(_PONE, _PONE, s)
 
 
 def q_int(n, base=Q):

@@ -12,7 +12,7 @@ import inspect
 from pathlib import Path
 
 from qcgl import cli, schema
-from qcgl.coef import RatFunc
+from qcgl.coef import Q, RatFunc, qpow
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -42,6 +42,15 @@ def test_every_span_target_resolves():
         assert inspect.isgeneratorfunction(fn) == (label in spans.GENERATOR_SPANS), label
     assert "cauchon.enumerate_diagrams" in spans.GENERATOR_SPANS
     assert {"__mul__", "__add__"} <= set(vars(RatFunc))
+
+
+def test_general_den_reads_the_derived_denominator():
+    # coef.mul.general_den_frac counts products with an operand whose
+    # denominator is not a power of q, read through the derived `den` view
+    general_den = _spans()._general_den
+    assert general_den(1 / (1 + Q))
+    for laurent in (qpow(-3), 2 * qpow(5), (Q * Q + 1) / Q):
+        assert not general_den(laurent)
 
 
 def test_schema_commands_are_the_cli_subcommands():

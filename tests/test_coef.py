@@ -142,3 +142,14 @@ def test_render_parse_round_trip():
                (ONE + Q) / (Q * Q - 1)] + [_random_ratfunc(rng) for _ in range(60)]
     for a in samples:
         assert parse_scalar(str(a)) == a
+
+
+def test_signed_q_powers_power_by_exponent():
+    # (±q^s)^k is (±1)^k q^(s k), with no k products
+    assert (-Q) ** 4097 == -qpow(4097)
+    assert (-Q) ** 4096 == qpow(4096)
+    assert qpow(-3) ** -5 == qpow(15)
+    assert qpow(7) ** 10**6 == qpow(7 * 10**6)
+    assert MINUS_ONE ** -3 == MINUS_ONE
+    assert ((Q + 1) ** 3) == (Q + 1) * (Q + 1) * (Q + 1)
+    assert ((Q + 1) ** -2) * (Q + 1) ** 2 == ONE

@@ -1,8 +1,8 @@
 """Q(q) arithmetic against two oracles: the general gcd path and sympy.
 
-Operands are Laurent elements n/q^a, which take the valuation fast path of
-RatFunc.__mul__/__add__, and general canonical fractions, which take the gcd
-path.  Every sum, difference and product must equal, field for field, the
+Operands are Laurent elements n/q^a, whose sums and products skip the gcds
+of RatFunc.__mul__/__add__, and general canonical fractions, which take the
+gcd path.  Every sum, difference and product must equal, field for field, the
 canonical form that RatFunc(num, den) builds from the unreduced fraction, and
 must agree with sympy.cancel of the same expression.
 """
@@ -16,7 +16,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qcgl import coef  # noqa: E402
-from qcgl.coef import RatFunc, _padd, _pmul, _pneg  # noqa: E402
+from qcgl.coef import RatFunc, _padd, _pfullgcd, _pmul, _pneg  # noqa: E402
 
 QS = sympy.Symbol("q")
 
@@ -122,3 +122,43 @@ def test_laurent_times_general_matches_oracles(laurent, general):
     assert _q_power_exponent(general.den) is None
     _check(laurent, general, "*")
     _check(general, laurent, "*")
+
+
+def _assert_canonical(r):
+    """r is the triple q^e n/d: zero as ((), (1,), 0), else n and d with
+    nonzero constant terms, coprime in Z[q], and d[-1] > 0."""
+    if not r:
+        assert (r.n, r.d, r.e) == ((), (1,), 0)
+    else:
+        assert r.n[0] != 0 and r.d[0] != 0 and r.d[-1] > 0
+        assert _pfullgcd(r.n, r.d) == (1,)
+    again = RatFunc(r.num, r.den)
+    assert (again.n, again.d, again.e) == (r.n, r.d, r.e)
+    assert hash(again) == hash(r)
+    if r.d == (1,) and r.e == 0 and len(r.n) <= 1:
+        value = r.n[0] if r.n else 0
+        assert r == value and hash(r) == hash(value)
+
+
+@ORACLE
+@given(operands, operands, st.integers(-6, 6), st.sampled_from((1, -1)))
+def test_every_result_is_canonical(a, b, k, sign):
+    results = [a + b, a - b, a * b, a.times_qpow(k, sign), b - b, a * 0 + 3]
+    if b:
+        results += [a / b, b.inverse()]
+    for r in results:
+        _assert_canonical(r)
+
+
+def test_a_laurent_product_that_divides_exactly_takes_no_gcd():
+    # ((q^2-1)/q) * (q^2/(q^2-1)): the Laurent numerator q^2-1 is divisible
+    # by the other denominator, so the product is q with no gcd
+    def fail(*args):
+        raise AssertionError("gcd taken for an exact division")
+
+    a = RatFunc((-1, 0, 1), (0, 1))
+    b = RatFunc((0, 0, 1), (-1, 0, 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coef, "_pfullgcd", fail)
+        assert a * b == coef.Q
+        assert b * a == coef.Q

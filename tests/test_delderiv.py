@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -284,6 +285,25 @@ def test_theta_bound_verdict_builds_no_level_factor():
             f(nonnil, g1, bound=5000)
         assert (info.value.bound, info.value.element) == (5000, g1)
     assert len(nonnil._theta_factors) == 1
+
+
+def test_bound_verdict_memory_is_flat_in_the_bound():
+    # level n of the non-nilpotent spec is g_1 times q^-n (theta) or
+    # q^-(n+1) (X^-1); a power of q is one exponent, so each kept level is
+    # O(1) and a verdict at bound 5000 stays far under a dense-tuple
+    # coefficient's quadratic growth (about 100 MB)
+    nonnil = next(alg for name, alg, _ in mutated_specs() if name == "non-nilpotent-derivation")
+    g1 = nonnil.gen(1)
+    for call in (lambda: theta(nonnil, g1, bound=5000),
+                 lambda: laurent_mul(nonnil, XINV, LaurentElem.from_poly(g1), bound=5000)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(NilpotenceBoundExceeded):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def _walk_xinv(alg, c, bound):
