@@ -7,8 +7,12 @@ d_j(x_i), the per-level constants q_j with s_j d_j = q_j d_j s_j, and the
 diagonal torus data (integer weight vectors plus the distinguished torus
 elements h_j).  Elements are NcPoly values: maps from nondecreasing words of
 generator indices to Q(q) coefficients.  Products are normalised by
-replacing each inversion x_j x_i (j > i) with lambda_ji x_i x_j + d_j(x_i)
-until the word is sorted.
+insertion sort: from left to right, each letter x_i moves left past the
+larger letters before it, one step per inversion, each step rewriting x_j x_i
+(j > i) as lambda_ji x_i x_j + d_j(x_i) by the entry for j in x_i's rule row;
+each term of d_j(x_i) starts a path of its own.  Rightmost reduction is the
+same loop on the mirrored word (reversed, on letters N+1-g) under mirrored
+rows.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .coef import ONE, ZERO, RatFunc, is_root_of_unity, qpow
+from .coef import ONE, ZERO, RatFunc, is_root_of_unity
 
 _NAME_RE = re.compile(r"^(?:x\[\d+,\d+\]|g_\d+)$")
 _SPEC_KEYS = ("names", "torus_rank", "lambda", "delta", "level_q", "weights", "h")
@@ -315,12 +319,14 @@ class OreAlgebra:
                 if any(w[t] > w[t + 1] for t in range(len(w) - 1)):
                     raise ValueError("delta(%d,%d) is not in normal form" % (j, i))
             self.delta[(j, i)] = p
-        # The rewrite table: x_j x_i (j > i) becomes lambda_ji x_i x_j, left
-        # out when lambda_ji = 0, plus the terms of d_j(x_i).  Each entry is
-        # (word, sign, k, rest), its coefficient split as by _qpow_parts, so
-        # that a factor that is a signed power of q costs integer updates.
-        # Coefficients repeat across pairs, so each object is split once;
-        # lam and delta keep every coefficient alive, so ids stay unique.
+        # The rewrite rows: rows[i][j], for j > i, rewrites x_j x_i as
+        # (lam, dterms).  lam is lambda_ji split as by _qpow_parts, or None
+        # when lambda_ji = 0, so that the swap to x_i x_j is left out; dterms
+        # holds one (word, sign, k, rest) per term of d_j(x_i), its word a
+        # list to join the list slices of a path.  A factor that is a signed
+        # power of q thus costs integer updates.  Coefficients repeat across
+        # pairs, so each object is split once; lam and delta keep every
+        # coefficient alive, so ids stay unique.
         memo = {}
 
         def split(c):
@@ -330,12 +336,15 @@ class OreAlgebra:
             return parts
 
         self._lam_parts = {}
-        self._rules = {}
+        self._rows = rows = [[None] * (N + 1) for _ in range(N + 1)]
         for (j, i), v in self.lam.items():
             parts = self._lam_parts[(j, i)] = split(v)
-            self._rules[(j, i)] = (((i, j),) + parts,) if parts[2] is None or v else ()
-        for ji, p in self.delta.items():
-            self._rules[ji] += tuple((dw,) + split(dc) for dw, dc in p.terms.items())
+            rows[i][j] = (parts if parts[2] is None or v else None, ())
+        for (j, i), p in self.delta.items():
+            rows[i][j] = (rows[i][j][0],
+                          tuple((list(dw),) + split(dc) for dw, dc in p.terms.items()))
+        # the rows of the mirrored algebra, built by _mirrored_rows on first use
+        self._mirror_rows = None
         self.level_q = {}
         for j in range(2, N + 1):
             try:
@@ -393,17 +402,20 @@ class OreAlgebra:
     def normal_form_word(self, word, strategy="leftmost"):
         """PBW normal form of an arbitrary word of generator indices.
 
-        Leftmost forms are cached by word; a rightmost form is straightened
-        afresh on every call, so comparing the two checks the cache too.
+        Leftmost reduction rewrites the leftmost inversion first; rightmost
+        reduction rewrites the rightmost one, which is leftmost reduction of
+        the mirrored word under the mirrored rows (see _straighten).  Leftmost
+        forms are cached by word; a rightmost form is straightened afresh on
+        every call, so comparing the two checks the cache too.
         """
         word = tuple(word)
         if strategy == "rightmost":
-            return NcPoly(self._straighten({}, word, False, (1, 0, None)))
+            return NcPoly(self._straighten({}, word, (1, 0, None), mirrored=True))
         if strategy != "leftmost":
             raise ValueError("unknown strategy %r" % strategy)
         cached = self._nf_cache.get(word)
         if cached is None:
-            cached = self._nf_cache[word] = NcPoly(self._straighten({}, word, True, (1, 0, None)))
+            cached = self._nf_cache[word] = NcPoly(self._straighten({}, word, (1, 0, None)))
         return cached
 
     def _add_normal_form(self, out, word, c):
@@ -416,47 +428,95 @@ class OreAlgebra:
         cached = self._nf_cache.get(word)
         if cached is None:
             if word not in self._nf_seen:
-                self._straighten(out, word, True, _qpow_parts(c))
+                self._straighten(out, word, _qpow_parts(c))
                 self._nf_seen.add(word)
                 return out
             self._nf_seen.remove(word)
             cached = self.normal_form_word(word)
         return add_terms(out, cached.terms.items(), c)
 
-    def _straighten(self, out, word, leftmost, parts):
+    def _mirrored_rows(self):
+        """The rows of the mirror algebra, on letters N+1-g: x_j x_i there is
+        the mirror of x_(N+1-i) x_(N+1-j), with the same lambda and each word
+        of d reversed on mirrored letters."""
+        if self._mirror_rows is None:
+            top = self.N + 1
+            mirror = [[None] * top for _ in range(top)]
+            for i in range(1, top):
+                for j in range(i + 1, top):
+                    lam, dterms = self._rows[i][j]
+                    mirror[top - j][top - i] = (lam, tuple(
+                        ([top - g for g in reversed(dw)], s, e, c) for dw, s, e, c in dterms))
+            self._mirror_rows = mirror
+        return self._mirror_rows
+
+    def _straighten(self, out, word, parts, mirrored=False):
         """Rewrite word to sorted words, adding each leaf into the dict out.
 
-        parts is the starting coefficient split as by _qpow_parts; out is
-        left as it was when the step budget runs out.
+        Leftmost reduction is insertion sort: with the prefix cur[:n] sorted,
+        x = cur[n] moves left past each larger letter j, one rewriting step
+        per inversion, by the row entry rows[x][j].  A path follows its
+        lambda branch in place; each term of d_j(x) starts a new path whose
+        sorted prefix is the letters before j, and lambda_jx = 0 ends the
+        path.  Under mirrored, the word is reversed on letters N+1-g and
+        straightened by the mirrored rows, and its leaves mirrored back: that
+        is rightmost reduction, with the same paths and steps.  parts is the
+        starting coefficient split as by _qpow_parts; out is left as it was
+        when the step budget runs out.
         """
-        rules = self._rules
+        if mirrored:
+            top = self.N + 1
+            rows = self._mirrored_rows()
+            letters = [top - g for g in reversed(word)]
+        else:
+            rows = self._rows
+            letters = list(word)
+        budget = self.steps_budget
         leaves = []
-        # a path's coefficient is rest * sign * q^k, rest None standing for 1
-        stack = [(word,) + parts]
+        # a path is (letters, n, sign, k, rest): its letters[:n] are sorted and
+        # its coefficient is rest * sign * q^k, rest None standing for 1
+        stack = [(letters, 1) + parts]
         steps = 0
         while stack:
-            w, sign, k, rest = stack.pop()
-            pos = None
-            rng = range(len(w) - 1) if leftmost else range(len(w) - 2, -1, -1)
-            for t in rng:
-                if w[t] > w[t + 1]:
-                    pos = t
-                    break
-            if pos is None:
-                leaves.append((w, (ONE if rest is None else rest).times_qpow(k, sign)))
-                continue
-            steps += 1
-            if steps > self.steps_budget:
-                raise StepBudgetExceeded("straightening %s exceeded %d steps"
-                                         % (self.word_text(word), self.steps_budget),
-                                         word, steps)
-            head, tail = w[:pos], w[pos + 2:]
-            for rw, s, e, c in rules[(w[pos], w[pos + 1])]:
-                if c is None:
-                    c = rest
-                elif rest is not None:
-                    c = rest * c
-                stack.append((head + rw + tail, sign * s, k + e, c))
+            cur, n, sign, k, rest = stack.pop()
+            size = len(cur)
+            while n < size:
+                x = cur[n]
+                p = n
+                n += 1
+                while p and cur[p - 1] > x:
+                    j = cur[p - 1]
+                    steps += 1
+                    if steps > budget:
+                        raise StepBudgetExceeded("straightening %s exceeded %d steps"
+                                                 % (self.word_text(word), budget),
+                                                 word, steps)
+                    lam, dterms = rows[x][j]
+                    if dterms:
+                        head, tail = cur[:p - 1], cur[p + 1:]
+                        for dw, s, e, c in dterms:
+                            if c is None:
+                                c = rest
+                            elif rest is not None:
+                                c = rest * c
+                            stack.append((head + dw + tail, p - 1 or 1, sign * s, k + e, c))
+                    if lam is None:
+                        break  # lambda_jx = 0 ends this path
+                    s, e, c = lam
+                    sign *= s
+                    k += e
+                    if c is not None:
+                        rest = c if rest is None else rest * c
+                    cur[p] = j
+                    p -= 1
+                else:
+                    cur[p] = x
+                    continue
+                break
+            else:  # sorted: a leaf
+                leaves.append((tuple(cur), (ONE if rest is None else rest).times_qpow(k, sign)))
+        if mirrored:
+            leaves = [(tuple(top - g for g in reversed(w)), c) for w, c in leaves]
         return add_terms(out, leaves)
 
     def multiply(self, a, b):
@@ -585,9 +645,8 @@ class OreAlgebra:
         if sp is None or sp[0] < 0:
             return None
         s = sp[1]
-        qs = qpow(s)
         for w, c in ab.terms.items():
-            if c != qs * ba.terms[w]:
+            if c != ba.terms[w].times_qpow(s):
                 return None
         return s
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .coef import MINUS_ONE, ONE, Q, qpow
+from .coef import ONE, Q, qpow
 from .ncalg import STEPS_BUDGET, NcPoly, OreAlgebra
 
 
@@ -105,7 +105,7 @@ class QuantumMatrixAlgebra(OreAlgebra):
         for perm in permutations(range(t)):
             inv = sum(1 for a in range(t) for b in range(a + 1, t) if perm[a] > perm[b])
             word = tuple(self.gen_index(rows[a], cols[perm[a]]) for a in range(t))
-            terms[word] = (MINUS_ONE * Q) ** inv if inv else ONE
+            terms[word] = ONE.times_qpow(inv, (-1) ** inv)
         return NcPoly(terms)
 
     def det(self):

@@ -127,9 +127,37 @@ def test_weight_additivity_on_products():
 def test_qcommute_exponents():
     assert ALG22.qcommute_exponent(x22(1, 2), x22(1, 1)) == -1
     assert ALG22.qcommute_exponent(ALG22.det(), x22(1, 1)) == 0
-    assert ALG22.qcommute_exponent(x22(1, 1), x22(2, 2)) is None
     with pytest.raises(ValueError):
         ALG22.qcommute_exponent(NcPoly.zero(), x22(1, 1))
+
+
+def test_qcommute_exponent_is_none_on_each_branch():
+    general = _general_coefficient_algebra()
+    g = general.gen
+
+    def products(alg, a, b):
+        return alg.multiply(a, b), alg.multiply(b, a)
+
+    # different supports: x[2,2] x[1,1] has a term x[1,2] x[2,1], x[1,1] x[2,2] none
+    ab, ba = products(ALG22, x22(1, 1), x22(2, 2))
+    assert set(ab.terms) != set(ba.terms)
+    assert ALG22.qcommute_exponent(x22(1, 1), x22(2, 2)) is None
+    # lambda_42 = -q: g_2 g_4 = -q^-1 g_4 g_2, a power of q with sign -1
+    ab, ba = products(general, g(2), g(4))
+    assert ab.terms[(2, 4)] == -ba.terms[(2, 4)].times_qpow(-1)
+    assert general.qcommute_exponent(g(2), g(4)) is None
+    # lambda_21 = 2: g_1 g_2 = g_2 g_1 / 2, not a power of q
+    ab, ba = products(general, g(1), g(2))
+    assert (ab.terms[(1, 2)] / ba.terms[(1, 2)]).as_signed_q_power() is None
+    assert general.qcommute_exponent(g(1), g(2)) is None
+    # (g_1 + g_2) g_1 = g_1^2 + q g_1 g_2 and g_1 (g_1 + g_2) = g_1^2 + g_1 g_2:
+    # the first term's ratio is q^0, the later term's q
+    plane = quantum_plane()
+    a, b = NcPoly({(1,): ONE, (2,): ONE}), plane.gen(1)
+    ab, ba = products(plane, a, b)
+    assert list(ab.terms) == [(1, 1), (1, 2)] and set(ba.terms) == set(ab.terms)
+    assert ab.terms[(1, 1)] == ba.terms[(1, 1)] and ab.terms[(1, 2)] == Q * ba.terms[(1, 2)]
+    assert plane.qcommute_exponent(a, b) is None
 
 
 def test_qcommute_antisymmetry():
@@ -368,17 +396,29 @@ def test_rewrite_table_matches_the_reference_straightener():
     assert any(c.as_signed_q_power() is None for c in general.terms.values())
 
 
+def _budget_message(alg, w, budget):
+    return "straightening %s exceeded %d steps" % (alg.word_text(w), budget)
+
+
 def test_rewrite_table_keeps_the_step_count():
+    # Both strategies take the reference's steps, and a rightmost error names
+    # the word it was given, not its mirror.  In x_4 x_3 x_1 of the general
+    # algebra, x_3 passes x_4 and leaves the d_43 child pending; then x_1
+    # meets x_4, and lambda_41 = 0 ends the path partway through x_1's
+    # insertion, with d_41's two children pending too.
     rng = random.Random(12)
-    for alg in (oqm(2, 3), _general_coefficient_algebra()):
-        for _ in range(8):
-            w = random_word(alg, rng, max_len=6)
-            _, steps = _reference_normal_form(alg, w, "leftmost")
-            _with_budget(alg, steps).normal_form_word(w)
-            if steps:
-                with pytest.raises(StepBudgetExceeded) as info:
-                    _with_budget(alg, steps - 1).normal_form_word(w)
-                assert info.value.word == w and info.value.steps == steps
+    general = _general_coefficient_algebra()
+    assert not general.lam[(4, 1)] and general.lam[(4, 3)] and (4, 3) in general.delta
+    for alg, fixed in ((oqm(2, 3), []), (general, [(4, 3, 1)])):
+        for w in [random_word(alg, rng, max_len=6) for _ in range(8)] + fixed:
+            for strategy in ("leftmost", "rightmost"):
+                expected, steps = _reference_normal_form(alg, w, strategy)
+                assert _with_budget(alg, steps).normal_form_word(w, strategy) == expected
+                if steps:
+                    with pytest.raises(StepBudgetExceeded) as info:
+                        _with_budget(alg, steps - 1).normal_form_word(w, strategy)
+                    assert (info.value.word, info.value.steps, str(info.value)) == \
+                        (w, steps, _budget_message(alg, w, steps - 1)), (alg, w, strategy)
 
 
 # multiply, apply_delta and transpose_poly add c * NF(w) for each word w they
@@ -490,11 +530,19 @@ def test_first_sight_budget_error_matches_normal_form_word():
     for alg in (oqm(2, 3), _general_coefficient_algebra()):
         for _ in range(8):
             w = random_word(alg, rng, max_len=6)
+            _, steps = _reference_normal_form(alg, w, "rightmost")
+            if steps:
+                with pytest.raises(StepBudgetExceeded) as info:
+                    _with_budget(alg, steps - 1).normal_form_word(w, "rightmost")
+                assert (info.value.word, info.value.steps, str(info.value)) == \
+                    (w, steps, _budget_message(alg, w, steps - 1))
             _, steps = _reference_normal_form(alg, w, "leftmost")
             if not steps:
                 continue
             with pytest.raises(StepBudgetExceeded) as direct:
                 _with_budget(alg, steps - 1).normal_form_word(w)
+            assert (direct.value.word, direct.value.steps, str(direct.value)) == \
+                (w, steps, _budget_message(alg, w, steps - 1))
             tight = _with_budget(alg, steps - 1)
             out = {(): ONE}
             for _ in ("first sight", "still first sight"):
