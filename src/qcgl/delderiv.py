@@ -19,8 +19,15 @@ and c_n = ((1-q)^n [n]!_q)^-1 it is the deleting-derivations map
 Each level sums the powers d^n(w) of the PBW words w of a, kept in the
 algebra's `_delta_chains`, over the Laurent coefficients of s^(m-n)(a), and
 is scaled once by c_n, so a denominator that is not a power of q costs one
-product per output word; theta's c_n are kept in `_theta_factors`.
-`theta_alt` reads neither store and stays an independent check on both.
+product per output word.  The c_n are built once per algebra: theta's in
+`_theta_factors`, and the rows [m n]_q of `laurent_mul` in `_binomial_rows`,
+one row per X-exponent m of a left factor (an expression writes each
+exponent within expr.MAX_EXPONENT), each as long as the deepest level sum
+that asked for it: at most m + 1 for m >= 0 and the bound for m < 0.
+`theta_alt` reads neither store and stays an independent check on both: its
+twisted factors q^(n^2) ((1-q)^n [n]!_q)^-1 have a store of their own,
+`_alt_factors`, built by their own recurrence.  Both factor stores grow only
+to the depth of a finished expansion, at most the nilpotence bound.
 The closed forms hold only under axiom (a): spec files are axiom-checked when
 they load, and an algebra made in the library is for its caller to check.
 """
@@ -138,15 +145,23 @@ def _binomials(q, m, k):
     return row[:k]
 
 
+def _binomial_row(alg, m, k):
+    """The first k Gaussian binomials [m n]_{q_N}, from the algebra's row for
+    m, built again only when a longer one is asked for."""
+    row = alg._binomial_rows.get(m)
+    if row is None or len(row) < k:
+        row = alg._binomial_rows[m] = _binomials(alg.level_q[alg.N], m, k)
+    return row[:k]
+
+
 def laurent_mul(alg, u, v, bound=NILPOTENCE_BOUND):
     """Product in the localised skew extension, in canonical form: X^i v_j
     is the level sum with the Gaussian binomials [i n]_{q_N}, whose depth
     bound limits only i < 0."""
-    qN = alg.level_q[alg.N]
     out = {}
     for i, ui in u.items():
         for j, vj in v.items():
-            w = _level_sum(alg, vj, i, functools.partial(_binomials, qN, i),
+            w = _level_sum(alg, vj, i, functools.partial(_binomial_row, alg, i),
                            bound if i < 0 else None, "X^-1 commutation")
             add_terms(out, ((k + j, alg.multiply(ui, wk)) for k, wk in w.items()))
     return LaurentElem(out)
@@ -188,13 +203,14 @@ def theta(alg, a, bound=NILPOTENCE_BOUND):
 def theta_alt(alg, a, bound=NILPOTENCE_BOUND):
     """The equivalent expansion with the q^(n^2) twist and maps in swapped
     order.  The powers d^n(a) come first, so the bound raises before any
-    level factor is built."""
+    level factor is built.  The factors q_N^(n^2) ((1-q_N)^n [n]!_{q_N})^-1
+    are `_alt_factors`, each the one before times q_N^(2n-1) ((1-q_N) [n])^-1."""
     _check_theta_ready(alg, a)
     powers = alg.delta_powers(alg.N, a, bound, "theta")
+    factors = alg._alt_factors
     qN = alg.level_q[alg.N]
-    out = {}
-    factor = ONE
-    for n, t in enumerate(powers):
-        out[-n] = alg.apply_sigma(alg.N, t, -n).scaled(factor * qN ** (n * n))
-        factor = factor / ((ONE - qN) * q_int(n + 1, qN))
-    return LaurentElem(out)
+    while len(factors) < len(powers):
+        n = len(factors)
+        factors.append(factors[-1] * qN ** (2 * n - 1) / ((ONE - qN) * q_int(n, qN)))
+    return LaurentElem({-n: alg.apply_sigma(alg.N, t, -n).scaled(c)
+                        for n, (t, c) in enumerate(zip(powers, factors))})

@@ -380,9 +380,12 @@ class OreAlgebra:
         self._nf_cache = {}
         self._nf_seen = set()
         # stores filled by delderiv: the chains [w, d_N(w), d_N^2(w), ...]
-        # per PBW word w, and theta's level factors ((1-q_N)^n [n]!)^-1
+        # per PBW word w, theta's level factors ((1-q_N)^n [n]!)^-1, theta_alt's
+        # q_N^(n^2) times those, and the Gaussian binomial rows [m n]_{q_N} by m
         self._delta_chains = {}
         self._theta_factors = [ONE]
+        self._alt_factors = [ONE]
+        self._binomial_rows = {}
 
     # -- constructors of elements -------------------------------------------
 
@@ -642,7 +645,7 @@ class OreAlgebra:
         w0 = next(iter(ab.terms))
         ratio = ab.terms[w0] / ba.terms[w0]
         sp = ratio.as_signed_q_power()
-        if sp is None or sp[0] < 0:
+        if sp is None:
             return None
         s = sp[1]
         for w, c in ab.terms.items():

@@ -2,11 +2,15 @@
 
 Each check returns a CheckResult and never raises: exceptions are converted
 into failures so the CLI can aggregate.  Randomised checks are seeded and
-deterministic for a given seed.
+deterministic for a given seed.  In `run_paper_suite`, criteria 4 and 5 share
+one draw of theta samples per shape, with their theta images, made inside
+criterion 4; so criterion 5's seconds cover theta_alt and the comparisons
+only, not the sampling or theta.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from collections import Counter
@@ -136,18 +140,23 @@ def check_cauchon_counts(sizes=DEFAULT_SIZES):
 # -- criteria 4 and 5 --------------------------------------------------------
 
 
-def _theta_sample_pairs(shape, pairs, seed):
+def _theta_samples(shape, pairs, seed):
+    """oqm(*shape) and its seeded pairs (a, b), each with theta(a) and theta(b)."""
     alg = oqm(*shape)
     rng = random.Random("%d:%d,%d" % (seed, shape[0], shape[1]))
     out = []
     while len(out) < pairs:
         a = random_poly(alg, rng, max_degree=3, max_terms=2, max_level=alg.N - 1)
         b = random_poly(alg, rng, max_degree=3, max_terms=2, max_level=alg.N - 1)
-        out.append((a, b))
+        out.append((a, b, theta(alg, a), theta(alg, b)))
     return alg, out
 
 
-def check_theta_homomorphism(shapes=((2, 2), (2, 3)), pairs=100, seed=DEFAULT_SEED):
+def check_theta_homomorphism(shapes=((2, 2), (2, 3)), pairs=100, seed=DEFAULT_SEED,
+                             samples=_theta_samples):
+    """Criterion 4 on the draws samples(shape, pairs, seed), which a suite run
+    shares with criterion 5."""
+
     def body():
         alg22 = oqm(2, 2)
         expected = LaurentElem({
@@ -158,9 +167,8 @@ def check_theta_homomorphism(shapes=((2, 2), (2, 3)), pairs=100, seed=DEFAULT_SE
             return False, "theta(x[1,1]) disagrees with the frozen hand value"
         checked = 0
         for shape in shapes:
-            alg, sample = _theta_sample_pairs(shape, pairs, seed)
-            for a, b in sample:
-                ta, tb = theta(alg, a), theta(alg, b)
+            alg, sample = samples(shape, pairs, seed)
+            for a, b, ta, tb in sample:
                 if theta(alg, alg.multiply(a, b)) != laurent_mul(alg, ta, tb):
                     return False, "theta(ab) != theta(a)theta(b) over %dx%d" % shape
                 if theta(alg, a + b) != ta + tb:
@@ -171,14 +179,17 @@ def check_theta_homomorphism(shapes=((2, 2), (2, 3)), pairs=100, seed=DEFAULT_SE
     return _run("4-theta-is-a-homomorphism", body)
 
 
-def check_theta_expansions(shapes=((2, 2), (2, 3)), pairs=100, seed=DEFAULT_SEED):
+def check_theta_expansions(shapes=((2, 2), (2, 3)), pairs=100, seed=DEFAULT_SEED,
+                           samples=_theta_samples):
+    """Criterion 5: theta_alt against the theta images of the draws."""
+
     def body():
         checked = 0
         for shape in shapes:
-            alg, sample = _theta_sample_pairs(shape, pairs, seed)
-            for a, b in sample:
-                for p in (a, b):
-                    if theta(alg, p) != theta_alt(alg, p):
+            alg, sample = samples(shape, pairs, seed)
+            for a, b, ta, tb in sample:
+                for p, tp in ((a, ta), (b, tb)):
+                    if tp != theta_alt(alg, p):
                         return False, "the two expansions disagree over %dx%d" % shape
                     checked += 1
         return True, "both expansions agree on %d seeded samples" % checked
@@ -358,12 +369,15 @@ def run_paper_suite(size=None, seed=DEFAULT_SEED, pairs=100, triples=500):
         det_ns = (size[0],) if size[0] == size[1] else (min(size),)
         theta_shapes = (size,) if size in ((2, 2), (2, 3)) else ((2, 2),)
         grass_sizes = (size,) if size in ((2, 3), (2, 4)) else ((2, 3),)
+    # criteria 4 and 5 share one draw of each shape's samples and their
+    # theta images, kept for this run only
+    samples = functools.cache(_theta_samples)
     return [
         check_height_one_generators(sizes),
         check_det_centrality(det_ns),
         check_cauchon_counts(sizes),
-        check_theta_homomorphism(theta_shapes, pairs=pairs, seed=seed),
-        check_theta_expansions(theta_shapes, pairs=pairs, seed=seed),
+        check_theta_homomorphism(theta_shapes, pairs=pairs, seed=seed, samples=samples),
+        check_theta_expansions(theta_shapes, pairs=pairs, seed=seed, samples=samples),
         check_cgl_axioms(seed=seed),
         check_rewriting_soundness(count=triples, seed=seed),
         check_grassmann(grass_sizes),

@@ -5,6 +5,7 @@ asserts the criterion's verdict.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 from qcgl import verify
@@ -85,3 +86,35 @@ def test_full_suite_through_the_cli_entry_point():
     # the benchmark rejects a paper answer whose criterion names differ
     assert tuple(r.name for r in results) == _paper_checks()
     assert all(r.ok for r in results), [r.name for r in results if not r.ok]
+
+
+def test_suite_draws_each_theta_sample_once(monkeypatch):
+    # criteria 4 and 5 share one draw per shape, theta images included, so
+    # criterion 5 calls theta zero times; called alone, it draws its own
+    draws, theta_calls, per_check = Counter(), [0], {}
+    samples, theta, run = verify._theta_samples, verify.theta, verify._run
+
+    def counted_samples(shape, pairs, seed):
+        draws[shape] += 1
+        return samples(shape, pairs, seed)
+
+    def counted_theta(*args, **kwargs):
+        theta_calls[0] += 1
+        return theta(*args, **kwargs)
+
+    def counted_run(name, fn):
+        before = theta_calls[0]
+        result = run(name, fn)
+        per_check[name] = theta_calls[0] - before
+        return result
+
+    monkeypatch.setattr(verify, "_theta_samples", counted_samples)
+    monkeypatch.setattr(verify, "theta", counted_theta)
+    monkeypatch.setattr(verify, "_run", counted_run)
+    assert all(r.ok for r in verify.run_paper_suite())
+    assert draws == {(2, 2): 1, (2, 3): 1}
+    assert per_check["4-theta-is-a-homomorphism"] > 0
+    assert per_check["5-theta-expansions-agree"] == 0
+    result = verify.check_theta_expansions(((2, 2), (2, 3)), pairs=100, seed=verify.DEFAULT_SEED)
+    assert result.ok, result.detail
+    assert per_check["5-theta-expansions-agree"] == 400

@@ -4,7 +4,8 @@ import tracemalloc
 import pytest
 
 from qcgl.coef import ONE, Q, q_factorial, qpow
-from qcgl.delderiv import LaurentElem, format_laurent, laurent_mul, theta, theta_alt
+from qcgl.delderiv import (LaurentElem, _binomial_row, _binomials, format_laurent,
+                           laurent_mul, theta, theta_alt)
 from qcgl.ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, OreAlgebra,
                         random_poly)
 from qcgl.presets import load_preset
@@ -205,6 +206,14 @@ def test_theta_alt_reads_no_theta_store():
     alg._theta_factors[1:] = [f * 3 for f in alg._theta_factors[1:]]
     assert [theta(alg, a) for a in sample] != expected
     assert [theta_alt(alg, a) for a in sample] == expected
+    # and the other way round: theta_alt reads its own factor store, which
+    # theta does not read
+    alg = oqm(2, 3)
+    assert [theta_alt(alg, a) for a in sample] == expected
+    assert len(alg._alt_factors) > 1
+    alg._alt_factors[1:] = [f * 3 for f in alg._alt_factors[1:]]
+    assert [theta_alt(alg, a) for a in sample] != expected
+    assert [theta(alg, a) for a in sample] == expected
 
 
 def test_nilpotence_errors_carry_bound_and_element():
@@ -285,6 +294,19 @@ def test_theta_bound_verdict_builds_no_level_factor():
             f(nonnil, g1, bound=5000)
         assert (info.value.bound, info.value.element) == (5000, g1)
     assert len(nonnil._theta_factors) == 1
+    assert len(nonnil._alt_factors) == 1
+
+
+def test_stored_binomial_rows_equal_fresh_rows():
+    # a row is built again when a longer one is asked for, and a shorter
+    # request is served from the longer row
+    for alg in (oqm(2, 2), _weyl(), load_preset("uq-sl3-plus")):
+        q = alg.level_q[alg.N]
+        for k in (2, 6, 3):
+            for m in range(-3, 4):
+                assert _binomial_row(alg, m, k) == _binomials(q, m, k)
+        for m in range(-3, 4):
+            assert alg._binomial_rows[m] == _binomials(q, m, 6)
 
 
 def test_bound_verdict_memory_is_flat_in_the_bound():
