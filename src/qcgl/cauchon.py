@@ -9,24 +9,28 @@ number of black cells giving the height.
 
 Diagrams are built row by row: a row is admissible given only the set of
 columns that are black in every row above it (``_row_patterns``).
-``enumerate_diagrams`` lists every diagram that way, up to SIZE_LIMIT cells.
-``count_by_black`` and ``count`` never list them: a row-transfer dynamic
-program keeps, for each such set of all-black columns, the histogram of
-black-cell counts of the partial diagrams reaching it, which is feasible up
-to COUNT_LIMIT cells.  Transposing a grid swaps "left-filled" and
-"top-filled", so it maps the valid m x n diagrams one to one onto the valid
-n x m ones; the program therefore runs with the shorter side as columns,
-which bounds its states by 2^min(m, n).
+``diagram_cells`` lists every diagram that way, up to SIZE_LIMIT cells, as
+its row-major tuple of black cells, and ``enumerate_diagrams`` wraps each in
+a ``CauchonDiagram``.  ``count_by_black`` and ``count`` never list them: a
+row-transfer dynamic program keeps, for each such set of all-black columns,
+the histogram of black-cell counts of the partial diagrams reaching it,
+which is feasible up to COUNT_LIMIT cells.  A histogram is one packed
+integer with a slot of m*n+1 bits per black-cell count, so a row step is a
+big-integer multiply-add; no slot ever carries into the next, because each
+counts distinct colourings of the m*n cells, fewer than 2^(m*n+1).
+Transposing a grid swaps "left-filled" and "top-filled", so it maps the
+valid m x n diagrams one to one onto the valid n x m ones; the program
+therefore runs with the shorter side as columns, which bounds its states by
+2^min(m, n).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 
 SIZE_LIMIT = 20  # cells, for listing diagrams one by one
-COUNT_LIMIT = 64  # cells, for counting them; 8x8 takes about 0.3 s
+COUNT_LIMIT = 64  # cells, for counting them; 8x8 takes about 0.08 s
 
 
 @dataclass(frozen=True)
@@ -65,10 +69,6 @@ class CauchonDiagram:
                 elif ch != ".":
                     raise ValueError("diagram text uses only '.' and '#'")
         return cls.validate(m, n, cells)
-
-    def to_cells(self):
-        """JSON form: the sorted black (row, col) pairs, written as [row, col] arrays."""
-        return sorted(self.black)
 
 
 def is_valid(m, n, black):
@@ -109,32 +109,46 @@ def _row_patterns(n, fullcols):
                 yield prefix + chosen
 
 
-def enumerate_diagrams(m, n):
-    """All valid diagrams, exactly once, by row-wise construction.
+def diagram_cells(m, n):
+    """Every valid diagram as its row-major tuple of black (row, col) cells,
+    which is also its sorted order, in the order `enumerate_diagrams` lists.
 
-    Each (row, all-black columns) state lists its patterns once, as shared
-    cell tuples with the next state (none after the last row), so the memo
-    holds few objects for the garbage collector to walk.
+    Depth first over an explicit stack, so each diagram is one tuple join in
+    one generator frame.  A (row, all-black columns) state's cell tuples and
+    next states are built once per call; rows 1 and 2 meet each state once
+    (row 1 starts from every column, and distinct first rows leave distinct
+    all-black sets), so only rows from 3 on keep theirs.
     """
     _check_size(m, n, SIZE_LIMIT, "enumeration")
     grid = [[(r, c) for c in range(n + 1)] for r in range(m + 1)]
+    built = {}
 
-    @cache
     def moves(r, fullcols):
-        cell = grid[r].__getitem__
-        return [(tuple(map(cell, pattern)),
-                 fullcols.intersection(pattern) if r < m else None)
-                for pattern in _row_patterns(n, fullcols)]
+        out = built.get((r, fullcols))
+        if out is None:
+            cell = grid[r].__getitem__
+            out = (tuple(map(cell, p)) if r == m else
+                   (tuple(map(cell, p)), fullcols.intersection(p))
+                   for p in _row_patterns(n, fullcols))
+            if r > 2:
+                out = built[r, fullcols] = list(out)
+        return out
 
-    def rec(r, fullcols, acc):
+    stack = [(1, frozenset(range(1, n + 1)), ())]
+    while stack:
+        r, fullcols, acc = stack.pop()
         if r == m:
-            for cells, _ in moves(r, fullcols):
-                yield CauchonDiagram(m, n, frozenset(acc + cells))
-            return
-        for cells, nxt in moves(r, fullcols):
-            yield from rec(r + 1, nxt, acc + cells)
+            for cells in moves(r, fullcols):
+                yield acc + cells
+        else:
+            stack += [(r + 1, nxt, acc + cells)
+                      for cells, nxt in moves(r, fullcols)][::-1]
 
-    yield from rec(1, frozenset(range(1, n + 1)), ())
+
+def enumerate_diagrams(m, n):
+    """All valid diagrams, exactly once, by row-wise construction."""
+    for cells in diagram_cells(m, n):
+        yield CauchonDiagram(m, n, frozenset(cells))
 
 
 def count(m, n):
@@ -145,23 +159,44 @@ def count_by_black(m, n):
     """Histogram keyed by number of black cells (the height distribution).
 
     Row-transfer dynamic program: each state is the set of columns black in
-    every row so far, mapped to {black cells: number of partial diagrams}.
+    every row so far, and its histogram is one packed integer whose slot b,
+    m*n+1 bits wide, holds the number of partial diagrams with b black cells.
+    A state's row patterns are grouped by next state once per call into the
+    polynomial sum of 2^(width * black cells in the pattern), so a row step
+    is one multiply-add per (state, next state) pair.  No slot carries into
+    the next: every slot, of a product or of a sum, counts distinct partial
+    colourings of the grid, at most 2^(m*n) < 2^width of them.
     """
     _check_size(m, n, COUNT_LIMIT, "counting")
     if n > m:
         m, n = n, m
-    states = {frozenset(range(1, n + 1)): {0: 1}}
-    for _ in range(m):
+    width = m * n + 1
+    table = {}  # all-black columns -> [(next state, packed pattern counts)]
+
+    def moves(fullcols):
+        step = table.get(fullcols)
+        if step is None:
+            by_next = {}
+            for pattern in _row_patterns(n, fullcols):
+                nxt = fullcols.intersection(pattern)
+                by_next[nxt] = by_next.get(nxt, 0) + (1 << width * len(pattern))
+            step = table[fullcols] = list(by_next.items())
+        return step
+
+    states = {frozenset(range(1, n + 1)): 1}
+    for _ in range(m - 1):
         nxt = {}
         for fullcols, hist in states.items():
-            for pattern in _row_patterns(n, fullcols):
-                out = nxt.setdefault(fullcols.intersection(pattern), {})
-                k = len(pattern)
-                for black, ways in hist.items():
-                    out[black + k] = out.get(black + k, 0) + ways
+            for state, poly in moves(fullcols):
+                nxt[state] = nxt.get(state, 0) + hist * poly
         states = nxt
-    total = {}
-    for hist in states.values():
-        for black, ways in hist.items():
-            total[black] = total.get(black, 0) + ways
-    return dict(sorted(total.items()))
+    # after the last row only the black-cell counts matter, not the next states
+    total = sum(hist * sum(poly for _, poly in moves(fullcols))
+                for fullcols, hist in states.items())
+    mask = (1 << width) - 1
+    hist = {}
+    for black in range(m * n + 1):
+        ways = total >> (width * black) & mask
+        if ways:
+            hist[black] = ways
+    return hist

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import verify as verify_mod
-from .cauchon import SIZE_LIMIT, count, count_by_black, enumerate_diagrams
+from .cauchon import SIZE_LIMIT, CauchonDiagram, count, count_by_black, diagram_cells
 from .delderiv import LaurentElem, format_laurent, theta, theta_alt
 from .expr import evaluate
 from .ncalg import (NILPOTENCE_BOUND, STEPS_BUDGET, NcPoly, NilpotenceBoundExceeded,
@@ -203,10 +203,11 @@ def _cmd_cauchon(args):
             if total > LIST_LIMIT:
                 raise ValueError("the %dx%d grid has %d diagrams, more than the list "
                                  "limit of %d" % (m, n, total, LIST_LIMIT))
-        diagrams = list(enumerate_diagrams(m, n))
-        result["diagrams"] = [d.to_cells() for d in diagrams]
+        # row-major cell tuples are sorted, and json writes them as arrays
+        result["diagrams"] = diagrams = list(diagram_cells(m, n))
         # under --json the text is never printed
-        text = None if args.json else "\n\n".join(str(d) for d in diagrams)
+        text = None if args.json else "\n\n".join(
+            str(CauchonDiagram(m, n, frozenset(cells))) for cells in diagrams)
     return True, result, text
 
 

@@ -131,6 +131,8 @@ def _binomials(q, m, k):
     [0 n] = (n == 0): up by [r n] = [r-1 n-1] + q^n [r-1 n], down by
     [r-1 n] = q^-n ([r n] - [r-1 n-1]).  No step divides, so q = 1 gives
     the ordinary binomials; [-1 n] = (-1)^n q^(-n(n+1)/2)."""
+    if k == 1:
+        return [ONE]  # [m 0] = 1 needs no row walk; X^m X asks only for it
     step = q if m >= 0 else q.inverse()
     pw = [ONE]
     while len(pw) < k:

@@ -1,12 +1,19 @@
+import importlib.util
+import io
 import json
+import sys
+import tracemalloc
 from collections import Counter
+from contextlib import redirect_stdout
 from itertools import product
 from math import factorial
 
 import pytest
 
+from qcgl import cauchon
 from qcgl.cauchon import (COUNT_LIMIT, CauchonDiagram, _row_patterns, count,
-                          count_by_black, enumerate_diagrams, is_valid)
+                          count_by_black, diagram_cells, enumerate_diagrams, is_valid)
+from qcgl.cli import main
 
 SMALL_SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
 
@@ -98,6 +105,98 @@ def test_count_matches_the_closed_form():
             assert count(m, n) == poly_bernoulli(m, n), (m, n)
 
 
+def _reference_count_by_black(m, n):
+    """The row-transfer program with one {black cells: ways} dict per state,
+    stepped entry by entry for every (state, row pattern) pair."""
+    if n > m:
+        m, n = n, m
+    states = {frozenset(range(1, n + 1)): {0: 1}}
+    for _ in range(m):
+        nxt = {}
+        for fullcols, hist in states.items():
+            for pattern in _row_patterns(n, fullcols):
+                out = nxt.setdefault(fullcols.intersection(pattern), {})
+                k = len(pattern)
+                for black, ways in hist.items():
+                    out[black + k] = out.get(black + k, 0) + ways
+        states = nxt
+    total = {}
+    for hist in states.values():
+        for black, ways in hist.items():
+            total[black] = total.get(black, 0) + ways
+    return dict(sorted(total.items()))
+
+
+def test_packed_histograms_match_the_reference_program():
+    # 1x64 and 64x1 have the widest slots (65 bits) over the fewest states
+    shapes = [(m, n) for m in range(1, 31) for n in range(1, 31) if m * n <= 30]
+    for m, n in shapes + [(6, 6), (8, 8), (1, 64), (64, 1)]:
+        hist = count_by_black(m, n)
+        assert list(hist.items()) == list(_reference_count_by_black(m, n).items()), (m, n)
+
+
+def _cli(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+
+def test_cli_list_prints_the_reference_bytes():
+    # --json writes each diagram's sorted cells, up to 1x16's 65,536 of them;
+    # the text, which joins the drawings, is checked on the smaller grids
+    shapes = [(m, n) for m in range(1, 17) for n in range(1, 17) if m * n <= 16]
+    for m, n in shapes + [(3, 5), (5, 3)]:
+        reference = _reference_diagrams(m, n)
+        doc = {"algebra": None, "command": "cauchon", "ok": True,
+               "result": {"diagrams": [sorted(d.black) for d in reference], "m": m, "n": n}}
+        assert _cli(["cauchon", "list", str(m), str(n), "--json"]) == (
+            json.dumps(doc, sort_keys=True) + "\n"), (m, n)
+        if m * n <= 12 or min(m, n) > 2:
+            assert _cli(["cauchon", "list", str(m), str(n)]) == (
+                "\n\n".join(str(d) for d in reference) + "\n"), (m, n)
+
+
+def test_no_memo_outlives_a_call(monkeypatch):
+    # a fresh copy of the module, so no cache that other tests filled can
+    # make the first call of a pair as cheap as the second
+    spec = importlib.util.spec_from_file_location("cauchon_fresh", cauchon.__file__)
+    fresh = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, fresh)
+    spec.loader.exec_module(fresh)
+    patterns = fresh._row_patterns
+    calls = 0
+
+    def counted(n, fullcols):
+        nonlocal calls
+        calls += 1
+        return patterns(n, fullcols)
+
+    fresh._row_patterns = counted
+    for run in (lambda: fresh.count_by_black(4, 5),
+                lambda: list(fresh.enumerate_diagrams(3, 4))):
+        made = []
+        for _ in range(2):
+            calls = 0
+            run()
+            made.append(calls)
+        assert made[0] == made[1] > 0
+
+
+def test_enumeration_streams():
+    # a full 2x10 walk peaked at 16.3 MB when each row state kept its
+    # patterns; the list of all 117,074 diagrams' cell tuples alone is
+    # 15.7 MB, so half the first figure admits no enumerator that builds it
+    tracemalloc.start()
+    try:
+        walked = sum(1 for _ in enumerate_diagrams(2, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walked == count(2, 10) == 117074
+    assert peak < 8 * 2**20
+
+
 def test_histogram_matches_enumeration():
     for m, n in SMALL_SHAPES:
         hist = count_by_black(m, n)
@@ -127,7 +226,7 @@ def test_validate_and_formats():
     d = CauchonDiagram.validate(2, 2, {(1, 2), (2, 2)})
     assert str(d) == ".#\n.#"
     assert CauchonDiagram.from_text(str(d)) == d
-    assert json.loads(json.dumps(d.to_cells())) == [[1, 2], [2, 2]]
+    assert ((1, 2), (2, 2)) in diagram_cells(2, 2)
     with pytest.raises(ValueError):
         CauchonDiagram.validate(2, 2, {(2, 2)})
     with pytest.raises(ValueError):

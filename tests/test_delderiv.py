@@ -1,8 +1,12 @@
+import io
 import random
+import sys
 import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 
+from qcgl.cli import main
 from qcgl.coef import ONE, Q, q_factorial, qpow
 from qcgl.delderiv import (LaurentElem, _binomial_row, _binomials, format_laurent,
                            laurent_mul, theta, theta_alt)
@@ -307,6 +311,36 @@ def test_stored_binomial_rows_equal_fresh_rows():
                 assert _binomial_row(alg, m, k) == _binomials(q, m, k)
         for m in range(-3, 4):
             assert alg._binomial_rows[m] == _binomials(q, m, 6)
+
+
+def test_x_power_binomial_work_is_linear_in_the_exponent():
+    # `nf "X^k"` is k Laurent products X^i * X, each asking _binomials for
+    # [i 0] = 1 alone; lines run inside _binomials stay within a fixed number
+    # per product, where a walk of |i| Pascal rows made X^4096 quadratic
+    for exponent in (1024, 4096):
+        budget = 4 * exponent
+        lines = 0
+
+        def count_lines(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+                if lines > budget:
+                    raise AssertionError("_binomials ran past %d lines" % budget)
+            return count_lines
+
+        def on_call(frame, event, arg):
+            return count_lines if frame.f_code is _binomials.__code__ else None
+
+        out = io.StringIO()
+        sys.settrace(on_call)
+        try:
+            with redirect_stdout(out):
+                rc = main(["nf", "X^%d" % exponent])
+        finally:
+            sys.settrace(None)
+        assert rc == 0 and out.getvalue() == "X^%d\n" % exponent
+        assert exponent <= lines <= budget
 
 
 def test_bound_verdict_memory_is_flat_in_the_bound():

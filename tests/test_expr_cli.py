@@ -321,8 +321,8 @@ def test_cli_cauchon_bounds():
 
 
 def test_cli_cauchon_list_json_builds_no_text(monkeypatch):
-    # to_cells gives (row, col) tuples, which json writes as [row, col] arrays
-    expected = json.loads(json.dumps([d.to_cells() for d in enumerate_diagrams(3, 4)]))
+    # sorted (row, col) tuples, which json writes as [row, col] arrays
+    expected = json.loads(json.dumps([sorted(d.black) for d in enumerate_diagrams(3, 4)]))
     with monkeypatch.context() as patch:
         def refuse(self):
             raise AssertionError("text formatted under --json")
