@@ -48,11 +48,7 @@ class CauchonDiagram:
         return cls(m, n, cells)
 
     def __str__(self):
-        rows = []
-        for r in range(1, self.m + 1):
-            rows.append("".join("#" if (r, c) in self.black else "."
-                                for c in range(1, self.n + 1)))
-        return "\n".join(rows)
+        return draw(self.m, self.n, self.black)
 
     @classmethod
     def from_text(cls, text):
@@ -69,6 +65,15 @@ class CauchonDiagram:
                 elif ch != ".":
                     raise ValueError("diagram text uses only '.' and '#'")
         return cls.validate(m, n, cells)
+
+
+def draw(m, n, cells):
+    """m lines of n characters, '#' at each black (row, col) cell and '.'
+    elsewhere: one row-major grid, written once per black cell."""
+    grid = list(("." * n + "\n") * m)
+    for r, c in cells:
+        grid[(r - 1) * (n + 1) + c - 1] = "#"
+    return "".join(grid[:-1])
 
 
 def is_valid(m, n, black):

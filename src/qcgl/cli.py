@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import verify as verify_mod
-from .cauchon import SIZE_LIMIT, CauchonDiagram, count, count_by_black, diagram_cells
+from .cauchon import SIZE_LIMIT, count, count_by_black, diagram_cells, draw
 from .delderiv import LaurentElem, format_laurent, theta, theta_alt
 from .expr import evaluate
 from .ncalg import (NILPOTENCE_BOUND, STEPS_BUDGET, NcPoly, NilpotenceBoundExceeded,
@@ -27,6 +27,9 @@ from .qmat import oqm
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 LIST_LIMIT = 2 ** 16  # diagrams printed by one `cauchon list`
+# verify's samples: a suite run keeps each theta pair with its images to the end
+PAIRS_LIMIT = 10_000
+TRIPLES_LIMIT = 50_000
 
 
 @functools.cache
@@ -98,8 +101,10 @@ def build_parser():
                         % verify_mod.DEFAULT_SEED)
     p.add_argument("--size", help="restrict size-parameterised checks to one m,n "
                                   "grid with m <= n and at most %d cells" % SIZE_LIMIT)
-    p.add_argument("--pairs", type=int, default=100)
-    p.add_argument("--triples", type=int, default=500)
+    p.add_argument("--pairs", type=int, default=100,
+                   help="theta sample pairs per shape, at most %d" % PAIRS_LIMIT)
+    p.add_argument("--triples", type=int, default=500,
+                   help="rewriting samples, at most %d" % TRIPLES_LIMIT)
 
     sub.add_parser("axioms", parents=[bounded],
                    help="CGL axiom report for the active algebra")
@@ -206,8 +211,7 @@ def _cmd_cauchon(args):
         # row-major cell tuples are sorted, and json writes them as arrays
         result["diagrams"] = diagrams = list(diagram_cells(m, n))
         # under --json the text is never printed
-        text = None if args.json else "\n\n".join(
-            str(CauchonDiagram(m, n, frozenset(cells))) for cells in diagrams)
+        text = None if args.json else "\n\n".join(draw(m, n, cells) for cells in diagrams)
     return True, result, text
 
 
@@ -241,8 +245,9 @@ def _cmd_verify(args):
         if not (1 <= m <= n and m * n <= SIZE_LIMIT):
             raise ValueError("--size m,n needs 1 <= m <= n and m*n <= %d" % SIZE_LIMIT)
     # criteria 4 and 7 pass vacuously on no samples
-    if args.pairs < 1 or args.triples < 1:
-        raise ValueError("--pairs and --triples must be at least 1")
+    if not (1 <= args.pairs <= PAIRS_LIMIT and 1 <= args.triples <= TRIPLES_LIMIT):
+        raise ValueError("--pairs must be 1..%d and --triples 1..%d"
+                         % (PAIRS_LIMIT, TRIPLES_LIMIT))
     results = verify_mod.run_paper_suite(size=size, seed=seed,
                                          pairs=args.pairs, triples=args.triples)
     ok = all(r.ok for r in results)

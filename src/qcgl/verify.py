@@ -1,11 +1,13 @@
 """The claims-verification suite behind `verify paper` and the acceptance tests.
 
 Each check returns a CheckResult and never raises: exceptions are converted
-into failures so the CLI can aggregate.  Randomised checks are seeded and
-deterministic for a given seed.  In `run_paper_suite`, criteria 4 and 5 share
-one draw of theta samples per shape, with their theta images, made inside
-criterion 4; so criterion 5's seconds cover theta_alt and the comparisons
-only, not the sampling or theta.
+into failures so the CLI can aggregate.  Criteria 4, 5 and 7 draw seeded
+samples and are deterministic for a given seed.  Criterion 6 draws none: the
+axiom checker certifies (a) and (b) on generators, which two lemmas in
+`OreAlgebra.check_cgl_axioms` extend to every element.  In
+`run_paper_suite`, criteria 4 and 5 share one draw of theta samples per
+shape, with their theta images, made inside criterion 4; so criterion 5's
+seconds cover theta_alt and the comparisons only, not the sampling or theta.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .qmat import oqm
 
 DEFAULT_SEED = 20240801
 DEFAULT_SIZES = ((2, 2), (2, 3), (3, 3))
-LEVEL_SAMPLES = 50  # random elements per level for criterion 6's twist identity
 
 
 @dataclass
@@ -256,18 +257,17 @@ def mutated_specs():
     return muts
 
 
-def check_cgl_axioms(seed=DEFAULT_SEED):
+def check_cgl_axioms():
     def body():
-        rng = random.Random(seed)
         good = [("oqm(2,2)", oqm(2, 2)), ("oqm(2,3)", oqm(2, 3)),
                 ("qplane", quantum_plane()), ("uq-sl3-plus", load_preset("uq-sl3-plus"))]
         for label, alg in good:
-            report = alg.check_cgl_axioms(rng=rng)
+            report = alg.check_cgl_axioms()
             if not report.ok:
                 return False, "%s rejected: %s" % (label, report.failures()[0].detail)
         failing = 0
         for label, alg, expect_fail in mutated_specs():
-            report = alg.check_cgl_axioms(nilpotence_bound=16, rng=rng)
+            report = alg.check_cgl_axioms(nilpotence_bound=16)
             if expect_fail and report.ok:
                 return False, "mutation %s was not rejected" % label
             if not expect_fail and not report.ok:
@@ -277,18 +277,8 @@ def check_cgl_axioms(seed=DEFAULT_SEED):
                 failing += 1
         if failing < 3:
             return False, "only %d failing mutations" % failing
-        for label, alg in (("oqm(2,2)", oqm(2, 2)), ("qplane", quantum_plane())):
-            for j in range(2, alg.N + 1):
-                qj = alg.level_q[j]
-                for _ in range(LEVEL_SAMPLES):
-                    a = random_poly(alg, rng, max_degree=3, max_level=j - 1)
-                    lhs = alg.apply_sigma(j, alg.apply_delta(j, a))
-                    rhs = alg.apply_delta(j, alg.apply_sigma(j, a)).scaled(qj)
-                    if lhs != rhs:
-                        return False, "twist identity fails on a sample at level %d of %s" % (
-                            j, label)
-        return True, ("presets pass, %d mutations rejected, twist identity holds on "
-                      "%d samples per level" % (failing, LEVEL_SAMPLES))
+        return True, ("presets pass, %d mutations rejected; (a) and (b) certified on "
+                      "generators" % failing)
 
     return _run("6-cgl-axiom-checker", body)
 
@@ -378,7 +368,7 @@ def run_paper_suite(size=None, seed=DEFAULT_SEED, pairs=100, triples=500):
         check_cauchon_counts(sizes),
         check_theta_homomorphism(theta_shapes, pairs=pairs, seed=seed, samples=samples),
         check_theta_expansions(theta_shapes, pairs=pairs, seed=seed, samples=samples),
-        check_cgl_axioms(seed=seed),
+        check_cgl_axioms(),
         check_rewriting_soundness(count=triples, seed=seed),
         check_grassmann(grass_sizes),
         check_torsionfree(sizes),

@@ -4,13 +4,9 @@ Each test prints one PASS/FAIL line (visible with -v or on failure) and
 asserts the criterion's verdict.
 """
 
-import importlib.util
 from collections import Counter
-from pathlib import Path
 
 from qcgl import verify
-
-ORACLES_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
 
 TIME_BUDGETS = {
     "1-height-one-hprime-generators": 10.0,
@@ -57,7 +53,7 @@ def test_criterion_5_theta_expansions_agree():
 
 
 def test_criterion_6_cgl_axiom_checker():
-    _report(verify.check_cgl_axioms(seed=verify.DEFAULT_SEED))
+    _report(verify.check_cgl_axioms())
 
 
 def test_criterion_7_rewriting_soundness():
@@ -72,19 +68,10 @@ def test_criterion_9_torsionfree_verdicts():
     _report(verify.check_torsionfree(((2, 2), (2, 3), (3, 3))))
 
 
-def _paper_checks():
-    """PAPER_CHECKS of the benchmark's answer checks, read from its file."""
-    spec = importlib.util.spec_from_file_location("perfbench_oracles", ORACLES_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.PAPER_CHECKS
-
-
 def test_full_suite_through_the_cli_entry_point():
+    # tests/test_bench_hooks.py checks the names against the benchmark's oracle
     results = verify.run_paper_suite()
     assert len(results) == 9
-    # the benchmark rejects a paper answer whose criterion names differ
-    assert tuple(r.name for r in results) == _paper_checks()
     assert all(r.ok for r in results), [r.name for r in results if not r.ok]
 
 

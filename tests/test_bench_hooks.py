@@ -1,8 +1,8 @@
-"""The names the benchmark's span tracer patches must exist in the program.
+"""The names the benchmark reads must exist in the program.
 
-perfbench/spans.py is read as it stands; a rename or a move in qcgl that
-would leave the tracer without a target fails here instead of in a benchmark
-run.
+perfbench/spans.py and perfbench/oracles.py are read as they stand; a rename
+or a move in qcgl that would leave the tracer without a target, or the paper
+oracle without its nine criteria, fails here instead of in a benchmark run.
 """
 
 import argparse
@@ -11,14 +11,15 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from qcgl import cli, schema
+from qcgl import cli, schema, verify
 from qcgl.coef import Q, RatFunc, qpow
 
-SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location("perfbench_" + name,
+                                                  PERFBENCH / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -33,7 +34,7 @@ def _target(module, attr):
 
 
 def test_every_span_target_resolves():
-    spans = _spans()
+    spans = _perfbench("spans")
     labels = [label for label, _, _ in spans.SPAN_TARGETS]
     assert spans.ROOT_SPAN in labels and spans.GENERATOR_SPANS <= set(labels)
     for label, module, attr in spans.SPAN_TARGETS:
@@ -47,7 +48,7 @@ def test_every_span_target_resolves():
 def test_general_den_reads_the_derived_denominator():
     # coef.mul.general_den_frac counts products with an operand whose
     # denominator is not a power of q, read through the derived `den` view
-    general_den = _spans()._general_den
+    general_den = _perfbench("spans")._general_den
     assert general_den(1 / (1 + Q))
     for laurent in (qpow(-3), 2 * qpow(5), (Q * Q + 1) / Q):
         assert not general_den(laurent)
@@ -57,3 +58,8 @@ def test_schema_commands_are_the_cli_subcommands():
     parser = cli.build_parser()
     sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert schema.COMMANDS == list(sub.choices)
+
+
+def test_paper_oracle_names_the_suite_criteria():
+    results = verify.run_paper_suite(size=(2, 2), pairs=1, triples=1)
+    assert _perfbench("oracles").PAPER_CHECKS == tuple(r.name for r in results)

@@ -12,7 +12,8 @@ import pytest
 
 from qcgl import cauchon
 from qcgl.cauchon import (COUNT_LIMIT, CauchonDiagram, _row_patterns, count,
-                          count_by_black, diagram_cells, enumerate_diagrams, is_valid)
+                          count_by_black, diagram_cells, draw, enumerate_diagrams,
+                          is_valid)
 from qcgl.cli import main
 
 SMALL_SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
@@ -69,6 +70,19 @@ def _reference_diagrams(m, n):
             yield from rec(r + 1, fullcols & pat, acc + [(r, c) for c in pattern])
 
     return list(rec(1, frozenset(range(1, n + 1)), []))
+
+
+def _reference_drawing(d):
+    """One row at a time, one set lookup per cell."""
+    return "\n".join("".join("#" if (r, c) in d.black else "." for c in range(1, d.n + 1))
+                     for r in range(1, d.m + 1))
+
+
+def test_drawing_matches_the_reference():
+    for m, n in SMALL_SHAPES:
+        for cells in diagram_cells(m, n):
+            d = CauchonDiagram(m, n, frozenset(cells))
+            assert draw(m, n, cells) == str(d) == _reference_drawing(d), (m, n, cells)
 
 
 def test_enumeration_order_matches_the_reference():
@@ -154,7 +168,7 @@ def test_cli_list_prints_the_reference_bytes():
             json.dumps(doc, sort_keys=True) + "\n"), (m, n)
         if m * n <= 12 or min(m, n) > 2:
             assert _cli(["cauchon", "list", str(m), str(n)]) == (
-                "\n\n".join(str(d) for d in reference) + "\n"), (m, n)
+                "\n\n".join(map(_reference_drawing, reference)) + "\n"), (m, n)
 
 
 def test_no_memo_outlives_a_call(monkeypatch):

@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from qcgl.cauchon import CauchonDiagram, count, enumerate_diagrams
-from qcgl.cli import LIST_LIMIT, main
+from qcgl.cli import LIST_LIMIT, PAIRS_LIMIT, TRIPLES_LIMIT, main
 from qcgl.coef import ONE, Q, RatFunc
 from qcgl.delderiv import LaurentElem, format_laurent, theta
 from qcgl.expr import (MAX_EXPONENT, ExprEvalError, ExprSyntaxError, eval_free,
@@ -355,7 +355,10 @@ def test_cli_verify_size_bounds():
 
 
 def test_cli_verify_needs_samples():
-    for extra in (["--pairs", "0"], ["--triples", "0"], ["--pairs", "-3", "--triples", "-2"]):
+    # no samples, and one past each bound, exit 2
+    for extra in (["--pairs", "0"], ["--triples", "0"], ["--pairs", "-3", "--triples", "-2"],
+                  ["--pairs", str(PAIRS_LIMIT + 1)],
+                  ["--triples", str(TRIPLES_LIMIT + 1)]):
         argv = ["verify", "paper", "--size", "2,2", "--pairs", "5", "--triples", "20"] + extra
         rc, out, err = run_cli(argv)
         assert rc == 2 and err.startswith("error:") and not out, extra
