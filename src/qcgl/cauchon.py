@@ -8,10 +8,12 @@ invariant primes of the corresponding quantum matrix algebra, with the
 number of black cells giving the height.
 
 Diagrams are built row by row: a row is admissible given only the set of
-columns that are black in every row above it (``_row_patterns``).
-``diagram_cells`` lists every diagram that way, up to SIZE_LIMIT cells, as
-its row-major tuple of black cells, and ``enumerate_diagrams`` wraps each in
-a ``CauchonDiagram``.  ``count_by_black`` and ``count`` never list them: a
+columns that are black in every row above it (``_row_patterns``).  One
+walk lists every diagram that way, up to SIZE_LIMIT cells, as a join of
+per-row fragments: the row-major tuple of black cells (``diagram_cells``,
+wrapped by ``enumerate_diagrams``), or the JSON text or drawing that
+``cauchon list`` writes (``diagram_json``, ``diagram_drawings``).
+``count_by_black`` and ``count`` never list them: a
 row-transfer dynamic program keeps, for each such set of all-black columns,
 the histogram of black-cell counts of the partial diagrams reaching it,
 which is feasible up to COUNT_LIMIT cells.  A histogram is one packed
@@ -41,7 +43,8 @@ class CauchonDiagram:
 
     @classmethod
     def validate(cls, m, n, black):
-        """Build a diagram after checking the defining condition."""
+        """Build a diagram after checking the grid and the defining condition."""
+        _check_size(m, n)
         cells = frozenset((int(r), int(c)) for r, c in black)
         if not is_valid(m, n, cells):
             raise ValueError("not a valid Cauchon diagram")
@@ -92,10 +95,10 @@ def is_valid(m, n, black):
     return True
 
 
-def _check_size(m, n, limit, what):
+def _check_size(m, n, limit=None, what=None):
     if m < 1 or n < 1:
         raise ValueError("grid dimensions must be positive")
-    if m * n > limit:
+    if limit is not None and m * n > limit:
         raise ValueError("grid with %d cells exceeds the %s limit of %d"
                          % (m * n, what, limit))
 
@@ -114,40 +117,57 @@ def _row_patterns(n, fullcols):
                 yield prefix + chosen
 
 
-def diagram_cells(m, n):
-    """Every valid diagram as its row-major tuple of black (row, col) cells,
-    which is also its sorted order, in the order `enumerate_diagrams` lists.
+def _walk(m, n, fragment, empty):
+    """Every valid diagram as empty + fragment(1, row 1's black columns) +
+    ... + fragment(m, row m's), in the order `enumerate_diagrams` lists; a
+    fragment, tuple or string, carries its own leading separator.
 
-    Depth first over an explicit stack, so each diagram is one tuple join in
-    one generator frame.  A (row, all-black columns) state's cell tuples and
-    next states are built once per call; rows 1 and 2 meet each state once
-    (row 1 starts from every column, and distinct first rows leave distinct
+    Depth first over an explicit stack, so each diagram is one join in one
+    generator frame.  A (row, all-black columns) state's fragments and next
+    states are built once per call; rows 1 and 2 meet each state once (row 1
+    starts from every column, and distinct first rows leave distinct
     all-black sets), so only rows from 3 on keep theirs.
     """
     _check_size(m, n, SIZE_LIMIT, "enumeration")
-    grid = [[(r, c) for c in range(n + 1)] for r in range(m + 1)]
     built = {}
 
     def moves(r, fullcols):
         out = built.get((r, fullcols))
         if out is None:
-            cell = grid[r].__getitem__
-            out = (tuple(map(cell, p)) if r == m else
-                   (tuple(map(cell, p)), fullcols.intersection(p))
+            out = (fragment(r, p) if r == m else (fragment(r, p), fullcols.intersection(p))
                    for p in _row_patterns(n, fullcols))
             if r > 2:
                 out = built[r, fullcols] = list(out)
         return out
 
-    stack = [(1, frozenset(range(1, n + 1)), ())]
+    stack = [(1, frozenset(range(1, n + 1)), empty)]
     while stack:
         r, fullcols, acc = stack.pop()
         if r == m:
-            for cells in moves(r, fullcols):
-                yield acc + cells
+            for part in moves(r, fullcols):
+                yield acc + part
         else:
-            stack += [(r + 1, nxt, acc + cells)
-                      for cells, nxt in moves(r, fullcols)][::-1]
+            stack += [(r + 1, nxt, acc + part)
+                      for part, nxt in moves(r, fullcols)][::-1]
+
+
+def diagram_cells(m, n):
+    """Every valid diagram as its row-major tuple of black (row, col) cells,
+    which is also its sorted order."""
+    return _walk(m, n, lambda r, p: tuple([(r, c) for c in p]), ())
+
+
+def diagram_json(m, n):
+    """Every valid diagram as the JSON text that json.dumps writes for its
+    `diagram_cells` tuple: rows add ", [r, c]" per black cell."""
+    return ("[" + text[2:] + "]" for text in
+            _walk(m, n, lambda r, p: "".join([", [%d, %d]" % (r, c) for c in p]), ""))
+
+
+def diagram_drawings(m, n):
+    """Every valid diagram as `draw` draws it: rows add a newline and their line."""
+    return (text[1:] for text in
+            _walk(m, n, lambda r, p: "\n" + draw(1, n, [(1, c) for c in p]), ""))
 
 
 def enumerate_diagrams(m, n):

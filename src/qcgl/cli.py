@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import verify as verify_mod
-from .cauchon import SIZE_LIMIT, count, count_by_black, diagram_cells, draw
+from .cauchon import SIZE_LIMIT, count, count_by_black, diagram_drawings, diagram_json
 from .delderiv import LaurentElem, format_laurent, theta, theta_alt
 from .expr import evaluate
 from .ncalg import (NILPOTENCE_BOUND, STEPS_BUDGET, NcPoly, NilpotenceBoundExceeded,
@@ -112,7 +112,8 @@ def build_parser():
 
 
 # Each handler returns (ok, result, text): the verdict, the --json result and
-# the plain-text output, which a handler may leave as None under --json.
+# the plain-text output, which a handler may leave as None under --json.  A
+# result whose "diagrams" is [] gives, as its text, the JSON text of that array.
 
 
 def _load(args):
@@ -208,10 +209,12 @@ def _cmd_cauchon(args):
             if total > LIST_LIMIT:
                 raise ValueError("the %dx%d grid has %d diagrams, more than the list "
                                  "limit of %d" % (m, n, total, LIST_LIMIT))
-        # row-major cell tuples are sorted, and json writes them as arrays
-        result["diagrams"] = diagrams = list(diagram_cells(m, n))
-        # under --json the text is never printed
-        text = None if args.json else "\n\n".join(draw(m, n, cells) for cells in diagrams)
+        if args.json:
+            # main splices this text in where the result holds []
+            result["diagrams"] = []
+            text = "[%s]" % ", ".join(diagram_json(m, n))
+        else:
+            text = "\n\n".join(diagram_drawings(m, n))
     return True, result, text
 
 
@@ -296,7 +299,10 @@ def main(argv=None):
             doc = {"command": args.command, "ok": ok,
                    "algebra": getattr(args, "algebra", None), "result": result}
             # one line: json's C encoder runs only without indent
-            print(json.dumps(doc, sort_keys=True))
+            line = json.dumps(doc, sort_keys=True)
+            if result.get("diagrams") == []:
+                line = line.replace('"diagrams": []', '"diagrams": ' + text, 1)
+            print(line)
         else:
             print(text)
     except (ValueError, ZeroDivisionError) as exc:

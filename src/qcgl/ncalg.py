@@ -27,6 +27,7 @@ _NAME_RE = re.compile(r"^(?:x\[\d+,\d+\]|g_\d+)$")
 _SPEC_KEYS = ("names", "torus_rank", "lambda", "delta", "level_q", "weights", "h")
 
 STEPS_BUDGET = 10**6      # rewriting steps per straightened word, by default
+NF_STORE_BOUND = 2**18    # words in each of an algebra's _nf_cache and _nf_seen
 NILPOTENCE_BOUND = 64     # powers of a derivation tried before giving up, by default
 
 
@@ -373,7 +374,8 @@ class OreAlgebra:
         # leftmost normal forms by word: normal_form_word caches each word it
         # straightens, while a word that multiply, apply_delta and the other
         # sums form is cached from its second use; _nf_seen holds the words
-        # those sums have met once
+        # those sums have met once.  A store of NF_STORE_BOUND words takes no
+        # more, and a word it leaves out is straightened afresh when met again
         self._nf_cache = {}
         self._nf_seen = set()
         # stores filled by delderiv: the chains [w, d_N(w), d_N^2(w), ...]
@@ -415,7 +417,9 @@ class OreAlgebra:
             raise ValueError("unknown strategy %r" % strategy)
         cached = self._nf_cache.get(word)
         if cached is None:
-            cached = self._nf_cache[word] = NcPoly(self._straighten({}, word, (1, 0, None)))
+            cached = NcPoly(self._straighten({}, word, (1, 0, None)))
+            if len(self._nf_cache) < NF_STORE_BOUND:
+                self._nf_cache[word] = cached
         return cached
 
     def _add_normal_form(self, out, word, c):
@@ -429,7 +433,8 @@ class OreAlgebra:
         if cached is None:
             if word not in self._nf_seen:
                 self._straighten(out, word, _qpow_parts(c))
-                self._nf_seen.add(word)
+                if len(self._nf_seen) < NF_STORE_BOUND:
+                    self._nf_seen.add(word)
                 return out
             self._nf_seen.remove(word)
             cached = self.normal_form_word(word)

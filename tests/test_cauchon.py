@@ -12,8 +12,8 @@ import pytest
 
 from qcgl import cauchon
 from qcgl.cauchon import (COUNT_LIMIT, CauchonDiagram, _row_patterns, count,
-                          count_by_black, diagram_cells, draw, enumerate_diagrams,
-                          is_valid)
+                          count_by_black, diagram_cells, diagram_drawings, diagram_json,
+                          draw, enumerate_diagrams, is_valid)
 from qcgl.cli import main
 
 SMALL_SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
@@ -171,6 +171,22 @@ def test_cli_list_prints_the_reference_bytes():
                 "\n\n".join(map(_reference_drawing, reference)) + "\n"), (m, n)
 
 
+@pytest.mark.parametrize("shape", SMALL_SHAPES + [(1, 16), (4, 4)])
+def test_list_fragments_match_the_cell_tuples(shape):
+    # the per-row JSON and drawn fragments against json.dumps and draw of the
+    # cell tuples, per diagram and through the CLI's envelope, byte for byte
+    m, n = shape
+    diagrams = list(diagram_cells(m, n))
+    assert list(diagram_json(m, n)) == [json.dumps(cells) for cells in diagrams]
+    drawings = [draw(m, n, cells) for cells in diagrams]
+    assert list(diagram_drawings(m, n)) == drawings
+    doc = {"algebra": None, "command": "cauchon", "ok": True,
+           "result": {"diagrams": diagrams, "m": m, "n": n}}
+    assert _cli(["cauchon", "list", str(m), str(n), "--json"]) == (
+        json.dumps(doc, sort_keys=True) + "\n")
+    assert _cli(["cauchon", "list", str(m), str(n)]) == "\n\n".join(drawings) + "\n"
+
+
 def test_no_memo_outlives_a_call(monkeypatch):
     # a fresh copy of the module, so no cache that other tests filled can
     # make the first call of a pair as cheap as the second
@@ -245,6 +261,15 @@ def test_validate_and_formats():
         CauchonDiagram.validate(2, 2, {(2, 2)})
     with pytest.raises(ValueError):
         CauchonDiagram.from_text(".#\n#?")
+
+
+def test_empty_grids_are_refused():
+    for make in (lambda: CauchonDiagram.from_text(""),
+                 lambda: CauchonDiagram.from_text("\n\n"),
+                 lambda: CauchonDiagram.validate(0, 3, []),
+                 lambda: CauchonDiagram.validate(2, 0, [])):
+        with pytest.raises(ValueError, match="grid dimensions must be positive"):
+            make()
 
 
 def test_size_limit():

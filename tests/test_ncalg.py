@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qcgl import ncalg
 from qcgl.coef import MINUS_ONE, ONE, Q, ZERO, qpow
 from qcgl.delderiv import _binomials
 from qcgl.ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, OreAlgebra,
@@ -553,6 +554,24 @@ def test_nf_cache_holds_a_product_word_from_its_second_use():
         for w in fresh:
             alg.normal_form_word(w, "rightmost")
         assert fresh and not fresh & set(alg._nf_cache)
+
+
+def test_nf_stores_take_no_words_past_their_bound(monkeypatch):
+    # 4x4 det_q meets its 768 product words once per pass: the first pass
+    # marks them seen, the second caches them.  A word a full store leaves
+    # out is straightened afresh, so the verdict stays
+    free = oqm(4, 4)
+    det = free.det()
+    expected = free.is_normal(det)
+    assert expected.ok and len(free._nf_seen) == 768
+    assert free.is_normal(det) == expected and len(free._nf_cache) == 768
+    monkeypatch.setattr(ncalg, "NF_STORE_BOUND", 8)
+    bounded = oqm(4, 4)
+    sizes = []
+    for _ in range(3):
+        assert bounded.is_normal(det) == expected
+        sizes.append((len(bounded._nf_cache), len(bounded._nf_seen)))
+    assert sizes == [(0, 8), (8, 8), (8, 8)]
 
 
 def test_delta_and_transpose_paths_match_the_reference_straightener():
