@@ -21,9 +21,9 @@ algebra's `_delta_chains`, over the Laurent coefficients of s^(m-n)(a), and
 is scaled once by c_n, so a denominator that is not a power of q costs one
 product per output word.  The c_n are built once per algebra: theta's in
 `_theta_factors`, and the rows [m n]_q of `laurent_mul` in `_binomial_rows`,
-one row per X-exponent m of a left factor (an expression writes each
-exponent within expr.MAX_EXPONENT), each as long as the deepest level sum
-that asked for it: at most m + 1 for m >= 0 and the bound for m < 0.
+one row per X-exponent m of a left factor, as long as the deepest level sum
+that asked for it: at most m + 1 for m >= 0 and the bound for m < 0.  That
+store and `_delta_chains` take no key past ncalg.NF_STORE_BOUND keys.
 `theta_alt` reads neither store and stays an independent check on both: its
 twisted factors q^(n^2) ((1-q)^n [n]!_q)^-1 have a store of their own,
 `_alt_factors`, built by their own recurrence.  Both factor stores grow only
@@ -38,7 +38,7 @@ import functools
 
 from .coef import ONE, ZERO, RatFunc, q_int
 from .ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, TermMap, _format_terms,
-                    add_terms)
+                    add_terms, bounded_store)
 
 
 class LaurentElem(TermMap):
@@ -120,7 +120,7 @@ def _delta_power(alg, w, n):
     which ends with 0 once d has killed w."""
     chain = alg._delta_chains.get(w)
     if chain is None:
-        chain = alg._delta_chains[w] = [NcPoly({w: ONE})]
+        chain = bounded_store(alg._delta_chains, w, [NcPoly({w: ONE})])
     while len(chain) <= n and chain[-1]:
         chain.append(alg.apply_delta(alg.N, chain[-1]))
     return chain[n] if n < len(chain) else chain[-1]
@@ -152,7 +152,7 @@ def _binomial_row(alg, m, k):
     m, built again only when a longer one is asked for."""
     row = alg._binomial_rows.get(m)
     if row is None or len(row) < k:
-        row = alg._binomial_rows[m] = _binomials(alg.level_q[alg.N], m, k)
+        row = bounded_store(alg._binomial_rows, m, _binomials(alg.level_q[alg.N], m, k))
     return row[:k]
 
 

@@ -27,7 +27,7 @@ _NAME_RE = re.compile(r"^(?:x\[\d+,\d+\]|g_\d+)$")
 _SPEC_KEYS = ("names", "torus_rank", "lambda", "delta", "level_q", "weights", "h")
 
 STEPS_BUDGET = 10**6      # rewriting steps per straightened word, by default
-NF_STORE_BOUND = 2**18    # words in each of an algebra's _nf_cache and _nf_seen
+NF_STORE_BOUND = 2**18    # entries in each of _nf_cache, _nf_seen, _delta_chains, _binomial_rows
 NILPOTENCE_BOUND = 64     # powers of a derivation tried before giving up, by default
 
 
@@ -63,6 +63,13 @@ def _qpow_parts(c):
     signed power of q and (1, 0, c) is returned for any other c."""
     sp = c.as_signed_q_power()
     return (1, 0, c) if sp is None else (sp[0], sp[1], None)
+
+
+def bounded_store(store, key, value):
+    """store[key] = value, unless that adds a key to a full store; value."""
+    if key in store or len(store) < NF_STORE_BOUND:
+        store[key] = value
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -417,9 +424,8 @@ class OreAlgebra:
             raise ValueError("unknown strategy %r" % strategy)
         cached = self._nf_cache.get(word)
         if cached is None:
-            cached = NcPoly(self._straighten({}, word, (1, 0, None)))
-            if len(self._nf_cache) < NF_STORE_BOUND:
-                self._nf_cache[word] = cached
+            cached = bounded_store(self._nf_cache, word,
+                                   NcPoly(self._straighten({}, word, (1, 0, None))))
         return cached
 
     def _add_normal_form(self, out, word, c):
@@ -673,7 +679,7 @@ class OreAlgebra:
         (f) every lambda_ji is nonzero
         (g) from level 3 on, every overlap word x_k x_j x_i (k > j > i) has
             the same normal form under leftmost and rightmost reduction;
-            by Bergman's diamond lemma this certifies the PBW basis
+            with criterion 7's order lemma, Bergman's diamond lemma gives the PBW basis
 
         Checking (a) and (b) on generators suffices.  (a): D = s_j d_j -
         q_j d_j s_j is an (s_j^2, s_j)-derivation, D(ab) = s_j^2(a) D(b) +

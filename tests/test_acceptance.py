@@ -57,7 +57,27 @@ def test_criterion_6_cgl_axiom_checker():
 
 
 def test_criterion_7_rewriting_soundness():
-    _report(verify.check_rewriting_soundness(count=500, seed=verify.DEFAULT_SEED))
+    _report(verify.check_rewriting_soundness())
+
+
+def test_criterion_7_fails_on_an_unresolved_overlap(monkeypatch):
+    # every per-generator axiom holds on this mutation, but its overlap
+    # g_3 g_2 g_1 does not resolve
+    mutation, = (alg for label, alg, _ in verify.mutated_specs()
+                 if label == "non-derivation-correction")
+    monkeypatch.setattr(verify, "load_preset", lambda name: mutation)
+    result = verify.check_rewriting_soundness()
+    assert not result.ok
+    assert "uq-sl3-plus" in result.detail and "g_3*g_2*g_1" in result.detail
+
+
+def test_criterion_7_reads_no_seed():
+    details = set()
+    for seed in (1, 2):
+        result, = (r for r in verify.run_paper_suite(size=(2, 2), seed=seed, pairs=1)
+                   if r.name == "7-rewriting-soundness")
+        details.add(result.detail)
+    assert len(details) == 1
 
 
 def test_criterion_8_grassmannian_extremal_normality():

@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from qcgl import ncalg
 from qcgl.cli import main
 from qcgl.coef import ONE, Q, q_factorial, qpow
 from qcgl.delderiv import (LaurentElem, _binomial_row, _binomials, format_laurent,
@@ -311,6 +312,28 @@ def test_stored_binomial_rows_equal_fresh_rows():
                 assert _binomial_row(alg, m, k) == _binomials(q, m, k)
         for m in range(-3, 4):
             assert alg._binomial_rows[m] == _binomials(q, m, 6)
+
+
+def test_delderiv_stores_take_nothing_past_their_bound(monkeypatch):
+    # a full store takes no new chain or row; what it leaves out is built
+    # for the call alone, so the values stay
+    rng = random.Random(21)
+    sample = [random_poly(oqm(2, 3), rng, max_degree=3, max_level=5) for _ in range(8)]
+    powers = [LaurentElem.x_power(k) for k in range(-3, 4)]
+
+    def values(alg):
+        return ([theta(alg, a) for a in sample], [theta_alt(alg, a) for a in sample],
+                [laurent_mul(alg, x, LaurentElem.from_poly(a)) for x in powers
+                 for a in sample[:3]])
+
+    free = oqm(2, 3)
+    expected = values(free)
+    assert len(free._delta_chains) > 2 and len(free._binomial_rows) > 2
+    monkeypatch.setattr(ncalg, "NF_STORE_BOUND", 2)
+    bounded = oqm(2, 3)
+    for _ in range(2):
+        assert values(bounded) == expected
+        assert len(bounded._delta_chains) == 2 and len(bounded._binomial_rows) == 2
 
 
 def test_x_power_binomial_work_is_linear_in_the_exponent():

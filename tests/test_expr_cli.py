@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from qcgl.cauchon import CauchonDiagram, count, enumerate_diagrams
-from qcgl.cli import LIST_LIMIT, PAIRS_LIMIT, TRIPLES_LIMIT, main
+from qcgl.cli import LIST_LIMIT, PAIRS_LIMIT, main
 from qcgl.coef import ONE, Q, RatFunc
 from qcgl.delderiv import LaurentElem, format_laurent, theta
 from qcgl.expr import (MAX_EXPONENT, ExprEvalError, ExprSyntaxError, eval_free,
@@ -205,6 +205,17 @@ def test_cli_spec_file_failing_the_axioms_is_rejected_at_load(tmp_path):
     assert rc == 1 and "FAIL level 2 (b) locally nilpotent delta" in out
 
 
+def test_cli_spec_file_breaking_the_order_lemma_is_refused(tmp_path):
+    # criterion 7's termination order needs each delta(j,i) below x_j
+    doc = quantum_plane().to_json()
+    doc["delta"] = [[2, 1, "g_2"]]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc, out, err = run_cli(["axioms", "-a", str(path)])
+    assert rc == 2 and not out
+    assert err.startswith("error:") and "delta(2,1) uses a generator index >= 2" in err
+
+
 # A malformed spec file is a usage error (exit 2), never a traceback.
 
 def _spec_file_rc(tmp_path, text):
@@ -337,8 +348,7 @@ def test_cli_cauchon_list_json_builds_no_text(monkeypatch):
 
 
 def test_cli_verify_small():
-    rc, out, _ = run_cli(["verify", "paper", "--size", "2,2",
-                          "--pairs", "5", "--triples", "20", "--json"])
+    rc, out, _ = run_cli(["verify", "paper", "--size", "2,2", "--pairs", "5", "--json"])
     doc = json.loads(out)
     jsonschema.validate(doc, OUTPUT_SCHEMA)
     assert rc == 0 and doc["ok"]
@@ -347,21 +357,22 @@ def test_cli_verify_small():
 
 def test_cli_verify_size_bounds():
     for size in ("0,2", "3,2", "5,5"):
-        rc, _, err = run_cli(["verify", "paper", "--size", size,
-                              "--pairs", "5", "--triples", "20"])
+        rc, _, err = run_cli(["verify", "paper", "--size", size, "--pairs", "5"])
         assert rc == 2 and err.startswith("error:"), size
-    rc, _, _ = run_cli(["verify", "paper", "--size", "2,3", "--pairs", "5", "--triples", "20"])
+    rc, _, _ = run_cli(["verify", "paper", "--size", "2,3", "--pairs", "5"])
     assert rc == 0
 
 
-def test_cli_verify_needs_samples():
-    # no samples, and one past each bound, exit 2
-    for extra in (["--pairs", "0"], ["--triples", "0"], ["--pairs", "-3", "--triples", "-2"],
-                  ["--pairs", str(PAIRS_LIMIT + 1)],
-                  ["--triples", str(TRIPLES_LIMIT + 1)]):
-        argv = ["verify", "paper", "--size", "2,2", "--pairs", "5", "--triples", "20"] + extra
+def test_cli_verify_needs_samples(capsys):
+    # no samples, and one past the bound, exit 2
+    for extra in (["--pairs", "0"], ["--pairs", "-3"], ["--pairs", str(PAIRS_LIMIT + 1)]):
+        argv = ["verify", "paper", "--size", "2,2", "--pairs", "5"] + extra
         rc, out, err = run_cli(argv)
         assert rc == 2 and err.startswith("error:") and not out, extra
+    # criterion 7 draws no samples, so there is no --triples to bound
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "paper", "--size", "2,2", "--triples", "20"])
+    assert info.value.code == 2 and not capsys.readouterr().out
 
 
 def test_cli_axioms_nilpotence_bound_edge():

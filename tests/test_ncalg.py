@@ -304,6 +304,21 @@ def test_overlap_check_passes_on_valid_data():
     assert _overlap_checks(quantum_plane()) == []
 
 
+def test_overlaps_resolve_beyond_the_suite():
+    # criterion 7 runs check (g) up to oqm(4,4); these grids go further
+    for m, n in ((4, 5), (2, 6), (3, 4)):
+        alg = oqm(m, n)
+        assert [alg._overlap_failure(k) for k in range(3, alg.N + 1)] == [""] * (alg.N - 2)
+
+
+def test_a_correction_above_its_level_is_refused():
+    # the order lemma behind criterion 7 needs each delta(j,i) below x_j
+    plane = quantum_plane()
+    with pytest.raises(ValueError, match=r"^delta\(2,1\) uses a generator index >= 2$"):
+        OreAlgebra(plane.names, plane.lam, {(2, 1): plane.gen(2)}, plane.level_q,
+                   plane.torus_rank, plane.weights, plane.h_elems)
+
+
 def test_overlap_check_reports_an_exhausted_budget():
     checks = _overlap_checks(oqm(2, 2, steps_budget=1))
     assert not all(c.ok for c in checks)
