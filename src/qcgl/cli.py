@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import verify as verify_mod
@@ -27,7 +26,6 @@ from .qmat import oqm
 USAGE_ERROR = 2
 CHECK_FAILED = 1
 LIST_LIMIT = 2 ** 16  # diagrams printed by one `cauchon list`
-PAIRS_LIMIT = 10_000  # verify's theta pairs per shape, each kept with its images
 
 
 @functools.cache
@@ -94,13 +92,11 @@ def build_parser():
     p = sub.add_parser("verify", parents=[json_opt],
                        help="run the claims-verification suite; exit 1 on failure")
     p.add_argument("suite", choices=["paper"])
-    p.add_argument("--seed", type=int,
-                   help="seed for the randomised checks (default: $QCGL_SEED, else %d)"
-                        % verify_mod.DEFAULT_SEED)
+    # parsed for the scripts that pass one, such as every paper job of
+    # perfbench/workloads.py; no check reads it
+    p.add_argument("--seed", type=int, help="ignored: the suite draws no samples")
     p.add_argument("--size", help="restrict size-parameterised checks to one m,n "
                                   "grid with m <= n and at most %d cells" % SIZE_LIMIT)
-    p.add_argument("--pairs", type=int, default=100,
-                   help="theta sample pairs per shape, at most %d" % PAIRS_LIMIT)
 
     sub.add_parser("axioms", parents=[bounded],
                    help="CGL axiom report for the active algebra")
@@ -222,19 +218,7 @@ def _cmd_theta(args):
     return True, {"value": text}, text
 
 
-def _verify_seed(args):
-    """--seed, else $QCGL_SEED, else the suite's default seed."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QCGL_SEED", str(verify_mod.DEFAULT_SEED))
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError("QCGL_SEED must be an integer, not %r" % env) from None
-
-
 def _cmd_verify(args):
-    seed = _verify_seed(args)
     size = None
     if args.size:
         size = tuple(int(v) for v in args.size.split(","))
@@ -243,10 +227,7 @@ def _cmd_verify(args):
         m, n = size
         if not (1 <= m <= n and m * n <= SIZE_LIMIT):
             raise ValueError("--size m,n needs 1 <= m <= n and m*n <= %d" % SIZE_LIMIT)
-    # criteria 4 and 5 pass vacuously on no samples
-    if not 1 <= args.pairs <= PAIRS_LIMIT:
-        raise ValueError("--pairs must be 1..%d" % PAIRS_LIMIT)
-    results = verify_mod.run_paper_suite(size=size, seed=seed, pairs=args.pairs)
+    results = verify_mod.run_paper_suite(size=size)
     ok = all(r.ok for r in results)
     lines = []
     for r in results:

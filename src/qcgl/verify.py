@@ -1,34 +1,31 @@
 """The claims-verification suite behind `verify paper` and the acceptance tests.
 
 Each check returns a CheckResult and never raises: exceptions are converted
-into failures so the CLI can aggregate.  Criteria 4 and 5 draw seeded
-samples and are deterministic for a given seed; the others draw none.
-Criterion 6 certifies (a) and (b) on generators by two lemmas, criterion 7
-unique normal forms by check (g) and an order lemma.  In
-`run_paper_suite`, criteria 4 and 5 share one draw of theta samples per
-shape, with their theta images, made inside criterion 4; so criterion 5's
-seconds cover theta_alt and the comparisons only, not the sampling or theta.
+into failures so the CLI can aggregate.  No check draws samples: criterion
+4 certifies that theta is multiplicative up to total degree THETA_DEGREE + 1
+by an induction from generator products, criterion 5 that theta = theta_alt
+on every PBW word up to degree THETA_DEGREE, criterion 6 the axioms (a) and
+(b) on generators by two lemmas, and criterion 7 unique normal forms by
+check (g) and an order lemma.
 """
 
 from __future__ import annotations
 
-import functools
-import random
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from .coef import MINUS_ONE, ONE, Q, qpow
 from .cauchon import count_by_black, enumerate_diagrams, is_valid
 from .delderiv import LaurentElem, laurent_mul, theta, theta_alt
 from .grassmann import extremal_normality_report
-from .ncalg import NcPoly, OreAlgebra, quantum_plane, random_poly
+from .ncalg import NcPoly, OreAlgebra, format_poly, quantum_plane
 from .presets import load_preset
 from .qmat import oqm
 
-DEFAULT_SEED = 20240801
 DEFAULT_SIZES = ((2, 2), (2, 3), (3, 3))
+THETA_DEGREE = 3  # criteria 4 and 5 check words of A_(N-1) up to this degree
 
 
 @dataclass
@@ -141,22 +138,37 @@ def check_cauchon_counts(sizes=DEFAULT_SIZES):
 # -- criteria 4 and 5 --------------------------------------------------------
 
 
-def _theta_samples(shape, pairs, seed):
-    """oqm(*shape) and its seeded pairs (a, b), each with theta(a) and theta(b)."""
-    alg = oqm(*shape)
-    rng = random.Random("%d:%d,%d" % (seed, shape[0], shape[1]))
-    out = []
-    while len(out) < pairs:
-        a = random_poly(alg, rng, max_degree=3, max_terms=2, max_level=alg.N - 1)
-        b = random_poly(alg, rng, max_degree=3, max_terms=2, max_level=alg.N - 1)
-        out.append((a, b, theta(alg, a), theta(alg, b)))
-    return alg, out
+def _theta_algebras(shapes):
+    return ([("oqm(%d,%d)" % s, oqm(*s)) for s in shapes]
+            + [("uq-sl3-plus", load_preset("uq-sl3-plus"))])
 
 
-def check_theta_homomorphism(shapes=((2, 2), (2, 3)), pairs=100, seed=DEFAULT_SEED,
-                             samples=_theta_samples):
-    """Criterion 4 on the draws samples(shape, pairs, seed), which a suite run
-    shares with criterion 5."""
+def _pbw_words(alg):
+    """The PBW words of A_(N-1), the algebra on the generators below the top,
+    of degree at most THETA_DEGREE: the sorted tuples over 1..N-1."""
+    return [w for d in range(THETA_DEGREE + 1)
+            for w in combinations_with_replacement(range(1, alg.N), d)]
+
+
+def check_theta_homomorphism(shapes=((2, 2), (2, 3))):
+    """Criterion 4: theta(ab) = theta(a)theta(b) whenever deg a + deg b <=
+    THETA_DEGREE + 1, certified on A_(N-1) by three checks: theta(1) = 1;
+    every delta_ji word has length at most 2, so a product of terms of
+    degrees d and e has terms of degree at most d + e; and
+    theta(x_i w) = theta(x_i)theta(w) for each i < N and each PBW word w of
+    degree at most THETA_DEGREE.
+
+    Lemma: induction on deg a, with theta(1 b) = theta(1)theta(b) for
+    deg a = 0.  Write a = x_i a'; then a'b has degree at most THETA_DEGREE and
+
+        theta(x_i (a'b)) = theta(x_i)theta(a'b) = theta(x_i)theta(a')theta(b)
+                         = theta(a)theta(b).
+
+    The first step holds on all of a'b because theta and the Laurent product
+    are linear (each level of `_level_sum` sums over the PBW terms of its
+    argument); the others use that `multiply` is associative (criterion 7)
+    and that the Laurent product is.
+    """
 
     def body():
         alg22 = oqm(2, 2)
@@ -166,34 +178,50 @@ def check_theta_homomorphism(shapes=((2, 2), (2, 3)), pairs=100, seed=DEFAULT_SE
         })
         if theta(alg22, alg22.x(1, 1)) != expected:
             return False, "theta(x[1,1]) disagrees with the frozen hand value"
-        checked = 0
-        for shape in shapes:
-            alg, sample = samples(shape, pairs, seed)
-            for a, b, ta, tb in sample:
-                if theta(alg, alg.multiply(a, b)) != laurent_mul(alg, ta, tb):
-                    return False, "theta(ab) != theta(a)theta(b) over %dx%d" % shape
-                if theta(alg, a + b) != ta + tb:
-                    return False, "theta not additive over %dx%d" % shape
-                checked += 1
-        return True, "theta multiplicative and additive on %d seeded pairs" % checked
+        algebras = _theta_algebras(shapes)
+        products = 0
+        for label, alg in algebras:
+            for (j, i), p in alg.delta.items():
+                if any(len(w) > 2 for w in p.terms):
+                    return False, "%s: delta(%d,%d) has a word longer than 2" % (label, j, i)
+            words = {w: NcPoly({w: ONE}) for w in _pbw_words(alg)}
+            images = {w: theta(alg, p) for w, p in words.items()}
+            if images[()] != LaurentElem.x_power(0):
+                return False, "%s: theta(1) != 1" % label
+            for i in range(1, alg.N):
+                for w, p in words.items():
+                    xi_w = alg.multiply(words[(i,)], p)
+                    if theta(alg, xi_w) != laurent_mul(alg, images[(i,)], images[w]):
+                        return False, "%s: theta(x_i * w) != theta(x_i)theta(w) at %s * %s" % (
+                            label, alg.names[i - 1], format_poly(alg.names, p))
+                    products += 1
+        return True, ("theta(ab) = theta(a)theta(b) up to total degree %d on A_(N-1) of %s: "
+                      "theta(1) = 1, delta words have length <= 2, and theta(x_i * w) = "
+                      "theta(x_i)theta(w) on %d products with deg w <= %d"
+                      % (THETA_DEGREE + 1, ", ".join(label for label, _ in algebras),
+                         products, THETA_DEGREE))
 
     return _run("4-theta-is-a-homomorphism", body)
 
 
-def check_theta_expansions(shapes=((2, 2), (2, 3)), pairs=100, seed=DEFAULT_SEED,
-                           samples=_theta_samples):
-    """Criterion 5: theta_alt against the theta images of the draws."""
+def check_theta_expansions(shapes=((2, 2), (2, 3))):
+    """Criterion 5: theta = theta_alt on every PBW word of A_(N-1) of degree
+    at most THETA_DEGREE; both maps are linear, so they agree on every
+    element of that degree."""
 
     def body():
-        checked = 0
-        for shape in shapes:
-            alg, sample = samples(shape, pairs, seed)
-            for a, b, ta, tb in sample:
-                for p, tp in ((a, ta), (b, tb)):
-                    if tp != theta_alt(alg, p):
-                        return False, "the two expansions disagree over %dx%d" % shape
-                    checked += 1
-        return True, "both expansions agree on %d seeded samples" % checked
+        algebras = _theta_algebras(shapes)
+        words = 0
+        for label, alg in algebras:
+            for w in _pbw_words(alg):
+                p = NcPoly({w: ONE})
+                if theta(alg, p) != theta_alt(alg, p):
+                    return False, "%s: the two expansions disagree on %s" % (
+                        label, format_poly(alg.names, p))
+                words += 1
+        return True, ("both expansions agree on all %d PBW words of degree <= %d in "
+                      "A_(N-1) of %s, so on every element of that degree"
+                      % (words, THETA_DEGREE, ", ".join(label for label, _ in algebras)))
 
     return _run("5-theta-expansions-agree", body)
 
@@ -346,7 +374,7 @@ def check_torsionfree(sizes=DEFAULT_SIZES):
 # ---------------------------------------------------------------------------
 
 
-def run_paper_suite(size=None, seed=DEFAULT_SEED, pairs=100):
+def run_paper_suite(size=None):
     """All acceptance checks; size=(m,n) restricts size-parameterised ones."""
     if size is None:
         sizes = DEFAULT_SIZES
@@ -359,15 +387,12 @@ def run_paper_suite(size=None, seed=DEFAULT_SEED, pairs=100):
         det_ns = (size[0],) if size[0] == size[1] else (min(size),)
         theta_shapes = (size,) if size in ((2, 2), (2, 3)) else ((2, 2),)
         grass_sizes = (size,) if size in ((2, 3), (2, 4)) else ((2, 3),)
-    # criteria 4 and 5 share one draw of each shape's samples and their
-    # theta images, kept for this run only
-    samples = functools.cache(_theta_samples)
     return [
         check_height_one_generators(sizes),
         check_det_centrality(det_ns),
         check_cauchon_counts(sizes),
-        check_theta_homomorphism(theta_shapes, pairs=pairs, seed=seed, samples=samples),
-        check_theta_expansions(theta_shapes, pairs=pairs, seed=seed, samples=samples),
+        check_theta_homomorphism(theta_shapes),
+        check_theta_expansions(theta_shapes),
         check_cgl_axioms(),
         check_rewriting_soundness(),
         check_grassmann(grass_sizes),

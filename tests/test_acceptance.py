@@ -4,9 +4,15 @@ Each test prints one PASS/FAIL line (visible with -v or on failure) and
 asserts the criterion's verdict.
 """
 
-from collections import Counter
+import io
+import json
+from contextlib import redirect_stdout
 
-from qcgl import verify
+import pytest
+
+from qcgl import delderiv, verify
+from qcgl.cli import main
+from qcgl.coef import Q
 
 TIME_BUDGETS = {
     "1-height-one-hprime-generators": 10.0,
@@ -43,13 +49,65 @@ def test_criterion_3_cauchon_diagram_counts():
 
 
 def test_criterion_4_theta_is_a_homomorphism():
-    _report(verify.check_theta_homomorphism(((2, 2), (2, 3)), pairs=100,
-                                            seed=verify.DEFAULT_SEED))
+    result = verify.check_theta_homomorphism(((2, 2), (2, 3)))
+    _report(result)
+    assert "up to total degree 4" in result.detail
+    assert "oqm(2,2), oqm(2,3), uq-sl3-plus" in result.detail
 
 
 def test_criterion_5_theta_expansions_agree():
-    _report(verify.check_theta_expansions(((2, 2), (2, 3)), pairs=100,
-                                          seed=verify.DEFAULT_SEED))
+    result = verify.check_theta_expansions(((2, 2), (2, 3)))
+    _report(result)
+    assert "oqm(2,2), oqm(2,3), uq-sl3-plus" in result.detail
+
+
+def _doubled_level_factor(n):
+    level_factors = delderiv._level_factors
+
+    def doubled(alg, k):
+        factors = level_factors(alg, k)
+        if n < k:
+            factors[n] = 2 * factors[n]
+        return factors
+
+    return doubled
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_criterion_4_fails_on_a_wrong_level_factor(monkeypatch, n):
+    monkeypatch.setattr(delderiv, "_level_factors", _doubled_level_factor(n))
+    result = verify.check_theta_homomorphism()
+    assert not result.ok and "x[1,1]" in result.detail, result.detail
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_criterion_5_fails_on_a_wrong_level_factor(monkeypatch, n):
+    monkeypatch.setattr(delderiv, "_level_factors", _doubled_level_factor(n))
+    assert not verify.check_theta_expansions().ok
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_criterion_4_fails_on_a_wrong_negative_binomial(monkeypatch, n):
+    # [m n]_q for m < 0 is what theta(x_i), with its powers X^-n, multiplies by
+    binomials = delderiv._binomials
+
+    def scaled(q, m, k):
+        row = binomials(q, m, k)
+        if m < 0 and n < k:
+            row[n] = row[n] * Q
+        return row
+
+    monkeypatch.setattr(delderiv, "_binomials", scaled)
+    assert not verify.check_theta_homomorphism().ok
+
+
+def test_theta_certificates_at_other_degrees(monkeypatch):
+    for degree, shapes in ((4, ((2, 2), (2, 3))), (2, ((3, 3), (2, 4), (3, 2)))):
+        monkeypatch.setattr(verify, "THETA_DEGREE", degree)
+        product = verify.check_theta_homomorphism(shapes)
+        assert product.ok and "up to total degree %d" % (degree + 1) in product.detail
+        expansions = verify.check_theta_expansions(shapes)
+        assert expansions.ok, expansions.detail
 
 
 def test_criterion_6_cgl_axiom_checker():
@@ -72,12 +130,17 @@ def test_criterion_7_fails_on_an_unresolved_overlap(monkeypatch):
 
 
 def test_criterion_7_reads_no_seed():
-    details = set()
-    for seed in (1, 2):
-        result, = (r for r in verify.run_paper_suite(size=(2, 2), seed=seed, pairs=1)
-                   if r.name == "7-rewriting-soundness")
-        details.add(result.detail)
-    assert len(details) == 1
+    # nor does any other criterion: --seed is parsed and ignored
+    docs = []
+    for extra in (["--seed", "1"], ["--seed", "2"], []):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["verify", "paper", "--json"] + extra) == 0
+        doc = json.loads(out.getvalue())
+        for check in doc["result"]["checks"]:
+            del check["seconds"]
+        docs.append(doc)
+    assert docs[0] == docs[1] == docs[2]
 
 
 def test_criterion_8_grassmannian_extremal_normality():
@@ -93,35 +156,3 @@ def test_full_suite_through_the_cli_entry_point():
     results = verify.run_paper_suite()
     assert len(results) == 9
     assert all(r.ok for r in results), [r.name for r in results if not r.ok]
-
-
-def test_suite_draws_each_theta_sample_once(monkeypatch):
-    # criteria 4 and 5 share one draw per shape, theta images included, so
-    # criterion 5 calls theta zero times; called alone, it draws its own
-    draws, theta_calls, per_check = Counter(), [0], {}
-    samples, theta, run = verify._theta_samples, verify.theta, verify._run
-
-    def counted_samples(shape, pairs, seed):
-        draws[shape] += 1
-        return samples(shape, pairs, seed)
-
-    def counted_theta(*args, **kwargs):
-        theta_calls[0] += 1
-        return theta(*args, **kwargs)
-
-    def counted_run(name, fn):
-        before = theta_calls[0]
-        result = run(name, fn)
-        per_check[name] = theta_calls[0] - before
-        return result
-
-    monkeypatch.setattr(verify, "_theta_samples", counted_samples)
-    monkeypatch.setattr(verify, "theta", counted_theta)
-    monkeypatch.setattr(verify, "_run", counted_run)
-    assert all(r.ok for r in verify.run_paper_suite())
-    assert draws == {(2, 2): 1, (2, 3): 1}
-    assert per_check["4-theta-is-a-homomorphism"] > 0
-    assert per_check["5-theta-expansions-agree"] == 0
-    result = verify.check_theta_expansions(((2, 2), (2, 3)), pairs=100, seed=verify.DEFAULT_SEED)
-    assert result.ok, result.detail
-    assert per_check["5-theta-expansions-agree"] == 400

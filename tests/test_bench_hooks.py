@@ -61,5 +61,5 @@ def test_schema_commands_are_the_cli_subcommands():
 
 
 def test_paper_oracle_names_the_suite_criteria():
-    results = verify.run_paper_suite(size=(2, 2), pairs=1)
+    results = verify.run_paper_suite(size=(2, 2))
     assert _perfbench("oracles").PAPER_CHECKS == tuple(r.name for r in results)

@@ -11,11 +11,11 @@ from qcgl.cli import main
 from qcgl.coef import ONE, Q, q_factorial, qpow
 from qcgl.delderiv import (LaurentElem, _binomial_row, _binomials, format_laurent,
                            laurent_mul, theta, theta_alt)
-from qcgl.ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, OreAlgebra,
-                        random_poly)
+from qcgl.ncalg import NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, OreAlgebra
 from qcgl.presets import load_preset
 from qcgl.qmat import oqm
 from qcgl.verify import mutated_specs
+from sampling import random_poly
 
 ALG = oqm(2, 2)
 X = LaurentElem.x_power(1)

@@ -7,15 +7,16 @@ import jsonschema
 import pytest
 
 from qcgl.cauchon import CauchonDiagram, count, enumerate_diagrams
-from qcgl.cli import LIST_LIMIT, PAIRS_LIMIT, main
+from qcgl.cli import LIST_LIMIT, main
 from qcgl.coef import ONE, Q, RatFunc
 from qcgl.delderiv import LaurentElem, format_laurent, theta
 from qcgl.expr import (MAX_EXPONENT, ExprEvalError, ExprSyntaxError, eval_free,
                        evaluate, parse, parse_scalar)
-from qcgl.ncalg import NcPoly, format_poly, quantum_plane, random_poly
+from qcgl.ncalg import NcPoly, format_poly, quantum_plane
 from qcgl.qmat import oqm
 from qcgl.schema import OUTPUT_SCHEMA
 from qcgl.verify import mutated_specs
+from sampling import random_poly
 
 ALG = oqm(2, 2)
 
@@ -348,7 +349,7 @@ def test_cli_cauchon_list_json_builds_no_text(monkeypatch):
 
 
 def test_cli_verify_small():
-    rc, out, _ = run_cli(["verify", "paper", "--size", "2,2", "--pairs", "5", "--json"])
+    rc, out, _ = run_cli(["verify", "paper", "--size", "2,2", "--json"])
     doc = json.loads(out)
     jsonschema.validate(doc, OUTPUT_SCHEMA)
     assert rc == 0 and doc["ok"]
@@ -357,22 +358,18 @@ def test_cli_verify_small():
 
 def test_cli_verify_size_bounds():
     for size in ("0,2", "3,2", "5,5"):
-        rc, _, err = run_cli(["verify", "paper", "--size", size, "--pairs", "5"])
+        rc, _, err = run_cli(["verify", "paper", "--size", size])
         assert rc == 2 and err.startswith("error:"), size
-    rc, _, _ = run_cli(["verify", "paper", "--size", "2,3", "--pairs", "5"])
+    rc, _, _ = run_cli(["verify", "paper", "--size", "2,3"])
     assert rc == 0
 
 
-def test_cli_verify_needs_samples(capsys):
-    # no samples, and one past the bound, exit 2
-    for extra in (["--pairs", "0"], ["--pairs", "-3"], ["--pairs", str(PAIRS_LIMIT + 1)]):
-        argv = ["verify", "paper", "--size", "2,2", "--pairs", "5"] + extra
-        rc, out, err = run_cli(argv)
-        assert rc == 2 and err.startswith("error:") and not out, extra
-    # criterion 7 draws no samples, so there is no --triples to bound
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "paper", "--size", "2,2", "--triples", "20"])
-    assert info.value.code == 2 and not capsys.readouterr().out
+def test_cli_verify_takes_no_sample_options(capsys):
+    # no criterion draws samples, so there is no --pairs or --triples to bound
+    for option in ("--pairs", "--triples"):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "paper", "--size", "2,2", option, "5"])
+        assert info.value.code == 2 and not capsys.readouterr().out, option
 
 
 def test_cli_axioms_nilpotence_bound_edge():
@@ -399,37 +396,6 @@ def test_cli_budgets():
     assert rc == 0 and out.strip() == "x[1,1]*x[2,2]"
     rc, _, err = run_cli(["theta", "x[1,1]", "--nilpotence-bound", "0"])
     assert rc == 1 and "bound 0" in err
-
-
-def _capture_verify_seeds(monkeypatch):
-    from qcgl import verify
-
-    seeds = []
-    monkeypatch.setattr(verify, "run_paper_suite",
-                        lambda **kwargs: seeds.append(kwargs["seed"]) or [])
-    return seeds
-
-
-def test_cli_seed_env_default(monkeypatch):
-    seeds = _capture_verify_seeds(monkeypatch)
-    monkeypatch.setenv("QCGL_SEED", "12345")
-    assert run_cli(["verify", "paper"])[0] == 0
-    assert run_cli(["verify", "paper", "--seed", "7"])[0] == 0
-    monkeypatch.delenv("QCGL_SEED")
-    assert run_cli(["verify", "paper"])[0] == 0
-    assert seeds == [12345, 7, 20240801]
-
-
-def test_cli_malformed_seed_env(monkeypatch):
-    seeds = _capture_verify_seeds(monkeypatch)
-    monkeypatch.setenv("QCGL_SEED", "abc")
-    rc, out, err = run_cli(["verify", "paper"])
-    assert rc == 2 and err.startswith("error:") and "QCGL_SEED" in err and not out
-    assert run_cli(["verify", "paper", "--seed", "7"])[0] == 0
-    assert seeds == [7]
-    # only verify reads the variable
-    assert run_cli(["cauchon", "count", "2", "2"]) == (0, "14\n", "")
-    assert run_cli(["nf", "x[2,2]*x[1,1]"])[0] == 0
 
 
 def test_cli_maps_resource_and_arithmetic_errors_to_exit_codes(monkeypatch):
@@ -478,7 +444,9 @@ _TAKES = {
 
 
 def test_cli_options_per_command(monkeypatch):
-    _capture_verify_seeds(monkeypatch)
+    from qcgl import verify
+
+    monkeypatch.setattr(verify, "run_paper_suite", lambda size=None: [])
     dropped = 0
     for command, args in _COMMAND_ARGS.items():
         for option, value in _OPTION_VALUES.items():

@@ -8,11 +8,11 @@ from qcgl import ncalg
 from qcgl.coef import MINUS_ONE, ONE, Q, ZERO, qpow
 from qcgl.delderiv import _binomials
 from qcgl.ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, OreAlgebra,
-                        StepBudgetExceeded, format_poly, quantum_plane, random_poly,
-                        random_word)
+                        StepBudgetExceeded, format_poly, quantum_plane)
 from qcgl.presets import load_preset
 from qcgl.qmat import oqm
 from qcgl.verify import mutated_specs
+from sampling import random_poly, random_word
 
 ALG22 = oqm(2, 2)
 ALG23 = oqm(2, 3)

@@ -4,8 +4,9 @@ from itertools import permutations
 import pytest
 
 from qcgl.coef import MINUS_ONE, ONE, Q, qpow
-from qcgl.ncalg import NcPoly, random_poly
+from qcgl.ncalg import NcPoly
 from qcgl.qmat import oqm
+from sampling import random_poly
 
 ALG22 = oqm(2, 2)
 ALG23 = oqm(2, 3)
