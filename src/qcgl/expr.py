@@ -232,20 +232,28 @@ def _as_scalar(value):
     return value.scalar_value()
 
 
-def _promote(value):
-    return value if isinstance(value, LaurentElem) else LaurentElem.from_poly(value)
+def _promote(alg, value):
+    """A value as a Laurent one.  The top generator x_N is X, and a PBW word
+    ends with its x_N letters, so w x_N^k becomes w X^k."""
+    if isinstance(value, LaurentElem):
+        return value
+    out = {}
+    for w, c in value.terms.items():
+        k = w.count(alg.N)
+        add_terms(out, ((k, NcPoly({w[:len(w) - k]: c})),))
+    return LaurentElem(out)
 
 
 def _ev_mul(alg, a, b):
     if isinstance(a, NcPoly) and isinstance(b, NcPoly):
         return alg.multiply(a, b)
-    return laurent_mul(alg, _promote(a), _promote(b))
+    return laurent_mul(alg, _promote(alg, a), _promote(alg, b))
 
 
-def _ev_add(a, b):
+def _ev_add(alg, a, b):
     if isinstance(a, NcPoly) and isinstance(b, NcPoly):
         return a + b
-    return _promote(a) + _promote(b)
+    return _promote(alg, a) + _promote(alg, b)
 
 
 def _ev_pow(alg, base, k):
@@ -300,7 +308,7 @@ def evaluate(alg, source, allow_x=False):
             acc = ev(nd[1][0][1])
             for op, term in nd[1][1:]:
                 value = ev(term)
-                acc = _ev_add(acc, value if op == "+" else value.__neg__())
+                acc = _ev_add(alg, acc, value if op == "+" else value.__neg__())
             return acc
         if tag == "prod":
             acc = ev(nd[1][0][1])

@@ -3,10 +3,10 @@
 Each check returns a CheckResult and never raises: exceptions are converted
 into failures so the CLI can aggregate.  No check draws samples: criterion
 4 certifies that theta is multiplicative up to total degree THETA_DEGREE + 1
-by an induction from generator products, criterion 5 that theta = theta_alt
-on every PBW word up to degree THETA_DEGREE, criterion 6 the axioms (a) and
-(b) on generators by two lemmas, and criterion 7 unique normal forms by
-check (g) and an order lemma.
+from the relations presenting A_(N-1) and one product per PBW word up to
+that degree, criterion 5 that theta = theta_alt on every PBW word up to
+degree THETA_DEGREE, criterion 6 the axioms (a) and (b) on generators by two
+lemmas, and criterion 7 unique normal forms by check (g) and an order lemma.
 """
 
 from __future__ import annotations
@@ -143,31 +143,38 @@ def _theta_algebras(shapes):
             + [("uq-sl3-plus", load_preset("uq-sl3-plus"))])
 
 
-def _pbw_words(alg):
+def _pbw_words(alg, degree):
     """The PBW words of A_(N-1), the algebra on the generators below the top,
-    of degree at most THETA_DEGREE: the sorted tuples over 1..N-1."""
-    return [w for d in range(THETA_DEGREE + 1)
+    of degree at most `degree`: the sorted tuples over 1..N-1."""
+    return [w for d in range(degree + 1)
             for w in combinations_with_replacement(range(1, alg.N), d)]
 
 
 def check_theta_homomorphism(shapes=((2, 2), (2, 3))):
     """Criterion 4: theta(ab) = theta(a)theta(b) whenever deg a + deg b <=
-    THETA_DEGREE + 1, certified on A_(N-1) by three checks: theta(1) = 1;
-    every delta_ji word has length at most 2, so a product of terms of
-    degrees d and e has terms of degree at most d + e; and
-    theta(x_i w) = theta(x_i)theta(w) for each i < N and each PBW word w of
-    degree at most THETA_DEGREE.
+    D = THETA_DEGREE + 1, certified on A_(N-1) by a presentation lemma.
 
-    Lemma: induction on deg a, with theta(1 b) = theta(1)theta(b) for
-    deg a = 0.  Write a = x_i a'; then a'b has degree at most THETA_DEGREE and
+    A_(N-1) is presented by its generators x_i and the relations
+    x_j x_i = lambda_ji x_i x_j + delta_j(x_i) for i < j < N (criterion 7
+    certifies the presentation by the diamond lemma).  The checks are:
+    theta(1) = 1; every delta_ji word has length at most 2, so a product of
+    terms of degrees d and e has terms of degree at most d + e; theta(u) =
+    theta(x_(u_1))theta(u_2 ... u_d) for each PBW word u of degree 2 to D;
+    and, for each pair i < j < N,
 
-        theta(x_i (a'b)) = theta(x_i)theta(a'b) = theta(x_i)theta(a')theta(b)
-                         = theta(a)theta(b).
+        theta(x_j)theta(x_i) = lambda_ji theta(x_i)theta(x_j) + sum_w c_w theta(w)
 
-    The first step holds on all of a'b because theta and the Laurent product
-    are linear (each level of `_level_sum` sums over the PBW terms of its
-    argument); the others use that `multiply` is associative (criterion 7)
-    and that the Laurent product is.
+    where delta_j(x_i) = sum_w c_w w.
+
+    Lemma.  Let phi be the homomorphism from the free algebra on the x_i
+    with phi(x_i) = theta(x_i).  The word checks give theta(u) = phi(u) for
+    every PBW word u of degree at most D, by induction on degree.  The delta
+    words are PBW words of length at most 2, so the relation checks read
+    phi(x_j x_i - lambda_ji x_i x_j - delta_j(x_i)) = 0, and phi factors
+    through A_(N-1).  theta and phi are linear, and ab has degree at most
+    deg a + deg b, so for deg a + deg b <= D
+
+        theta(ab) = phi(ab) = phi(a)phi(b) = theta(a)theta(b).
     """
 
     def body():
@@ -179,27 +186,43 @@ def check_theta_homomorphism(shapes=((2, 2), (2, 3))):
         if theta(alg22, alg22.x(1, 1)) != expected:
             return False, "theta(x[1,1]) disagrees with the frozen hand value"
         algebras = _theta_algebras(shapes)
-        products = 0
+        words = relations = 0
         for label, alg in algebras:
             for (j, i), p in alg.delta.items():
                 if any(len(w) > 2 for w in p.terms):
                     return False, "%s: delta(%d,%d) has a word longer than 2" % (label, j, i)
-            words = {w: NcPoly({w: ONE}) for w in _pbw_words(alg)}
-            images = {w: theta(alg, p) for w, p in words.items()}
+            images = {w: theta(alg, NcPoly({w: ONE}))
+                      for w in _pbw_words(alg, THETA_DEGREE + 1)}
             if images[()] != LaurentElem.x_power(0):
                 return False, "%s: theta(1) != 1" % label
-            for i in range(1, alg.N):
-                for w, p in words.items():
-                    xi_w = alg.multiply(words[(i,)], p)
-                    if theta(alg, xi_w) != laurent_mul(alg, images[(i,)], images[w]):
-                        return False, "%s: theta(x_i * w) != theta(x_i)theta(w) at %s * %s" % (
-                            label, alg.names[i - 1], format_poly(alg.names, p))
-                    products += 1
+            for u, image in images.items():
+                if len(u) < 2:
+                    continue
+                if image != laurent_mul(alg, images[u[:1]], images[u[1:]]):
+                    return False, "%s: theta(%s) != theta(%s)theta(%s)" % (
+                        label, format_poly(alg.names, NcPoly({u: ONE})), alg.names[u[0] - 1],
+                        format_poly(alg.names, NcPoly({u[1:]: ONE})))
+                words += 1
+            for (j, i), lam in alg.lam.items():
+                if j == alg.N:
+                    continue
+                xi, xj = images[(i,)], images[(j,)]
+                rhs = laurent_mul(alg, xi, xj).scaled(lam)
+                for w, c in alg.delta.get((j, i), NcPoly.zero()).items():
+                    rhs = rhs + images[w].scaled(c)
+                if laurent_mul(alg, xj, xi) != rhs:
+                    xi_name, xj_name = alg.names[i - 1], alg.names[j - 1]
+                    return False, ("%s: relation %s %s = lambda(%d,%d) %s %s + delta(%d,%d) "
+                                   "fails under theta" % (label, xj_name, xi_name, j, i,
+                                                          xi_name, xj_name, j, i))
+                relations += 1
         return True, ("theta(ab) = theta(a)theta(b) up to total degree %d on A_(N-1) of %s: "
-                      "theta(1) = 1, delta words have length <= 2, and theta(x_i * w) = "
-                      "theta(x_i)theta(w) on %d products with deg w <= %d"
+                      "theta(1) = 1, delta words have length <= 2, theta respects the %d "
+                      "relations x_j x_i = lambda_ji x_i x_j + delta_j(x_i), and "
+                      "theta(u) = theta(x_(u_1))theta(u_2 ... u_d) on %d PBW words u of "
+                      "degree 2 to %d"
                       % (THETA_DEGREE + 1, ", ".join(label for label, _ in algebras),
-                         products, THETA_DEGREE))
+                         relations, words, THETA_DEGREE + 1))
 
     return _run("4-theta-is-a-homomorphism", body)
 
@@ -213,7 +236,7 @@ def check_theta_expansions(shapes=((2, 2), (2, 3))):
         algebras = _theta_algebras(shapes)
         words = 0
         for label, alg in algebras:
-            for w in _pbw_words(alg):
+            for w in _pbw_words(alg, THETA_DEGREE):
                 p = NcPoly({w: ONE})
                 if theta(alg, p) != theta_alt(alg, p):
                     return False, "%s: the two expansions disagree on %s" % (

@@ -101,6 +101,33 @@ def test_criterion_4_fails_on_a_wrong_negative_binomial(monkeypatch, n):
     assert not verify.check_theta_homomorphism().ok
 
 
+def test_criterion_4_counts_relations_and_sorted_words():
+    # 3 + 10 + 1 pairs i < j < N, and 31 + 120 + 12 PBW words of degree 2 to 4
+    detail = verify.check_theta_homomorphism(((2, 2), (2, 3))).detail
+    assert "the 14 relations" in detail and "on 163 PBW words" in detail, detail
+
+
+@pytest.mark.parametrize("k, doctor, relation", [
+    (0, lambda alg: alg.lam.update({(3, 1): alg.lam[(3, 1)] * Q}),
+     "oqm(2,2): relation x[2,1] x[1,1]"),
+    (1, lambda alg: alg.delta.update({(5, 1): alg.delta[(5, 1)].scaled(2)}),
+     "oqm(2,3): relation x[2,2] x[1,1]"),
+])
+def test_criterion_4_fails_on_a_wrong_relation(monkeypatch, k, doctor, relation):
+    # theta and the straightening rows read no lambda_ji or delta_ji with
+    # j < N, so only the relation checks see such an entry change
+    theta_algebras = verify._theta_algebras
+
+    def doctored(shapes):
+        algebras = theta_algebras(shapes)
+        doctor(algebras[k][1])
+        return algebras
+
+    monkeypatch.setattr(verify, "_theta_algebras", doctored)
+    result = verify.check_theta_homomorphism()
+    assert not result.ok and relation in result.detail, result.detail
+
+
 def test_theta_certificates_at_other_degrees(monkeypatch):
     for degree, shapes in ((4, ((2, 2), (2, 3))), (2, ((3, 3), (2, 4), (3, 2)))):
         monkeypatch.setattr(verify, "THETA_DEGREE", degree)

@@ -67,6 +67,17 @@ def test_eval_laurent_expressions():
         evaluate(ALG, "(x[1,1]+X)^-1", allow_x=True)
 
 
+def test_top_generator_is_x_in_laurent_values():
+    # x_N is X in the localisation: a polynomial joins a Laurent value with
+    # the trailing x_N letters of its words as powers of X
+    for text, printed in (("x[2,2]*X - X^2", "0"), ("X*x[2,2]", "X^2"),
+                          ("[1,2|1,2]*X^-1", "x[1,1] - q*x[1,2]*x[2,1]*X^-1")):
+        assert run_cli(["nf", text]) == (0, printed + "\n", "")
+    assert evaluate(ALG, "[1,2|1,2]*X^-1", allow_x=True) == theta(ALG, ALG.x(1, 1))
+    assert evaluate(ALG, "x[1,1]*x[2,2]^2 + X", allow_x=True) == LaurentElem(
+        {2: ALG.x(1, 1), 1: NcPoly.scalar(ONE)})
+
+
 def test_syntax_errors_carry_positions():
     with pytest.raises(ExprSyntaxError) as err:
         parse("x[1,1] + %")
