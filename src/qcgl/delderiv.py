@@ -23,7 +23,7 @@ product per output word.  The c_n are built once per algebra: theta's in
 `_theta_factors`, and the rows [m n]_q of `laurent_mul` in `_binomial_rows`,
 one row per X-exponent m of a left factor, as long as the deepest level sum
 that asked for it: at most m + 1 for m >= 0 and the bound for m < 0.  That
-store and `_delta_chains` take no key past ncalg.NF_STORE_BOUND keys.
+store and `_delta_chains` take no key past STORE_BOUND keys.
 `theta_alt` reads neither store and stays an independent check on both: its
 twisted factors q^(n^2) ((1-q)^n [n]!_q)^-1 have a store of their own,
 `_alt_factors`, built by their own recurrence.  Both factor stores grow only
@@ -38,7 +38,16 @@ import functools
 
 from .coef import ONE, ZERO, RatFunc, q_int
 from .ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, TermMap, _format_terms,
-                    add_terms, bounded_store)
+                    add_terms)
+
+STORE_BOUND = 2**18    # entries in each of _delta_chains and _binomial_rows
+
+
+def bounded_store(store, key, value):
+    """store[key] = value, unless that adds a key to a full store; value."""
+    if key in store or len(store) < STORE_BOUND:
+        store[key] = value
+    return value
 
 
 class LaurentElem(TermMap):

@@ -256,7 +256,7 @@ def _ev_add(alg, a, b):
     return _promote(alg, a) + _promote(alg, b)
 
 
-def _ev_pow(alg, base, k):
+def _ev_pow(alg, base, k, allow_x):
     if k >= 0:
         out = NcPoly.scalar(ONE)
         for _ in range(k):
@@ -267,12 +267,14 @@ def _ev_pow(alg, base, k):
         if not c:
             raise ExprDivisionByZero("negative power of 0")
         return NcPoly.scalar(c.inverse() ** (-k))
+    if allow_x and alg.N >= 2:
+        base = _promote(alg, base)  # c x_N^k is c X^k
     if isinstance(base, LaurentElem):
         mono = base.scalar_x_power()
         if mono is not None:
             c, j = mono
             inv = LaurentElem.from_poly(NcPoly.scalar(c.inverse()), -j)
-            return _ev_pow(alg, inv, -k)
+            return _ev_pow(alg, inv, -k, allow_x)
     raise ExprEvalError("negative powers are defined only for scalars and powers of X")
 
 
@@ -324,7 +326,7 @@ def evaluate(alg, source, allow_x=False):
                 acc = acc.scaled(denom.inverse())
             return acc
         if tag == "pow":
-            return _ev_pow(alg, ev(nd[1]), nd[2])
+            return _ev_pow(alg, ev(nd[1]), nd[2], allow_x)
         raise ExprEvalError("unknown node %r" % (tag,))
 
     return ev(node)

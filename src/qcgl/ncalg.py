@@ -12,7 +12,9 @@ larger letters before it, one step per inversion, each step rewriting x_j x_i
 (j > i) as lambda_ji x_i x_j + d_j(x_i) by the entry for j in x_i's rule row;
 each term of d_j(x_i) starts a path of its own.  Rightmost reduction is the
 same loop on the mirrored word (reversed, on letters N+1-g) under mirrored
-rows.
+rows.  No normal form is stored: every word a product, a derivation or
+normal_form_word forms is straightened where it is formed, its paths
+starting from the word's coefficient.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ _NAME_RE = re.compile(r"^(?:x\[\d+,\d+\]|g_\d+)$")
 _SPEC_KEYS = ("names", "torus_rank", "lambda", "delta", "level_q", "weights", "h")
 
 STEPS_BUDGET = 10**6      # rewriting steps per straightened word, by default
-NF_STORE_BOUND = 2**18    # entries in each of _nf_cache, _nf_seen, _delta_chains, _binomial_rows
 NILPOTENCE_BOUND = 64     # powers of a derivation tried before giving up, by default
 
 
@@ -63,13 +64,6 @@ def _qpow_parts(c):
     signed power of q and (1, 0, c) is returned for any other c."""
     sp = c.as_signed_q_power()
     return (1, 0, c) if sp is None else (sp[0], sp[1], None)
-
-
-def bounded_store(store, key, value):
-    """store[key] = value, unless that adds a key to a full store; value."""
-    if key in store or len(store) < NF_STORE_BOUND:
-        store[key] = value
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +372,8 @@ class OreAlgebra:
             raise ValueError("need one distinguished torus element per level")
         self.h_elems = tuple(hs)
         self.steps_budget = steps_budget
-        # leftmost normal forms by word: normal_form_word caches each word it
-        # straightens, while a word that multiply, apply_delta and the other
-        # sums form is cached from its second use; _nf_seen holds the words
-        # those sums have met once.  A store of NF_STORE_BOUND words takes no
-        # more, and a word it leaves out is straightened afresh when met again
-        self._nf_cache = {}
-        self._nf_seen = set()
-        # stores filled by delderiv: the chains [w, d_N(w), d_N^2(w), ...]
+        # no normal form is stored: each word is straightened where it is
+        # formed.  delderiv fills these stores: the chains [w, d_N(w), ...]
         # per PBW word w, theta's level factors ((1-q_N)^n [n]!)^-1, theta_alt's
         # q_N^(n^2) times those, and the Gaussian binomial rows [m n]_{q_N} by m
         self._delta_chains = {}
@@ -413,38 +401,13 @@ class OreAlgebra:
 
         Leftmost reduction rewrites the leftmost inversion first; rightmost
         reduction rewrites the rightmost one, which is leftmost reduction of
-        the mirrored word under the mirrored rows (see _straighten).  Leftmost
-        forms are cached by word; a rightmost form is straightened afresh on
-        every call, so comparing the two checks the cache too.
+        the mirrored word under the mirrored rows (see _straighten).  Each
+        call straightens afresh, so the two strategies are two independent
+        runs of the insertion loop.
         """
-        word = tuple(word)
-        if strategy == "rightmost":
-            return NcPoly(self._straighten({}, word, (1, 0, None), mirrored=True))
-        if strategy != "leftmost":
+        if strategy not in ("leftmost", "rightmost"):
             raise ValueError("unknown strategy %r" % strategy)
-        cached = self._nf_cache.get(word)
-        if cached is None:
-            cached = bounded_store(self._nf_cache, word,
-                                   NcPoly(self._straighten({}, word, (1, 0, None))))
-        return cached
-
-    def _add_normal_form(self, out, word, c):
-        """Add c * NF(word) into the dict out, as add_terms does, and return it.
-
-        A word met for the first time is straightened straight into out with
-        c as its starting coefficient and only marked; its normal form is
-        cached from its second use, so a word used once costs no stored form.
-        """
-        cached = self._nf_cache.get(word)
-        if cached is None:
-            if word not in self._nf_seen:
-                self._straighten(out, word, _qpow_parts(c))
-                if len(self._nf_seen) < NF_STORE_BOUND:
-                    self._nf_seen.add(word)
-                return out
-            self._nf_seen.remove(word)
-            cached = self.normal_form_word(word)
-        return add_terms(out, cached.terms.items(), c)
+        return NcPoly(self._straighten({}, tuple(word), ONE, strategy == "rightmost"))
 
     def _mirrored_rows(self):
         """The rows of the mirror algebra, on letters N+1-g: x_j x_i there is
@@ -461,8 +424,8 @@ class OreAlgebra:
             self._mirror_rows = mirror
         return self._mirror_rows
 
-    def _straighten(self, out, word, parts, mirrored=False):
-        """Rewrite word to sorted words, adding each leaf into the dict out.
+    def _straighten(self, out, word, c, mirrored=False):
+        """Add c * NF(word) into the dict out, as add_terms does, and return it.
 
         Leftmost reduction is insertion sort: with the prefix cur[:n] sorted,
         x = cur[n] moves left past each larger letter j, one rewriting step
@@ -471,9 +434,10 @@ class OreAlgebra:
         sorted prefix is the letters before j, and lambda_jx = 0 ends the
         path.  Under mirrored, the word is reversed on letters N+1-g and
         straightened by the mirrored rows, and its leaves mirrored back: that
-        is rightmost reduction, with the same paths and steps.  parts is the
-        starting coefficient split as by _qpow_parts; out is left as it was
-        when the step budget runs out.
+        is rightmost reduction, with the same paths and steps.  Every path
+        starts from c, split as by _qpow_parts, so a c that is a signed power
+        of q costs no Q(q) product; out is left as it was when the step budget
+        runs out.
         """
         if mirrored:
             top = self.N + 1
@@ -486,7 +450,7 @@ class OreAlgebra:
         leaves = []
         # a path is (letters, n, sign, k, rest): its letters[:n] are sorted and
         # its coefficient is rest * sign * q^k, rest None standing for 1
-        stack = [(letters, 1) + parts]
+        stack = [(letters, 1) + _qpow_parts(c)]
         steps = 0
         while stack:
             cur, n, sign, k, rest = stack.pop()
@@ -535,7 +499,7 @@ class OreAlgebra:
         for wa, ca in a.terms.items():
             for wb, cb in b.terms.items():
                 c = cb if ca.is_one() else ca if cb.is_one() else ca * cb
-                self._add_normal_form(out, wa + wb, c)
+                self._straighten(out, wa + wb, c)
         return NcPoly(out)
 
     def word_text(self, word):
@@ -587,7 +551,7 @@ class OreAlgebra:
                     head, tail = w[:t], w[t + 1:]
                     ct = c.times_qpow(k, sign)
                     for dw, dc in d.terms.items():
-                        self._add_normal_form(out, head + dw + tail, ct * dc)
+                        self._straighten(out, head + dw + tail, ct * dc)
                 s, m, rest = self._lam_parts[(j, g)]
                 sign *= s
                 k += m

@@ -37,8 +37,8 @@ def load_preset(name, steps_budget=STEPS_BUDGET):
 def _checked(doc, steps_budget, what):
     """The algebra of a spec document at steps_budget, once it passes the CGL
     axioms at the default budget, on a copy of its own when the budgets
-    differ: a small budget is no failure, and no normal form the check cached
-    escapes it.  A qmat-tagged document is certified against oqm by from_json."""
+    differ, so a small budget is no failure.  A qmat-tagged document is
+    certified against oqm by from_json."""
     alg = OreAlgebra.from_json(doc, steps_budget=steps_budget)
     if not isinstance(alg, QuantumMatrixAlgebra):
         check = alg if steps_budget == STEPS_BUDGET else OreAlgebra.from_json(doc)

@@ -156,7 +156,7 @@ class QuantumMatrixAlgebra(OreAlgebra):
             for g in w:
                 i, j = divmod(g - 1, self.n)
                 image.append(target.gen_index(j + 1, i + 1))
-            target._add_normal_form(out, tuple(image), c)
+            target._straighten(out, tuple(image), c)
         return NcPoly(out)
 
 

@@ -17,5 +17,5 @@ def random_poly(alg, rng, max_degree=3, max_terms=3, max_level=None):
     for _ in range(rng.randint(1, max_terms)):
         c = RatFunc(rng.choice((1, 1, 2, -1, 3))).times_qpow(rng.randint(-2, 2))
         w = random_word(alg, rng, max_len=max_degree, max_level=max_level)
-        alg._add_normal_form(out, w, c)
+        alg._straighten(out, w, c)
     return NcPoly(out)

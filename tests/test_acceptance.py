@@ -6,7 +6,9 @@ asserts the criterion's verdict.
 
 import io
 import json
-from contextlib import redirect_stdout
+import pathlib
+import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -183,3 +185,21 @@ def test_full_suite_through_the_cli_entry_point():
     results = verify.run_paper_suite()
     assert len(results) == 9
     assert all(r.ok for r in results), [r.name for r in results if not r.ok]
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["verify", "paper", "--json"], "verify_paper.json"),
+    (["verify", "paper", "--size", "2,2", "--json"], "verify_paper_2x2.json"),
+])
+def test_verify_paper_document_matches_its_golden_copy(argv, golden):
+    # every criterion's name, verdict and detail text, byte for byte; only
+    # the timings are masked
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    masked = re.sub(r'"seconds": [-0-9.e+]+', '"seconds": 0', out.getvalue())
+    assert (rc, err.getvalue()) == (0, "")
+    assert masked == (GOLDEN / golden).read_text()

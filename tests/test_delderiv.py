@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from qcgl import ncalg
+from qcgl import delderiv
 from qcgl.cli import main
 from qcgl.coef import ONE, Q, q_factorial, qpow
 from qcgl.delderiv import (LaurentElem, _binomial_row, _binomials, format_laurent,
@@ -329,7 +329,7 @@ def test_delderiv_stores_take_nothing_past_their_bound(monkeypatch):
     free = oqm(2, 3)
     expected = values(free)
     assert len(free._delta_chains) > 2 and len(free._binomial_rows) > 2
-    monkeypatch.setattr(ncalg, "NF_STORE_BOUND", 2)
+    monkeypatch.setattr(delderiv, "STORE_BOUND", 2)
     bounded = oqm(2, 3)
     for _ in range(2):
         assert values(bounded) == expected

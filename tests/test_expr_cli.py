@@ -78,6 +78,22 @@ def test_top_generator_is_x_in_laurent_values():
         {2: ALG.x(1, 1), 1: NcPoly.scalar(ONE)})
 
 
+def test_negative_powers_of_the_top_generator_are_powers_of_x():
+    # c x_N^k is c X^k where X is allowed, so it has negative powers there
+    for argv, printed in ((["nf", "x[2,2]^-1"], "X^-1"),
+                          (["nf", "(q*x[2,2]^2)^-1"], "q^-1*X^-2"),
+                          (["nf", "x[2,2]^-1*x[2,2]"], "1"),
+                          (["nf", "-a", "uq-sl3-plus", "g_3^-1"], "X^-1")):
+        assert run_cli(argv) == (0, printed + "\n", ""), argv
+    # a plain element, a product with lower letters and a spec-file entry
+    # still have none
+    message = "error: negative powers are defined only for scalars and powers of X\n"
+    for argv in (["qcommute", "x[2,2]^-1", "x[1,1]"], ["nf", "(x[1,1]*x[2,2])^-1"]):
+        assert run_cli(argv) == (2, "", message), argv
+    with pytest.raises(ExprEvalError, match="negative powers are defined only"):
+        eval_free("x[2,2]^-1", ALG.names)
+
+
 def test_syntax_errors_carry_positions():
     with pytest.raises(ExprSyntaxError) as err:
         parse("x[1,1] + %")

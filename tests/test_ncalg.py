@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from qcgl import ncalg
 from qcgl.coef import MINUS_ONE, ONE, Q, ZERO, qpow
 from qcgl.delderiv import _binomials
 from qcgl.ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, OreAlgebra,
@@ -501,9 +500,8 @@ def test_rewrite_table_keeps_the_step_count():
 
 
 # multiply, apply_delta and transpose_poly add c * NF(w) for each word w they
-# form: straightened straight into the sum on first sight, straightened and
-# cached on second sight, read from the cache after that.  All three paths
-# must give the reference normal forms.
+# form, straightened straight into the sum with c as its starting
+# coefficient.  Each must give the reference normal forms.
 
 def _reference_sum(alg, scaled_words):
     """Sum of c * NF(w) over (c, w) pairs, by the reference straightener."""
@@ -511,10 +509,6 @@ def _reference_sum(alg, scaled_words):
     for c, w in scaled_words:
         out = out + _reference_normal_form(alg, w, "leftmost")[0].scaled(c)
     return out
-
-
-def _fresh(alg):
-    return _with_budget(alg, alg.steps_budget)
 
 
 def _cancelling_pair(alg):
@@ -531,70 +525,48 @@ def _straightener_algebras():
 
 def test_product_paths_match_the_reference_straightener():
     rng = random.Random(14)
-    for base in _straightener_algebras():
-        pairs = [(random_poly(base, rng), random_poly(base, rng)) for _ in range(12)]
-        pairs.append((base.gen(base.N).scaled(ONE + Q), base.gen(1).scaled(qpow(-2))))
-        pairs.append(_cancelling_pair(base))
-        alg = _fresh(base)
+    for alg in _straightener_algebras():
+        pairs = [(random_poly(alg, rng), random_poly(alg, rng)) for _ in range(12)]
+        pairs.append((alg.gen(alg.N).scaled(ONE + Q), alg.gen(1).scaled(qpow(-2))))
+        pairs.append(_cancelling_pair(alg))
         for a, b in pairs:
             expected = _reference_sum(alg, [(ca * cb, wa + wb) for wa, ca in a.items()
                                             for wb, cb in b.items()])
-            for _ in ("first sight", "second sight", "cached"):
-                product = alg.multiply(a, b)
-                assert product == expected, (base, a, b)
-                assert all(product.terms.values())
+            product = alg.multiply(a, b)
+            assert product == expected, (alg, a, b)
+            assert all(product.terms.values())
         a, b = pairs[-1]
         wi, wj = sorted(b.terms)
         assert wi + wj not in alg.multiply(a, b).terms
 
 
-def test_nf_cache_holds_a_product_word_from_its_second_use():
-    rng = random.Random(15)
-    for base in _straightener_algebras():
-        a, b = random_poly(base, rng, max_terms=4), random_poly(base, rng, max_terms=4)
-        alg = _fresh(base)
-        uses = {}
-        for _ in range(3):
-            alg.multiply(a, b)
-            for wa in a.terms:
-                for wb in b.terms:
-                    uses[wa + wb] = uses.get(wa + wb, 0) + 1
-            assert set(alg._nf_cache) == {w for w, n in uses.items() if n > 1}
-            assert alg._nf_seen == {w for w, n in uses.items() if n == 1}
-        # a rightmost straightening is neither served from the cache nor cached
-        for w in uses:
-            right = alg.normal_form_word(w, "rightmost")
-            assert right == alg._nf_cache[w] and right is not alg._nf_cache[w]
-        fresh = {w[::-1] + w for w in uses} - set(alg._nf_cache)
-        for w in fresh:
-            alg.normal_form_word(w, "rightmost")
-        assert fresh and not fresh & set(alg._nf_cache)
+def test_straightening_leaves_no_per_word_state():
+    # every word is straightened where it is formed: normality checks,
+    # leftmost normal forms and d_N store nothing per word, so the algebra's
+    # containers keep their sizes (the mirrored rows are built on first use)
+    alg = oqm(4, 4)
+    det = alg.det()
 
+    def sizes():
+        return {name: len(v) for name, v in vars(alg).items()
+                if isinstance(v, (dict, set, list)) and name != "_mirror_rows"}
 
-def test_nf_stores_take_no_words_past_their_bound(monkeypatch):
-    # 4x4 det_q meets its 768 product words once per pass: the first pass
-    # marks them seen, the second caches them.  A word a full store leaves
-    # out is straightened afresh, so the verdict stays
-    free = oqm(4, 4)
-    det = free.det()
-    expected = free.is_normal(det)
-    assert expected.ok and len(free._nf_seen) == 768
-    assert free.is_normal(det) == expected and len(free._nf_cache) == 768
-    monkeypatch.setattr(ncalg, "NF_STORE_BOUND", 8)
-    bounded = oqm(4, 4)
-    sizes = []
-    for _ in range(3):
-        assert bounded.is_normal(det) == expected
-        sizes.append((len(bounded._nf_cache), len(bounded._nf_seen)))
-    assert sizes == [(0, 8), (8, 8), (8, 8)]
+    before = sizes()
+    for _ in range(2):
+        assert alg.is_normal(det).ok
+    words = [w for w, _ in det.sorted_terms()]
+    for w in words:
+        assert alg.normal_form_word(w[::-1]) == alg.normal_form_word(w[::-1], "rightmost")
+    low = alg.minor((1, 2, 3), (1, 2, 3))
+    assert alg.apply_delta(alg.N, low.scaled(ONE + Q)) == alg.apply_delta(alg.N, low).scaled(ONE + Q)
+    assert sizes() == before
 
 
 def test_delta_and_transpose_paths_match_the_reference_straightener():
     rng = random.Random(16)
-    for base in _straightener_algebras():
-        for j in range(2, base.N + 1):
-            samples = [random_poly(base, rng, max_level=j - 1) for _ in range(4)]
-            alg = _fresh(base)
+    for alg in _straightener_algebras():
+        for j in range(2, alg.N + 1):
+            samples = [random_poly(alg, rng, max_level=j - 1) for _ in range(4)]
             for a in samples:
                 # d_j(w) = sum over t of s_j(w[:t]) d_j(w[t]) w[t+1:]
                 scaled_words = []
@@ -606,8 +578,7 @@ def test_delta_and_transpose_paths_match_the_reference_straightener():
                                              for dw, dc in d.items()]
                         c = c * alg.lam[(j, g)]
                 expected = _reference_sum(alg, scaled_words)
-                for _ in ("first sight", "second sight", "cached"):
-                    assert alg.apply_delta(j, a) == expected, (base, j, a)
+                assert alg.apply_delta(j, a) == expected, (alg, j, a)
     for m, n in ((2, 3), (3, 3), (3, 2)):
         samples = [random_poly(oqm(m, n), rng, max_degree=4) for _ in range(10)]
         source = oqm(m, n)
@@ -618,8 +589,7 @@ def test_delta_and_transpose_paths_match_the_reference_straightener():
                 scaled_words.append((c, tuple(target.gen_index(j + 1, i + 1)
                                               for i, j in (divmod(g - 1, n) for g in w))))
             expected = _reference_sum(target, scaled_words)
-            for _ in ("first sight", "second sight", "cached"):
-                assert source.transpose_poly(a) == expected, (m, n, a)
+            assert source.transpose_poly(a) == expected, (m, n, a)
 
 
 def test_first_sight_budget_error_matches_normal_form_word():
@@ -642,13 +612,12 @@ def test_first_sight_budget_error_matches_normal_form_word():
                 (w, steps, _budget_message(alg, w, steps - 1))
             tight = _with_budget(alg, steps - 1)
             out = {(): ONE}
-            for _ in ("first sight", "still first sight"):
+            for _ in range(2):
                 with pytest.raises(StepBudgetExceeded) as info:
-                    tight._add_normal_form(out, w, ONE + Q)
+                    tight._straighten(out, w, ONE + Q)
                 assert (info.value.word, info.value.steps, str(info.value)) == \
                     (direct.value.word, direct.value.steps, str(direct.value))
                 assert out == {(): ONE}
-                assert w not in tight._nf_seen and not tight._nf_cache
             with pytest.raises(StepBudgetExceeded) as info:
                 tight.multiply(NcPoly({w[:1]: ONE}), NcPoly({w[1:]: Q}))
             assert info.value.word == w and info.value.steps == steps

@@ -74,7 +74,7 @@ def test_spec_files_are_checked_at_the_default_budget(tmp_path):
     path = tmp_path / "uq.json"
     path.write_text(json.dumps(uq.to_json()), encoding="utf-8")
     alg = load_algebra(str(path), steps_budget=0)
-    assert alg.spec_equals(uq) and alg.steps_budget == 0 and not alg._nf_cache
+    assert alg.spec_equals(uq) and alg.steps_budget == 0
     doc = uq.to_json()
     doc["level_q"] = [[2, "1"], [3, "q^-2"]]  # root of unity: axiom (c) fails
     path.write_text(json.dumps(doc), encoding="utf-8")
