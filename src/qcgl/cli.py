@@ -220,11 +220,11 @@ def _cmd_theta(args):
 
 def _cmd_verify(args):
     size = None
-    if args.size:
-        size = tuple(int(v) for v in args.size.split(","))
-        if len(size) != 2:
+    if args.size is not None:
+        fields = args.size.split(",")
+        if len(fields) != 2 or not all(v.strip() for v in fields):
             raise ValueError("--size expects m,n")
-        m, n = size
+        m, n = size = tuple(int(v) for v in fields)
         if not (1 <= m <= n and m * n <= SIZE_LIMIT):
             raise ValueError("--size m,n needs 1 <= m <= n and m*n <= %d" % SIZE_LIMIT)
     results = verify_mod.run_paper_suite(size=size)

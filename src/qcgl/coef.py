@@ -244,12 +244,6 @@ class RatFunc:
     __slots__ = ("n", "d", "e")
 
     def __init__(self, num=0, den=1):
-        if type(num) is int and type(den) is int and den == 1:
-            # a plain integer is already canonical (a bool takes the path below)
-            self.n = (num,) if num else _PZERO
-            self.d = _PONE
-            self.e = 0
-            return
         num, den = (_ptrim([operator.index(c) for c in ((x,) if isinstance(x, int) else x)])
                     for x in (num, den))
         if not den:

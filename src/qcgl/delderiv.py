@@ -19,11 +19,10 @@ and c_n = ((1-q)^n [n]!_q)^-1 it is the deleting-derivations map
 Each level sums the powers d^n(w) of the PBW words w of a, kept in the
 algebra's `_delta_chains`, over the Laurent coefficients of s^(m-n)(a), and
 is scaled once by c_n, so a denominator that is not a power of q costs one
-product per output word.  The c_n are built once per algebra: theta's in
-`_theta_factors`, and the rows [m n]_q of `laurent_mul` in `_binomial_rows`,
-one row per X-exponent m of a left factor, as long as the deepest level sum
-that asked for it: at most m + 1 for m >= 0 and the bound for m < 0.  That
-store and `_delta_chains` take no key past STORE_BOUND keys.
+product per output word.  theta's c_n are built once per algebra, in
+`_theta_factors`; the binomials [m n]_q of `laurent_mul` are built per level
+sum, and most ask only for [m 0] = 1, which needs no row walk.
+`_delta_chains` takes no key past STORE_BOUND keys.
 `theta_alt` reads neither store and stays an independent check on both: its
 twisted factors q^(n^2) ((1-q)^n [n]!_q)^-1 have a store of their own,
 `_alt_factors`, built by their own recurrence.  Both factor stores grow only
@@ -40,14 +39,7 @@ from .coef import ONE, ZERO, RatFunc, q_int
 from .ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, TermMap, _format_terms,
                     add_terms)
 
-STORE_BOUND = 2**18    # entries in each of _delta_chains and _binomial_rows
-
-
-def bounded_store(store, key, value):
-    """store[key] = value, unless that adds a key to a full store; value."""
-    if key in store or len(store) < STORE_BOUND:
-        store[key] = value
-    return value
+STORE_BOUND = 2**18    # entries in _delta_chains
 
 
 class LaurentElem(TermMap):
@@ -129,7 +121,9 @@ def _delta_power(alg, w, n):
     which ends with 0 once d has killed w."""
     chain = alg._delta_chains.get(w)
     if chain is None:
-        chain = bounded_store(alg._delta_chains, w, [NcPoly({w: ONE})])
+        chain = [NcPoly({w: ONE})]
+        if len(alg._delta_chains) < STORE_BOUND:
+            alg._delta_chains[w] = chain
     while len(chain) <= n and chain[-1]:
         chain.append(alg.apply_delta(alg.N, chain[-1]))
     return chain[n] if n < len(chain) else chain[-1]
@@ -156,23 +150,15 @@ def _binomials(q, m, k):
     return row[:k]
 
 
-def _binomial_row(alg, m, k):
-    """The first k Gaussian binomials [m n]_{q_N}, from the algebra's row for
-    m, built again only when a longer one is asked for."""
-    row = alg._binomial_rows.get(m)
-    if row is None or len(row) < k:
-        row = bounded_store(alg._binomial_rows, m, _binomials(alg.level_q[alg.N], m, k))
-    return row[:k]
-
-
 def laurent_mul(alg, u, v, bound=NILPOTENCE_BOUND):
     """Product in the localised skew extension, in canonical form: X^i v_j
     is the level sum with the Gaussian binomials [i n]_{q_N}, whose depth
     bound limits only i < 0."""
+    qN = alg.level_q[alg.N]
     out = {}
     for i, ui in u.items():
         for j, vj in v.items():
-            w = _level_sum(alg, vj, i, functools.partial(_binomial_row, alg, i),
+            w = _level_sum(alg, vj, i, functools.partial(_binomials, qN, i),
                            bound if i < 0 else None, "X^-1 commutation")
             add_terms(out, ((k + j, alg.multiply(ui, wk)) for k, wk in w.items()))
     return LaurentElem(out)

@@ -73,22 +73,13 @@ def _qpow_parts(c):
 def add_terms(out, items, c=None):
     """Add (key, value) pairs into the dict out in place and return it.
 
-    Each value is first multiplied by the scalar c when one is given; a c
-    that is a signed power of q scales by times_qpow, with no Q(q) product.
-    A key whose sum cancels is dropped, so out never stores a zero.  Values
-    are RatFunc coefficients or, for Laurent elements, NcPoly coefficients.
+    Each value is first multiplied by the scalar c when one is given.  A key
+    whose sum cancels is dropped, so out never stores a zero.  Values are
+    RatFunc coefficients or, for Laurent elements, NcPoly coefficients.
     """
-    sign, e = 1, 0
-    if c is not None:
-        parts = c.as_signed_q_power()
-        if parts is not None:
-            sign, e = parts
-            c = None
     for k, v in items:
         if c is not None:
             v = v * c
-        elif e or sign < 0:
-            v = v.times_qpow(e, sign)
         acc = out.get(k)
         if acc is not None:
             v = acc + v
@@ -171,8 +162,7 @@ class NcPoly(TermMap):
         return None
 
     def scaled(self, c):
-        """c times the polynomial, through add_terms, so a signed power of q
-        shifts each coefficient with no Q(q) product."""
+        """c times the polynomial, through add_terms."""
         c = c if isinstance(c, RatFunc) else RatFunc(c)
         return NcPoly(add_terms({}, self.terms.items(), c))
 
@@ -374,12 +364,11 @@ class OreAlgebra:
         self.steps_budget = steps_budget
         # no normal form is stored: each word is straightened where it is
         # formed.  delderiv fills these stores: the chains [w, d_N(w), ...]
-        # per PBW word w, theta's level factors ((1-q_N)^n [n]!)^-1, theta_alt's
-        # q_N^(n^2) times those, and the Gaussian binomial rows [m n]_{q_N} by m
+        # per PBW word w, theta's level factors ((1-q_N)^n [n]!)^-1 and
+        # theta_alt's q_N^(n^2) times those
         self._delta_chains = {}
         self._theta_factors = [ONE]
         self._alt_factors = [ONE]
-        self._binomial_rows = {}
 
     # -- constructors of elements -------------------------------------------
 

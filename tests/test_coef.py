@@ -98,15 +98,15 @@ def test_integer_interop():
 
 
 def test_integer_constructor_builds_the_canonical_form():
-    for n in (0, 1, -1, 7, -7):
-        built = RatFunc(n)
-        reference = RatFunc((n,), (1,))
-        assert (built.num, built.den) == (reference.num, reference.den)
-        assert all(type(c) is int for c in built.num + built.den)
-    # a bool is no plain int: it takes the reducing path and becomes 1
+    for k in (0, 1, -1, 7, -7, 3 ** 80, -(2 ** 70), True):
+        built = RatFunc(k)
+        reference = RatFunc((k,), (1,))
+        assert (built.n, built.d, built.e) == (reference.n, reference.d, reference.e), k
+        assert hash(built) == hash(reference) == hash(k), k
+        assert all(type(c) is int for c in built.n + built.d)
+    # a bool becomes the integer 1
     assert RatFunc(True) == ONE
-    assert (RatFunc(True).num, RatFunc(True).den) == (ONE.num, ONE.den)
-    assert type(RatFunc(True).num[0]) is int
+    assert (RatFunc(True).n, RatFunc(True).d, RatFunc(True).e) == (ONE.n, ONE.d, ONE.e)
     # a negative denominator moves its sign up; a float is refused
     assert RatFunc((0, 2), (0, -4)) == RatFunc(-1, 2)
     for bad in (1.5, (1.5,), (1, 2.0)):

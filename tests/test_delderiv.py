@@ -8,9 +8,9 @@ import pytest
 
 from qcgl import delderiv
 from qcgl.cli import main
-from qcgl.coef import ONE, Q, q_factorial, qpow
-from qcgl.delderiv import (LaurentElem, _binomial_row, _binomials, format_laurent,
-                           laurent_mul, theta, theta_alt)
+from qcgl.coef import ONE, Q, ZERO, q_factorial, qpow
+from qcgl.delderiv import (LaurentElem, _binomials, format_laurent, laurent_mul, theta,
+                           theta_alt)
 from qcgl.ncalg import NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, OreAlgebra
 from qcgl.presets import load_preset
 from qcgl.qmat import oqm
@@ -302,20 +302,23 @@ def test_theta_bound_verdict_builds_no_level_factor():
     assert len(nonnil._alt_factors) == 1
 
 
-def test_stored_binomial_rows_equal_fresh_rows():
-    # a row is built again when a longer one is asked for, and a shorter
-    # request is served from the longer row
-    for alg in (oqm(2, 2), _weyl(), load_preset("uq-sl3-plus")):
-        q = alg.level_q[alg.N]
-        for k in (2, 6, 3):
-            for m in range(-3, 4):
-                assert _binomial_row(alg, m, k) == _binomials(q, m, k)
-        for m in range(-3, 4):
-            assert alg._binomial_rows[m] == _binomials(q, m, 6)
+def test_binomials_match_closed_forms():
+    # [m 0] = 1; for m >= 0, [m m] = 1 and [m n] = 0 past it; and
+    # [-1 n] = (-1)^n q^(-n(n+1)/2).  A shorter row is a prefix of a longer one.
+    for q in (Q, qpow(-2), Q + 1):
+        for m in range(-3, 5):
+            row = _binomials(q, m, 7)
+            assert row[0] == ONE
+            if m >= 0:
+                assert row[m:] == [ONE] + [ZERO] * (6 - m), (q, m)
+            for k in range(1, 7):
+                assert _binomials(q, m, k) == row[:k], (q, m, k)
+        assert _binomials(q, -1, 7) == [q ** -(n * (n + 1) // 2) * (-1) ** n
+                                        for n in range(7)], q
 
 
 def test_delderiv_stores_take_nothing_past_their_bound(monkeypatch):
-    # a full store takes no new chain or row; what it leaves out is built
+    # a full _delta_chains takes no new chain; a chain it leaves out is built
     # for the call alone, so the values stay
     rng = random.Random(21)
     sample = [random_poly(oqm(2, 3), rng, max_degree=3, max_level=5) for _ in range(8)]
@@ -328,12 +331,12 @@ def test_delderiv_stores_take_nothing_past_their_bound(monkeypatch):
 
     free = oqm(2, 3)
     expected = values(free)
-    assert len(free._delta_chains) > 2 and len(free._binomial_rows) > 2
+    assert len(free._delta_chains) > 2
     monkeypatch.setattr(delderiv, "STORE_BOUND", 2)
     bounded = oqm(2, 3)
     for _ in range(2):
         assert values(bounded) == expected
-        assert len(bounded._delta_chains) == 2 and len(bounded._binomial_rows) == 2
+        assert len(bounded._delta_chains) == 2
 
 
 def test_x_power_binomial_work_is_linear_in_the_exponent():

@@ -1,11 +1,15 @@
 import io
 import json
 import random
+import re
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+from qcgl import qmat
 from qcgl.cauchon import CauchonDiagram, count, enumerate_diagrams
 from qcgl.cli import LIST_LIMIT, main
 from qcgl.coef import ONE, Q, RatFunc
@@ -384,7 +388,7 @@ def test_cli_verify_small():
 
 
 def test_cli_verify_size_bounds():
-    for size in ("0,2", "3,2", "5,5"):
+    for size in ("0,2", "3,2", "5,5", "", " ", "2", ",3"):
         rc, _, err = run_cli(["verify", "paper", "--size", size])
         assert rc == 2 and err.startswith("error:"), size
     rc, _, _ = run_cli(["verify", "paper", "--size", "2,3"])
@@ -536,6 +540,47 @@ def test_cli_quantum_matrix_size_bound(tmp_path):
                  ["axioms", "-a", str(path)]):
         rc, out, err = run_cli(argv)
         assert rc == 2 and err.startswith("error:") and "at most 400" in err, argv
+
+
+def test_cli_minor_size_bound(monkeypatch):
+    # a minor on t rows sums t! words: 10 rows are refused before any is formed
+    def no_enumeration(*args):
+        raise AssertionError("permutations enumerated")
+
+    monkeypatch.setattr(qmat, "permutations", no_enumeration)
+    ten = ",".join(map(str, range(1, 11)))
+    for argv in (["minor", "-a", "qmat:10,10", ten, ten],
+                 ["nf", "-a", "qmat:10,10", "[%s|%s]" % (ten, ten)]):
+        rc, out, err = run_cli(argv)
+        assert rc == 2 and not out and err.startswith("error:"), argv
+        assert "at most %d rows" % qmat.MAX_MINOR_ROWS in err, argv
+    with pytest.raises(AssertionError, match="permutations enumerated"):
+        oqm(9, 9).minor(range(1, 10), range(1, 10))
+
+
+# README examples whose comment is their literal output
+README_EXAMPLES = (
+    'qcgl nf "x[2,2]*x[1,1]"',
+    "qcgl minor 1,2 1,2",
+    'qcgl qcommute "x[1,2]" "x[1,1]"',
+    'qcgl weight "x[1,1]"',
+    "qcgl cauchon count 2 2",
+    "qcgl cauchon count 5 5",
+    'qcgl theta "x[1,1]"',
+)
+
+
+def test_readme_examples_print_their_comments():
+    # an example's first output line is its comment, less a parenthesised note
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    comments = {}
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        command, sep, comment = line.partition("  # ")
+        if sep and command.startswith("qcgl "):
+            comments[command.strip()] = re.sub(r" \(.*\)$", "", comment.strip())
+    for command in README_EXAMPLES:
+        rc, out, _ = run_cli(shlex.split(command)[1:])
+        assert rc == 0 and out.splitlines()[0] == comments[command], command
 
 
 def test_cli_uq_preset_relation():
