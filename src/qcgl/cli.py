@@ -108,8 +108,11 @@ def build_parser():
 # result whose "diagrams" is [] gives, as its text, the JSON text of that array.
 
 
-def _load(args):
-    return load_algebra(args.algebra, steps_budget=args.steps_budget)
+def _load(args, load=load_algebra):
+    # loaded, and checked, at the default budget; the command runs at its own
+    alg = load(args.algebra)
+    alg.steps_budget = args.steps_budget
+    return alg
 
 
 def _cmd_algebra(args):
@@ -241,7 +244,7 @@ def _cmd_verify(args):
 
 
 def _cmd_axioms(args):
-    alg = load_unchecked(args.algebra, steps_budget=args.steps_budget)
+    alg = _load(args, load_unchecked)
     report = alg.check_cgl_axioms(nilpotence_bound=args.nilpotence_bound)
     result = {"ok": report.ok, "checks": [
         {"level": c.level, "axiom": c.axiom, "ok": c.ok, "detail": c.detail}

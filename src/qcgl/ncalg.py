@@ -265,6 +265,16 @@ class AxiomReport:
 # the algebra
 
 
+def _unique(table, entries):
+    """The dict of a spec document's (key, value) entries, each key at most once."""
+    out = {}
+    for key, value in entries:
+        if key in out:
+            raise ValueError("duplicate %s entry %s" % (table, str(key).replace(" ", "")))
+        out[key] = value
+    return out
+
+
 class OreAlgebra:
     """Straightening datum of an iterated Ore extension of CGL type.
 
@@ -274,8 +284,7 @@ class OreAlgebra:
     then rejected by the checker.
     """
 
-    def __init__(self, names, lam, delta, level_q, torus_rank, weights,
-                 h_elems, steps_budget=STEPS_BUDGET):
+    def __init__(self, names, lam, delta, level_q, torus_rank, weights, h_elems):
         names = tuple(names)
         N = len(names)
         if N == 0:
@@ -296,6 +305,9 @@ class OreAlgebra:
                 except KeyError:
                     raise ValueError("missing straightening coefficient lambda(%d,%d)" % (j, i))
                 self.lam[(j, i)] = v if isinstance(v, RatFunc) else RatFunc(v)
+        for j, i in lam:
+            if (j, i) not in self.lam:
+                raise ValueError("lambda index (%s,%s) out of range" % (j, i))
         self.delta = {}
         for (j, i), p in delta.items():
             if not (1 <= i < j <= N):
@@ -341,6 +353,9 @@ class OreAlgebra:
             except KeyError:
                 raise ValueError("missing level constant q_%d" % j)
             self.level_q[j] = v if isinstance(v, RatFunc) else RatFunc(v)
+        for j in level_q:
+            if j not in self.level_q:
+                raise ValueError("level_q index %s out of range" % (j,))
         if type(torus_rank) is not int:
             raise ValueError("torus rank must be an integer, not %r" % (torus_rank,))
         self.torus_rank = torus_rank
@@ -361,7 +376,8 @@ class OreAlgebra:
         if len(hs) != N:
             raise ValueError("need one distinguished torus element per level")
         self.h_elems = tuple(hs)
-        self.steps_budget = steps_budget
+        # the step budget of each straightened word; the CLI sets it after loading
+        self.steps_budget = STEPS_BUDGET
         # no normal form is stored: each word is straightened where it is
         # formed.  delderiv fills these stores: the chains [w, d_N(w), ...]
         # per PBW word w, theta's level factors ((1-q_N)^n [n]!)^-1 and
@@ -749,7 +765,7 @@ class OreAlgebra:
         }
 
     @classmethod
-    def from_json(cls, doc, steps_budget=STEPS_BUDGET):
+    def from_json(cls, doc):
         from .expr import eval_free, parse, parse_scalar
 
         if not isinstance(doc, dict) or doc.get("format") != "cgl-spec-v1":
@@ -760,19 +776,21 @@ class OreAlgebra:
         try:
             names = list(doc["names"])
             # parse() takes strings only, so no entry is taken as a syntax tree
-            lam = {(j, i): parse_scalar(parse(s)) for j, i, s in doc["lambda"]}
-            delta = {(j, i): eval_free(parse(s), names) for j, i, s in doc["delta"]}
-            level_q = {j: parse_scalar(parse(s)) for j, s in doc["level_q"]}
+            lam = _unique("lambda", (((j, i), parse_scalar(parse(s)))
+                                     for j, i, s in doc["lambda"]))
+            delta = _unique("delta", (((j, i), eval_free(parse(s), names))
+                                      for j, i, s in doc["delta"]))
+            level_q = _unique("level_q", ((j, parse_scalar(parse(s)))
+                                          for j, s in doc["level_q"]))
             weights = [tuple(w) for w in doc["weights"]]
             h = [tuple(parse_scalar(parse(s)) for s in row) for row in doc["h"]]
-            alg = cls(names, lam, delta, level_q, doc["torus_rank"], weights, h,
-                      steps_budget=steps_budget)
+            alg = cls(names, lam, delta, level_q, doc["torus_rank"], weights, h)
             shape = doc.get("qmat")
             if not shape:
                 return alg
             from .qmat import oqm
 
-            tagged = oqm(shape[0], shape[1], steps_budget=steps_budget)
+            tagged = oqm(shape[0], shape[1])
         except (TypeError, IndexError) as exc:
             raise ValueError("malformed cgl-spec-v1 document: %s" % exc) from exc
         if not tagged.spec_equals(alg):
@@ -788,7 +806,7 @@ class OreAlgebra:
 # presets
 
 
-def quantum_plane(steps_budget=STEPS_BUDGET):
+def quantum_plane():
     """The quantum affine plane: g_2 g_1 = q g_1 g_2, no correction terms."""
     from .coef import Q
 
@@ -800,5 +818,4 @@ def quantum_plane(steps_budget=STEPS_BUDGET):
         torus_rank=2,
         weights=[(1, 0), (0, 1)],
         h_elems=[(Q, ONE), (Q, Q)],
-        steps_budget=steps_budget,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import permutations
 
 from .coef import ONE, Q, qpow
-from .ncalg import STEPS_BUDGET, NcPoly, OreAlgebra
+from .ncalg import NcPoly, OreAlgebra
 
 
 # The straightening datum holds about (mn)^2/2 eigenvalues.  On a 2-CPU
@@ -28,7 +28,7 @@ MAX_MINOR_ROWS = 9
 class QuantumMatrixAlgebra(OreAlgebra):
     """O_q of the m x n quantum matrices, generators in row-major order."""
 
-    def __init__(self, m, n, steps_budget=STEPS_BUDGET):
+    def __init__(self, m, n):
         if m < 1 or n < 1:
             raise ValueError("grid dimensions must be positive")
         if m * n > MAX_GENERATORS:
@@ -49,12 +49,8 @@ class QuantumMatrixAlgebra(OreAlgebra):
                         iidx = (i - 1) * n + j
                         if iidx >= jidx:
                             continue
-                        if i == k or j == l:
-                            lam[(jidx, iidx)] = q_inv
-                        elif j > l:
-                            lam[(jidx, iidx)] = ONE
-                        else:
-                            lam[(jidx, iidx)] = ONE
+                        lam[(jidx, iidx)] = q_inv if i == k or j == l else ONE
+                        if i < k and j < l:
                             word = ((i - 1) * n + l, (k - 1) * n + j)
                             delta[(jidx, iidx)] = NcPoly({word: minus_corr})
         level_q = {j: qpow(-2) for j in range(2, m * n + 1)}
@@ -71,8 +67,7 @@ class QuantumMatrixAlgebra(OreAlgebra):
                 h[k - 1] = q_inv
                 h[m + l - 1] = q_inv
                 h_elems.append(tuple(h))
-        super().__init__(names, lam, delta, level_q, r, weights, h_elems,
-                         steps_budget=steps_budget)
+        super().__init__(names, lam, delta, level_q, r, weights, h_elems)
 
     def to_json(self):
         """The spec document, tagged with the grid so that loading it builds oqm(m, n)."""
@@ -148,8 +143,10 @@ class QuantumMatrixAlgebra(OreAlgebra):
     # -- transposition ---------------------------------------------------------
 
     def transposed(self):
-        """The n x m algebra, built afresh on each call."""
-        return QuantumMatrixAlgebra(self.n, self.m, steps_budget=self.steps_budget)
+        """The n x m algebra, built afresh on each call, with this one's step budget."""
+        target = QuantumMatrixAlgebra(self.n, self.m)
+        target.steps_budget = self.steps_budget
+        return target
 
     def transpose_poly(self, a):
         """Image of a under x[i,j] -> x[j,i], renormalised in the n x m algebra."""
@@ -164,7 +161,7 @@ class QuantumMatrixAlgebra(OreAlgebra):
         return NcPoly(out)
 
 
-def oqm(m, n, steps_budget=STEPS_BUDGET):
+def oqm(m, n):
     """The generic quantum matrix algebra on an m x n grid."""
-    return QuantumMatrixAlgebra(m, n, steps_budget=steps_budget)
+    return QuantumMatrixAlgebra(m, n)
 

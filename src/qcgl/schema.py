@@ -15,6 +15,13 @@ _CHECK = {
     "additionalProperties": False,
 }
 
+# the result of nf, minor and theta: one printed value
+_VALUE = {
+    "type": "object", "required": ["value"],
+    "properties": {"value": {"type": "string"}},
+    "additionalProperties": False,
+}
+
 _AXIOM_CHECK = {
     "type": "object",
     "required": ["level", "axiom", "ok"],
@@ -48,21 +55,9 @@ OUTPUT_SCHEMA = {
         "result": {"type": "object"},
     },
     "allOf": [
-        _when("nf", {
-            "type": "object", "required": ["value"],
-            "properties": {"value": {"type": "string"}},
-            "additionalProperties": False,
-        }),
-        _when("minor", {
-            "type": "object", "required": ["value"],
-            "properties": {"value": {"type": "string"}},
-            "additionalProperties": False,
-        }),
-        _when("theta", {
-            "type": "object", "required": ["value"],
-            "properties": {"value": {"type": "string"}},
-            "additionalProperties": False,
-        }),
+        _when("nf", _VALUE),
+        _when("minor", _VALUE),
+        _when("theta", _VALUE),
         _when("qcommute", {
             "type": "object", "required": ["exponent"],
             "properties": {"exponent": {"type": ["integer", "null"]}},

@@ -407,7 +407,7 @@ def run_paper_suite(size=None):
     else:
         size = tuple(size)
         sizes = (size,)
-        det_ns = (size[0],) if size[0] == size[1] else (min(size),)
+        det_ns = (min(size),)
         theta_shapes = (size,) if size in ((2, 2), (2, 3)) else ((2, 2),)
         grass_sizes = (size,) if size in ((2, 3), (2, 4)) else ((2, 3),)
     return [

@@ -583,6 +583,20 @@ def test_readme_examples_print_their_comments():
         assert rc == 0 and out.splitlines()[0] == comments[command], command
 
 
+def test_readme_library_block_prints_its_comment():
+    # the block runs as written: its assert holds, it prints the comment on
+    # its print line, and it sets no attribute an algebra does not have
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    (comment,) = [line.partition("  # ")[2] for line in block.splitlines()
+                  if line.startswith("print(")]
+    namespace, out = {}, io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert "assert " in block and out.getvalue() == comment + "\n"
+    assert vars(namespace["alg"]).keys() == vars(oqm(2, 2)).keys()
+
+
 def test_cli_uq_preset_relation():
     # g_3 g_1 = q g_1 g_3 - q g_2 in the quantized enveloping preset
     rc, out, _ = run_cli(["nf", "-a", "uq-sl3-plus", "g_3*g_1"])

@@ -319,7 +319,9 @@ def test_a_correction_above_its_level_is_refused():
 
 
 def test_overlap_check_reports_an_exhausted_budget():
-    checks = _overlap_checks(oqm(2, 2, steps_budget=1))
+    alg = oqm(2, 2)
+    alg.steps_budget = 1
+    checks = _overlap_checks(alg)
     assert not all(c.ok for c in checks)
     assert any("step budget" in c.detail for c in checks)
 
@@ -403,7 +405,8 @@ def test_strategy_independence():
 
 
 def test_steps_budget_guard():
-    tiny = oqm(2, 2, steps_budget=1)
+    tiny = oqm(2, 2)
+    tiny.steps_budget = 1
     with pytest.raises(StepBudgetExceeded) as info:
         tiny.normal_form_word((4, 4, 1, 1))
     assert info.value.word == (4, 4, 1, 1)
@@ -455,8 +458,8 @@ def _general_coefficient_algebra():
 
 
 def _with_budget(alg, budget):
-    return OreAlgebra(alg.names, alg.lam, alg.delta, alg.level_q, alg.torus_rank,
-                      alg.weights, alg.h_elems, steps_budget=budget)
+    alg.steps_budget = budget
+    return alg
 
 
 def test_rewrite_table_matches_the_reference_straightener():

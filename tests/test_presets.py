@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -41,8 +42,8 @@ def test_small_step_budgets_do_not_fail_the_preset_check(capsys):
     # overlap check (g) straightens g_3*g_2*g_1 in 3 steps: the load-time
     # check runs at the default budget, the algebra straightens at the given one
     for budget in (0, 1, 2):
-        alg = load_preset("uq-sl3-plus", steps_budget=budget)
-        assert alg.steps_budget == budget
+        alg = load_preset("uq-sl3-plus")
+        alg.steps_budget = budget
         with pytest.raises(StepBudgetExceeded):
             alg.normal_form_word((3, 2, 1))
         assert _cli(["nf", "-a", "uq-sl3-plus", "--steps-budget", str(budget), "g_1"],
@@ -51,7 +52,8 @@ def test_small_step_budgets_do_not_fail_the_preset_check(capsys):
     assert rc == 1 and "straightening g_2*g_3*g_1 exceeded 1 steps" in text
     rc, text = _cli(["axioms", "-a", "uq-sl3-plus", "--steps-budget", "2"], capsys)
     assert rc == 1 and "FAIL level 3 (g)" in text
-    assert load_preset("uq-sl3-plus", steps_budget=3).check_cgl_axioms().ok
+    alg.steps_budget = 3
+    assert alg.check_cgl_axioms().ok
 
 
 def test_load_algebra_tokens(tmp_path):
@@ -67,17 +69,41 @@ def test_load_algebra_tokens(tmp_path):
     assert load_algebra(str(path)).spec_equals(quantum_plane())
 
 
-def test_spec_files_are_checked_at_the_default_budget(tmp_path):
-    # a spec file goes through the preset's check: a small budget is no
-    # failure, and a file that fails the axioms loads only unchecked
+def test_spec_files_are_checked_at_the_default_budget(tmp_path, capsys):
+    # a spec file goes through the preset's check, at the default budget, since
+    # the CLI lowers the budget only after loading: a small budget is no
+    # failure, except to `axioms`, whose own check runs at it; a file that
+    # fails the axioms loads only unchecked
     uq = load_preset("uq-sl3-plus")
     path = tmp_path / "uq.json"
     path.write_text(json.dumps(uq.to_json()), encoding="utf-8")
-    alg = load_algebra(str(path), steps_budget=0)
-    assert alg.spec_equals(uq) and alg.steps_budget == 0
+    assert load_algebra(str(path)).spec_equals(uq)
+    assert _cli(["nf", "-a", str(path), "--steps-budget", "0", "g_1"], capsys) == (0, "g_1\n")
+    rc, text = _cli(["axioms", "-a", str(path), "--steps-budget", "2"], capsys)
+    assert rc == 1 and "FAIL level 3 (g)" in text
     doc = uq.to_json()
     doc["level_q"] = [[2, "1"], [3, "q^-2"]]  # root of unity: axiom (c) fails
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match="spec file .* fails the CGL axioms"):
         load_algebra(str(path))
     assert not presets.load_unchecked(str(path)).check_cgl_axioms().ok
+
+
+# qplane spec files with one bad table entry each, and the error each must give
+_PLANE_DOC = quantum_plane().to_json()
+BAD_ENTRIES = (
+    ("lambda", [[2, 1, "q"], [3, 1, "q"]], r"lambda index \(3,1\) out of range"),
+    ("lambda", [[2, 1, "q"], [1, 2, "q"]], r"lambda index \(1,2\) out of range"),
+    ("level_q", [[2, "q"], [7, "q"]], "level_q index 7 out of range"),
+    ("lambda", [[2, 1, "q"], [2, 1, "q^2"]], r"duplicate lambda entry \(2,1\)"),
+    ("delta", [[2, 1, "1"], [2, 1, "g_1"]], r"duplicate delta entry \(2,1\)"),
+    ("level_q", [[2, "q"], [2, "q^2"]], "duplicate level_q entry 2"),
+)
+
+
+@pytest.mark.parametrize("key, entries, message", BAD_ENTRIES)
+def test_spec_files_refuse_bad_table_entries(key, entries, message, tmp_path, capsys):
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(dict(_PLANE_DOC, **{key: entries})), encoding="utf-8")
+    rc, text = _cli(["axioms", "-a", str(path)], capsys)
+    assert rc == 2 and re.fullmatch("error: %s\n" % message, text), text
