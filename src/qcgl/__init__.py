@@ -14,13 +14,12 @@ from .ncalg import (
     OreAlgebra,
     StepBudgetExceeded,
     format_poly,
-    quantum_plane,
 )
 from .qmat import QuantumMatrixAlgebra, oqm
 from .cauchon import CauchonDiagram, count, count_by_black, enumerate_diagrams, is_valid
 from .delderiv import LaurentElem, format_laurent, laurent_mul, theta, theta_alt
 from .grassmann import extremal_normality_report, maximal_minors
-from .presets import load_algebra, load_preset
+from .presets import load_algebra, load_preset, quantum_plane
 
 __version__ = "0.1.0"
 

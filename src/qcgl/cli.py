@@ -21,7 +21,6 @@ from .expr import evaluate
 from .ncalg import (NILPOTENCE_BOUND, STEPS_BUDGET, NcPoly, NilpotenceBoundExceeded,
                     StepBudgetExceeded, format_poly)
 from .presets import load_algebra, load_preset, load_unchecked
-from .qmat import oqm
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -116,22 +115,16 @@ def _load(args, load=load_algebra):
 
 
 def _cmd_algebra(args):
+    form = {"qmat": "M N", "qplane": "", "preset": "NAME"}[args.kind]
+    if len(args.params) != len(form.split()):
+        raise ValueError(("usage: algebra %s %s" % (args.kind, form)).rstrip())
     if args.kind == "qmat":
-        if len(args.params) != 2:
-            raise ValueError("usage: algebra qmat M N")
-        alg = oqm(int(args.params[0]), int(args.params[1]))
-        label = "qmat:%s,%s" % tuple(args.params)
-    elif args.kind == "qplane":
-        if args.params:
-            raise ValueError("usage: algebra qplane")
-        alg = load_preset("qplane")
-        label = "qplane"
+        # the envelope names the printed algebra
+        args.algebra = "qmat:%s,%s" % tuple(args.params)
+        alg = load_algebra(args.algebra)
     else:
-        if len(args.params) != 1:
-            raise ValueError("usage: algebra preset NAME")
-        alg = load_preset(args.params[0])
-        label = args.params[0]
-    args.algebra = label  # the envelope names the printed algebra
+        args.algebra = args.params[0] if args.params else "qplane"
+        alg = load_preset(args.algebra)
     doc = alg.to_json()
     return True, {"spec": doc}, json.dumps(doc, indent=2)
 
@@ -150,8 +143,10 @@ def _cmd_minor(args):
     alg = _load(args)
     if not hasattr(alg, "minor"):
         raise ValueError("minors need a quantum matrix algebra (use --algebra qmat:M,N)")
-    rows = tuple(int(v) for v in args.rows.split(","))
-    cols = tuple(int(v) for v in args.cols.split(","))
+    try:
+        rows, cols = (tuple(int(v) for v in arg.split(",")) for arg in (args.rows, args.cols))
+    except ValueError:
+        raise ValueError("minor expects comma-separated integer indices, e.g. 1,2 1,3") from None
     text = format_poly(alg.names, alg.minor(rows, cols))
     return True, {"value": text}, text
 
@@ -224,10 +219,10 @@ def _cmd_theta(args):
 def _cmd_verify(args):
     size = None
     if args.size is not None:
-        fields = args.size.split(",")
-        if len(fields) != 2 or not all(v.strip() for v in fields):
-            raise ValueError("--size expects m,n")
-        m, n = size = tuple(int(v) for v in fields)
+        try:
+            m, n = size = tuple(int(v) for v in args.size.split(","))
+        except ValueError:  # a wrong field count, or a field that is no integer
+            raise ValueError("--size expects m,n") from None
         if not (1 <= m <= n and m * n <= SIZE_LIMIT):
             raise ValueError("--size m,n needs 1 <= m <= n and m*n <= %d" % SIZE_LIMIT)
     results = verify_mod.run_paper_suite(size=size)

@@ -19,6 +19,7 @@ starting from the word's coefficient.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from dataclasses import dataclass
@@ -273,6 +274,15 @@ def _unique(table, entries):
             raise ValueError("duplicate %s entry %s" % (table, str(key).replace(" ", "")))
         out[key] = value
     return out
+
+
+def _rows(doc, table, width):
+    """The entries of a spec document's table, each a list of `width` fields."""
+    for entry in doc[table]:
+        if not isinstance(entry, (list, tuple)) or len(entry) != width:
+            raise ValueError("%s entry %s needs %d fields"
+                             % (table, json.dumps(entry), width))
+        yield entry
 
 
 class OreAlgebra:
@@ -766,6 +776,8 @@ class OreAlgebra:
 
     @classmethod
     def from_json(cls, doc):
+        """The algebra of a cgl-spec-v1 document, built as written: keys outside
+        the spec, such as a family tag, are not read."""
         from .expr import eval_free, parse, parse_scalar
 
         if not isinstance(doc, dict) or doc.get("format") != "cgl-spec-v1":
@@ -777,45 +789,16 @@ class OreAlgebra:
             names = list(doc["names"])
             # parse() takes strings only, so no entry is taken as a syntax tree
             lam = _unique("lambda", (((j, i), parse_scalar(parse(s)))
-                                     for j, i, s in doc["lambda"]))
+                                     for j, i, s in _rows(doc, "lambda", 3)))
             delta = _unique("delta", (((j, i), eval_free(parse(s), names))
-                                      for j, i, s in doc["delta"]))
+                                      for j, i, s in _rows(doc, "delta", 3)))
             level_q = _unique("level_q", ((j, parse_scalar(parse(s)))
-                                          for j, s in doc["level_q"]))
+                                          for j, s in _rows(doc, "level_q", 2)))
             weights = [tuple(w) for w in doc["weights"]]
             h = [tuple(parse_scalar(parse(s)) for s in row) for row in doc["h"]]
-            alg = cls(names, lam, delta, level_q, doc["torus_rank"], weights, h)
-            shape = doc.get("qmat")
-            if not shape:
-                return alg
-            from .qmat import oqm
-
-            tagged = oqm(shape[0], shape[1])
+            return cls(names, lam, delta, level_q, doc["torus_rank"], weights, h)
         except (TypeError, IndexError) as exc:
             raise ValueError("malformed cgl-spec-v1 document: %s" % exc) from exc
-        if not tagged.spec_equals(alg):
-            raise ValueError("qmat-tagged document does not match oqm(%d,%d)"
-                             % (shape[0], shape[1]))
-        return tagged
 
     def __repr__(self):
         return "<OreAlgebra on %d generators: %s>" % (self.N, ", ".join(self.names))
-
-
-# ---------------------------------------------------------------------------
-# presets
-
-
-def quantum_plane():
-    """The quantum affine plane: g_2 g_1 = q g_1 g_2, no correction terms."""
-    from .coef import Q
-
-    return OreAlgebra(
-        names=("g_1", "g_2"),
-        lam={(2, 1): Q},
-        delta={},
-        level_q={2: Q},
-        torus_rank=2,
-        weights=[(1, 0), (0, 1)],
-        h_elems=[(Q, ONE), (Q, Q)],
-    )

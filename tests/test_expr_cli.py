@@ -16,7 +16,8 @@ from qcgl.coef import ONE, Q, RatFunc
 from qcgl.delderiv import LaurentElem, format_laurent, theta
 from qcgl.expr import (MAX_EXPONENT, ExprEvalError, ExprSyntaxError, eval_free,
                        evaluate, parse, parse_scalar)
-from qcgl.ncalg import NcPoly, format_poly, quantum_plane
+from qcgl.ncalg import NcPoly, format_poly
+from qcgl.presets import quantum_plane
 from qcgl.qmat import oqm
 from qcgl.schema import OUTPUT_SCHEMA
 from qcgl.verify import mutated_specs
@@ -388,9 +389,10 @@ def test_cli_verify_small():
 
 
 def test_cli_verify_size_bounds():
-    for size in ("0,2", "3,2", "5,5", "", " ", "2", ",3"):
+    for size in ("0,2", "3,2", "5,5", "", " ", "2", ",3", "2,x"):
         rc, _, err = run_cli(["verify", "paper", "--size", size])
         assert rc == 2 and err.startswith("error:"), size
+    assert run_cli(["verify", "paper", "--size", "2,x"]) == (2, "", "error: --size expects m,n\n")
     rc, _, _ = run_cli(["verify", "paper", "--size", "2,3"])
     assert rc == 0
 
@@ -556,6 +558,10 @@ def test_cli_minor_size_bound(monkeypatch):
         assert "at most %d rows" % qmat.MAX_MINOR_ROWS in err, argv
     with pytest.raises(AssertionError, match="permutations enumerated"):
         oqm(9, 9).minor(range(1, 10), range(1, 10))
+    # an index that is no integer names the form minor expects
+    for rows, cols in (("1,x", "1,2"), ("1,2", "1,"), ("", "1")):
+        assert run_cli(["minor", rows, cols]) == (
+            2, "", "error: minor expects comma-separated integer indices, e.g. 1,2 1,3\n")
 
 
 # README examples whose comment is their literal output

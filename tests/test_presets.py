@@ -5,8 +5,9 @@ import pytest
 
 from qcgl import presets
 from qcgl.cli import main
-from qcgl.ncalg import StepBudgetExceeded, quantum_plane
-from qcgl.presets import load_algebra, load_preset
+from qcgl.ncalg import StepBudgetExceeded
+from qcgl.presets import load_algebra, load_preset, quantum_plane
+from qcgl.qmat import QuantumMatrixAlgebra, oqm
 
 
 def test_named_presets_load_and_pass_axioms():
@@ -56,7 +57,7 @@ def test_small_step_budgets_do_not_fail_the_preset_check(capsys):
     assert alg.check_cgl_axioms().ok
 
 
-def test_load_algebra_tokens(tmp_path):
+def test_load_algebra_tokens(tmp_path, capsys):
     alg = load_algebra("qmat:2,3")
     assert (alg.m, alg.n) == (2, 3)
     assert load_algebra("qplane").spec_equals(quantum_plane())
@@ -67,6 +68,44 @@ def test_load_algebra_tokens(tmp_path):
     path = tmp_path / "plane.json"
     path.write_text(json.dumps(quantum_plane().to_json()), encoding="utf-8")
     assert load_algebra(str(path)).spec_equals(quantum_plane())
+    # a file that is not UTF-8, or not JSON, is named in one error line
+    for content, why in ((b"", "Expecting value"), (b"\xd0{}", "'utf-8' codec can't decode")):
+        path.write_bytes(content)
+        message = "spec file %r is not a JSON document: %s" % (str(path), why)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_algebra(str(path))
+        rc, text = _cli(["nf", "-a", str(path), "g_1"], capsys)
+        assert rc == 2 and text.startswith("error: " + message) and text.count("\n") == 1
+
+
+def _tagged_file(tmp_path, doc, tag):
+    path = tmp_path / "tagged.json"
+    path.write_text(json.dumps(dict(doc, qmat=tag)), encoding="utf-8")
+    return str(path)
+
+
+def test_qmat_tagged_spec_files_load_as_oqm(tmp_path, capsys):
+    # the spec that `algebra qmat 2 3` prints loads back as oqm(2,3), minors included
+    rc, text = _cli(["algebra", "qmat", "2", "3", "--json"], capsys)
+    doc = json.loads(text)["result"]["spec"]
+    assert rc == 0 and doc["qmat"] == [2, 3]
+    path = _tagged_file(tmp_path, doc, [2, 3])
+    assert isinstance(load_algebra(path), QuantumMatrixAlgebra)
+    assert (_cli(["minor", "1,2", "2,3", "-a", path], capsys)
+            == _cli(["minor", "1,2", "2,3", "-a", "qmat:2,3"], capsys))
+    # a tag must name the oqm the document is, as a pair of integers
+    doc12 = oqm(1, 2).to_json()
+    for tag, message in (([2, 2], r"qmat-tagged document does not match oqm\(2,2\)"),
+                         ("x", "malformed cgl-spec-v1 document"),
+                         ([2], "malformed cgl-spec-v1 document")):
+        rc, text = _cli(["nf", "x[1,1]", "-a", _tagged_file(tmp_path, doc12, tag)], capsys)
+        assert rc == 2 and re.match("error: %s" % message, text), (tag, text)
+
+
+def test_qmat_tag_that_is_an_object_is_malformed(tmp_path, capsys):
+    path = _tagged_file(tmp_path, oqm(1, 2).to_json(), {"m": 1, "n": 2})
+    rc, text = _cli(["nf", "x[1,1]", "-a", path], capsys)
+    assert rc == 2 and text.startswith("error: malformed cgl-spec-v1 document")
 
 
 def test_spec_files_are_checked_at_the_default_budget(tmp_path, capsys):
@@ -98,6 +137,12 @@ BAD_ENTRIES = (
     ("lambda", [[2, 1, "q"], [2, 1, "q^2"]], r"duplicate lambda entry \(2,1\)"),
     ("delta", [[2, 1, "1"], [2, 1, "g_1"]], r"duplicate delta entry \(2,1\)"),
     ("level_q", [[2, "q"], [2, "q^2"]], "duplicate level_q entry 2"),
+    ("lambda", [[2, 1]], r"lambda entry \[2, 1\] needs 3 fields"),
+    ("lambda", [[2, 1, "q", "q"]], r'lambda entry \[2, 1, "q", "q"\] needs 3 fields'),
+    ("lambda", [5], "lambda entry 5 needs 3 fields"),
+    ("delta", [[2, 1]], r"delta entry \[2, 1\] needs 3 fields"),
+    ("level_q", [[2]], r"level_q entry \[2\] needs 2 fields"),
+    ("level_q", [[2, "q", "q"]], r'level_q entry \[2, "q", "q"\] needs 2 fields'),
 )
 
 
