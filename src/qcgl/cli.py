@@ -20,7 +20,7 @@ from .delderiv import LaurentElem, format_laurent, theta, theta_alt
 from .expr import evaluate
 from .ncalg import (NILPOTENCE_BOUND, STEPS_BUDGET, NcPoly, NilpotenceBoundExceeded,
                     StepBudgetExceeded, format_poly)
-from .presets import load_algebra, load_preset, load_unchecked
+from .presets import load_algebra, load_preset, load_unchecked, to_json
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -125,7 +125,7 @@ def _cmd_algebra(args):
     else:
         args.algebra = args.params[0] if args.params else "qplane"
         alg = load_preset(args.algebra)
-    doc = alg.to_json()
+    doc = to_json(alg)
     return True, {"spec": doc}, json.dumps(doc, indent=2)
 
 

@@ -8,18 +8,18 @@ Grammar (standard precedence, ^ > * / > + -, left associative):
     power    := atom ('^' ['-'] INT)?
     atom     := INT | 'q' | 'x[i,j]' | 'g_k' | 'X' | '[I|J]' | '(' expr ')'
 
-One evaluator, evaluate, gives the tree its meaning over any algebra that
-offers names, N, gen_named and multiply.  Over an OreAlgebra products keep
-the written order and are straightened, so values are PBW normal forms.
-eval_free runs the same evaluator over the free algebra on a list of names,
-whose products only concatenate words; spec files read their correction
-polynomials that way, and parse_scalar reads a scalar as a value of the free
-algebra on no names.  Division is defined only by scalar values; division by
-0 and negative powers of 0 raise ExprDivisionByZero, which is both an
-ExprEvalError and a ZeroDivisionError.  The atom X denotes the active
-algebra's top generator inside the localised skew extension and is accepted
-only where Laurent values make sense.  Parentheses and unary minus nest at
-most MAX_DEPTH levels deep, and an exponent is at most MAX_EXPONENT in
+One evaluator, evaluate, takes expression text and gives its tree a meaning
+over any algebra that offers names, N, gen_named and multiply.  Over an
+OreAlgebra products keep the written order and are straightened, so values are
+PBW normal forms.  eval_free runs the same evaluator over the free algebra on
+a list of names, whose products only concatenate words; presets reads a spec
+document's correction polynomials that way, and parse_scalar reads a scalar as
+a value of the free algebra on no names.  Division is defined only by scalar
+values; division by 0 and negative powers of 0 raise ExprDivisionByZero, which
+is both an ExprEvalError and a ZeroDivisionError.  The atom X denotes the
+active algebra's top generator inside the localised skew extension and is
+accepted only where Laurent values make sense.  Parentheses and unary minus
+nest at most MAX_DEPTH levels deep, and an exponent is at most MAX_EXPONENT in
 absolute value; input beyond either bound is a syntax error.  A chain of + and
 - parses to one ("sum", [(op, node), ...]) node and a chain of * and / to one
 ("prod", ...) node, so evaluation folds over a chain in a loop and a long flat
@@ -279,9 +279,8 @@ def _ev_pow(alg, base, k, allow_x):
 
 
 def evaluate(alg, source, allow_x=False):
-    """Evaluate over the given algebra; returns an NcPoly, or a LaurentElem
-    when X occurs (allowed only with allow_x)."""
-    node = parse(source) if isinstance(source, str) else source
+    """Evaluate expression text over the given algebra; returns an NcPoly, or
+    a LaurentElem when X occurs (allowed only with allow_x)."""
 
     def ev(nd):
         tag = nd[0]
@@ -325,16 +324,14 @@ def evaluate(alg, source, allow_x=False):
                     raise ExprDivisionByZero("division by zero scalar")
                 acc = acc.scaled(denom.inverse())
             return acc
-        if tag == "pow":
-            return _ev_pow(alg, ev(nd[1]), nd[2], allow_x)
-        raise ExprEvalError("unknown node %r" % (tag,))
+        return _ev_pow(alg, ev(nd[1]), nd[2], allow_x)  # the one tag left: pow
 
-    return ev(node)
+    return ev(parse(source))
 
 
-def eval_free(node, names):
-    """Evaluate over the free algebra on names: products concatenate words."""
-    return evaluate(_WordAlgebra(names), node)
+def eval_free(source, names):
+    """Evaluate text over the free algebra on names: products concatenate words."""
+    return evaluate(_WordAlgebra(names), source)
 
 
 def parse_scalar(source):

@@ -14,12 +14,12 @@ each term of d_j(x_i) starts a path of its own.  Rightmost reduction is the
 same loop on the mirrored word (reversed, on letters N+1-g) under mirrored
 rows.  No normal form is stored: every word a product, a derivation or
 normal_form_word forms is straightened where it is formed, its paths
-starting from the word's coefficient.
+starting from the word's coefficient.  The engine imports no qcgl module but
+coef; the spec document an algebra is written to and read from is presets'.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from .coef import ONE, ZERO, RatFunc, is_root_of_unity
 
 _NAME_RE = re.compile(r"^(?:x\[\d+,\d+\]|g_\d+)$")
-_SPEC_KEYS = ("names", "torus_rank", "lambda", "delta", "level_q", "weights", "h")
 
 STEPS_BUDGET = 10**6      # rewriting steps per straightened word, by default
 NILPOTENCE_BOUND = 64     # powers of a derivation tried before giving up, by default
@@ -266,25 +265,6 @@ class AxiomReport:
 # the algebra
 
 
-def _unique(table, entries):
-    """The dict of a spec document's (key, value) entries, each key at most once."""
-    out = {}
-    for key, value in entries:
-        if key in out:
-            raise ValueError("duplicate %s entry %s" % (table, str(key).replace(" ", "")))
-        out[key] = value
-    return out
-
-
-def _rows(doc, table, width):
-    """The entries of a spec document's table, each a list of `width` fields."""
-    for entry in doc[table]:
-        if not isinstance(entry, (list, tuple)) or len(entry) != width:
-            raise ValueError("%s entry %s needs %d fields"
-                             % (table, json.dumps(entry), width))
-        yield entry
-
-
 class OreAlgebra:
     """Straightening datum of an iterated Ore extension of CGL type.
 
@@ -324,7 +304,7 @@ class OreAlgebra:
                 raise ValueError("delta index (%d,%d) out of range" % (j, i))
             if p.is_zero():
                 continue
-            if p.max_index() >= j:
+            if p.max_index() >= j:  # the hypothesis of criterion 7's order lemma
                 raise ValueError("delta(%d,%d) uses a generator index >= %d" % (j, i, j))
             for w in p.terms:
                 if any(w[t] > w[t + 1] for t in range(len(w) - 1)):
@@ -711,12 +691,12 @@ class OreAlgebra:
             checks.append(AxiomCheck(j, "(e) h_j-eigenvalue of x_j generic", ok,
                                      "" if ok else "eigenvalue %s" % eig))
             if j >= 3:
-                detail = self._overlap_failure(j)
+                detail = self.overlap_failure(j)
                 checks.append(AxiomCheck(j, "(g) overlaps resolve", not detail, detail))
         checks.sort(key=lambda c: (c.level, c.axiom))
         return AxiomReport(checks)
 
-    def _overlap_failure(self, k):
+    def overlap_failure(self, k):
         """Why some overlap x_k x_j x_i (k > j > i) is unresolved, or ''."""
         for j in range(2, k):
             for i in range(1, j):
@@ -749,7 +729,7 @@ class OreAlgebra:
             return all(sign > 0 for sign, _ in parts)
         return any(all(sign == eps ** abs(k // g) for sign, k in parts) for eps in (1, -1))
 
-    # -- comparison / serialization -----------------------------------------
+    # -- comparison ----------------------------------------------------------
 
     def spec_equals(self, other):
         return (isinstance(other, OreAlgebra)
@@ -760,45 +740,6 @@ class OreAlgebra:
                 and self.torus_rank == other.torus_rank
                 and self.weights == other.weights
                 and self.h_elems == other.h_elems)
-
-    def to_json(self):
-        return {
-            "format": "cgl-spec-v1",
-            "names": list(self.names),
-            "torus_rank": self.torus_rank,
-            "lambda": [[j, i, str(v)] for (j, i), v in sorted(self.lam.items())],
-            "delta": [[j, i, format_poly(self.names, p)]
-                      for (j, i), p in sorted(self.delta.items())],
-            "level_q": [[j, str(v)] for j, v in sorted(self.level_q.items())],
-            "weights": [list(w) for w in self.weights],
-            "h": [[str(v) for v in h] for h in self.h_elems],
-        }
-
-    @classmethod
-    def from_json(cls, doc):
-        """The algebra of a cgl-spec-v1 document, built as written: keys outside
-        the spec, such as a family tag, are not read."""
-        from .expr import eval_free, parse, parse_scalar
-
-        if not isinstance(doc, dict) or doc.get("format") != "cgl-spec-v1":
-            raise ValueError("not a cgl-spec-v1 document")
-        missing = [key for key in _SPEC_KEYS if key not in doc]
-        if missing:
-            raise ValueError("cgl-spec-v1 document lacks %s" % ", ".join(missing))
-        try:
-            names = list(doc["names"])
-            # parse() takes strings only, so no entry is taken as a syntax tree
-            lam = _unique("lambda", (((j, i), parse_scalar(parse(s)))
-                                     for j, i, s in _rows(doc, "lambda", 3)))
-            delta = _unique("delta", (((j, i), eval_free(parse(s), names))
-                                      for j, i, s in _rows(doc, "delta", 3)))
-            level_q = _unique("level_q", ((j, parse_scalar(parse(s)))
-                                          for j, s in _rows(doc, "level_q", 2)))
-            weights = [tuple(w) for w in doc["weights"]]
-            h = [tuple(parse_scalar(parse(s)) for s in row) for row in doc["h"]]
-            return cls(names, lam, delta, level_q, doc["torus_rank"], weights, h)
-        except (TypeError, IndexError) as exc:
-            raise ValueError("malformed cgl-spec-v1 document: %s" % exc) from exc
 
     def __repr__(self):
         return "<OreAlgebra on %d generators: %s>" % (self.N, ", ".join(self.names))

@@ -4,7 +4,8 @@ The algebra on an m x n grid of generators x[i,j] carries the four standard
 relation families (row, column, antidiagonal commutation, and the corrected
 diagonal relation with (q - q^-1) x_il x_kj) encoded as straightening data in
 row-major generator order, together with the rank m+n diagonal torus action
-alpha_i beta_j x_ij.
+alpha_i beta_j x_ij.  The grid is the `"qmat": [m, n]` tag of the algebra's
+spec document, which presets writes and reads.
 """
 
 from __future__ import annotations
@@ -68,12 +69,6 @@ class QuantumMatrixAlgebra(OreAlgebra):
                 h[m + l - 1] = q_inv
                 h_elems.append(tuple(h))
         super().__init__(names, lam, delta, level_q, r, weights, h_elems)
-
-    def to_json(self):
-        """The spec document, tagged with the grid so that loading it builds oqm(m, n)."""
-        doc = super().to_json()
-        doc["qmat"] = [self.m, self.n]
-        return doc
 
     # -- indexing ----------------------------------------------------------
 

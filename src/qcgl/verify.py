@@ -322,14 +322,13 @@ def check_cgl_axioms():
 
 @_criterion("7-rewriting-soundness")
 def check_rewriting_soundness():
-    """Criterion 7: unique normal forms by the diamond lemma, from an order lemma and (g)."""
+    """Criterion 7: unique normal forms by the diamond lemma, from an order lemma and (g).
+    The algebras checked here come straight from their constructors, which
+    refuse a delta(j,i) with a letter not below x_j: the lemma's hypothesis."""
     algebras = [("oqm(%d,%d)" % s, oqm(*s)) for s in ((2, 2), (2, 3), (3, 3), (4, 4))]
     algebras += [("qplane", quantum_plane()), ("uq-sl3-plus", load_preset("uq-sl3-plus"))]
     for label, alg in algebras:
-        whys = ["delta(%d,%d) has a letter not below x_%d" % (j, i, j)
-                for (j, i), p in alg.delta.items() if p.max_index() >= j]
-        whys += [alg._overlap_failure(k) for k in range(3, alg.N + 1)]
-        for why in filter(None, whys):
+        for why in filter(None, (alg.overlap_failure(k) for k in range(3, alg.N + 1))):
             return False, "%s: %s" % (label, why)
     return True, ("a swap removes an inversion and a delta_ji word trades x_j for lower "
                   "letters, so rules lower words ordered by letter counts, then inversions; "

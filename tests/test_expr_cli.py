@@ -17,7 +17,7 @@ from qcgl.delderiv import LaurentElem, format_laurent, theta
 from qcgl.expr import (MAX_EXPONENT, ExprEvalError, ExprSyntaxError, eval_free,
                        evaluate, parse, parse_scalar)
 from qcgl.ncalg import NcPoly, format_poly
-from qcgl.presets import quantum_plane
+from qcgl.presets import quantum_plane, to_json
 from qcgl.qmat import oqm
 from qcgl.schema import OUTPUT_SCHEMA
 from qcgl.verify import mutated_specs
@@ -218,7 +218,7 @@ def test_cli_json_outputs_validate():
 
 def test_cli_algebra_from_spec_file(tmp_path):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(quantum_plane().to_json()), encoding="utf-8")
+    path.write_text(json.dumps(to_json(quantum_plane())), encoding="utf-8")
     rc, out, _ = run_cli(["nf", "-a", str(path), "g_2*g_1"])
     assert rc == 0 and out.strip() == "q*g_1*g_2"
 
@@ -228,7 +228,7 @@ def test_cli_spec_file_failing_the_axioms_is_rejected_at_load(tmp_path):
     # whose closed forms need the CGL axioms, never run on this file
     nonnil = next(alg for name, alg, _ in mutated_specs() if name == "non-nilpotent-derivation")
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(nonnil.to_json()), encoding="utf-8")
+    path.write_text(json.dumps(to_json(nonnil)), encoding="utf-8")
     for argv in (["nf", "X^-1*g_1"], ["nf", "g_2*g_1"], ["theta", "g_1"],
                  ["weight", "g_1", "--steps-budget", "0"]):
         rc, out, err = run_cli(argv + ["-a", str(path)])
@@ -240,7 +240,7 @@ def test_cli_spec_file_failing_the_axioms_is_rejected_at_load(tmp_path):
 
 def test_cli_spec_file_breaking_the_order_lemma_is_refused(tmp_path):
     # criterion 7's termination order needs each delta(j,i) below x_j
-    doc = quantum_plane().to_json()
+    doc = to_json(quantum_plane())
     doc["delta"] = [[2, 1, "g_2"]]
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -269,14 +269,14 @@ def test_cli_spec_file_missing_keys(tmp_path):
 
 
 def test_cli_spec_file_not_an_object(tmp_path):
-    rc, err = _spec_file_rc(tmp_path, json.dumps([quantum_plane().to_json()]))
+    rc, err = _spec_file_rc(tmp_path, json.dumps([to_json(quantum_plane())]))
     assert rc == 2 and err.startswith("error:")
 
 
 def test_cli_spec_file_non_integer_weights(tmp_path):
     path = tmp_path / "spec.json"
     for bad in ("a", 1.5, True):
-        doc = oqm(1, 2).to_json()
+        doc = to_json(oqm(1, 2))
         del doc["qmat"]  # an untagged spec, so the weights are used as given
         doc["weights"][0][1] = bad
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -288,7 +288,7 @@ def test_cli_spec_file_non_integer_weights(tmp_path):
 def test_cli_spec_file_non_integer_torus_rank(tmp_path):
     path = tmp_path / "spec.json"
     for bad in (3.7, True, "3"):
-        doc = oqm(1, 2).to_json()
+        doc = to_json(oqm(1, 2))
         del doc["qmat"]
         doc["torus_rank"] = bad
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -304,7 +304,7 @@ def test_cli_spec_file_bad_entries(tmp_path):
              ("lambda", [[2, 1, ["pow", ["q"], MAX_EXPONENT + 1]]]),
              ("h", [[["q"], "1"], ["q", "q"]])]
     for key, value in cases:
-        doc = quantum_plane().to_json()
+        doc = to_json(quantum_plane())
         doc[key] = value
         path.write_text(json.dumps(doc), encoding="utf-8")
         rc, _, err = run_cli(["axioms", "-a", str(path)])
@@ -533,7 +533,7 @@ def test_cli_quantum_matrix_size_bound(tmp_path):
     for m, n in ((21, 20), (1, 401)):
         with pytest.raises(ValueError, match="at most 400"):
             oqm(m, n)
-    doc = oqm(1, 2).to_json()
+    doc = to_json(oqm(1, 2))
     doc["qmat"] = [21, 20]
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -1,12 +1,14 @@
 import json
 import re
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from qcgl import presets
 from qcgl.cli import main
 from qcgl.ncalg import StepBudgetExceeded
-from qcgl.presets import load_algebra, load_preset, quantum_plane
+from qcgl.presets import from_json, load_algebra, load_preset, quantum_plane, to_json
 from qcgl.qmat import QuantumMatrixAlgebra, oqm
 
 
@@ -18,13 +20,28 @@ def test_named_presets_load_and_pass_axioms():
     assert uq.is_torsionfree() is True
 
 
+def test_writer_reproduces_the_shipped_preset():
+    # no test generates data/uq-sl3-plus.json, so this pins the writer
+    shipped = resources.files("qcgl").joinpath(presets._FILE_PRESETS["uq-sl3-plus"])
+    doc = to_json(load_preset("uq-sl3-plus"))
+    assert doc == json.loads(shipped.read_text(encoding="utf-8"))
+    assert from_json(doc).spec_equals(load_preset("uq-sl3-plus"))
+
+
+def test_only_presets_knows_the_spec_format():
+    # the cgl-spec-v1 document is read, checked and written in one module
+    package = Path(presets.__file__).parent
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if "cgl-spec-v1" in path.read_text(encoding="utf-8")] == ["presets.py"]
+
+
 def test_unknown_preset():
     with pytest.raises(ValueError):
         load_preset("no-such-algebra")
 
 
 def test_corrupt_preset_is_rejected_at_load(tmp_path, monkeypatch):
-    doc = load_preset("uq-sl3-plus").to_json()
+    doc = to_json(load_preset("uq-sl3-plus"))
     doc["level_q"] = [[2, "1"], [3, "q^-2"]]  # root of unity: axiom (c) fails
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -66,7 +83,7 @@ def test_load_algebra_tokens(tmp_path, capsys):
     with pytest.raises(ValueError):
         load_algebra("nonexistent-file.json")
     path = tmp_path / "plane.json"
-    path.write_text(json.dumps(quantum_plane().to_json()), encoding="utf-8")
+    path.write_text(json.dumps(to_json(quantum_plane())), encoding="utf-8")
     assert load_algebra(str(path)).spec_equals(quantum_plane())
     # a file that is not UTF-8, or not JSON, is named in one error line
     for content, why in ((b"", "Expecting value"), (b"\xd0{}", "'utf-8' codec can't decode")):
@@ -94,18 +111,20 @@ def test_qmat_tagged_spec_files_load_as_oqm(tmp_path, capsys):
     assert (_cli(["minor", "1,2", "2,3", "-a", path], capsys)
             == _cli(["minor", "1,2", "2,3", "-a", "qmat:2,3"], capsys))
     # a tag must name the oqm the document is, as a pair of integers
-    doc12 = oqm(1, 2).to_json()
+    doc12 = to_json(oqm(1, 2))
+    bad_tag = r"field 'qmat' must be a pair of integers \[M, N\]"
     for tag, message in (([2, 2], r"qmat-tagged document does not match oqm\(2,2\)"),
-                         ("x", "malformed cgl-spec-v1 document"),
-                         ([2], "malformed cgl-spec-v1 document")):
+                         ("x", bad_tag), ([2], bad_tag), ([1, 2, 3], bad_tag),
+                         ([True, 2], bad_tag), ([1.0, 2], bad_tag), (None, bad_tag),
+                         ([], bad_tag)):
         rc, text = _cli(["nf", "x[1,1]", "-a", _tagged_file(tmp_path, doc12, tag)], capsys)
         assert rc == 2 and re.match("error: %s" % message, text), (tag, text)
 
 
 def test_qmat_tag_that_is_an_object_is_malformed(tmp_path, capsys):
-    path = _tagged_file(tmp_path, oqm(1, 2).to_json(), {"m": 1, "n": 2})
+    path = _tagged_file(tmp_path, to_json(oqm(1, 2)), {"m": 1, "n": 2})
     rc, text = _cli(["nf", "x[1,1]", "-a", path], capsys)
-    assert rc == 2 and text.startswith("error: malformed cgl-spec-v1 document")
+    assert rc == 2 and text == "error: field 'qmat' must be a pair of integers [M, N]\n"
 
 
 def test_spec_files_are_checked_at_the_default_budget(tmp_path, capsys):
@@ -115,12 +134,12 @@ def test_spec_files_are_checked_at_the_default_budget(tmp_path, capsys):
     # fails the axioms loads only unchecked
     uq = load_preset("uq-sl3-plus")
     path = tmp_path / "uq.json"
-    path.write_text(json.dumps(uq.to_json()), encoding="utf-8")
+    path.write_text(json.dumps(to_json(uq)), encoding="utf-8")
     assert load_algebra(str(path)).spec_equals(uq)
     assert _cli(["nf", "-a", str(path), "--steps-budget", "0", "g_1"], capsys) == (0, "g_1\n")
     rc, text = _cli(["axioms", "-a", str(path), "--steps-budget", "2"], capsys)
     assert rc == 1 and "FAIL level 3 (g)" in text
-    doc = uq.to_json()
+    doc = to_json(uq)
     doc["level_q"] = [[2, "1"], [3, "q^-2"]]  # root of unity: axiom (c) fails
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match="spec file .* fails the CGL axioms"):
@@ -129,7 +148,7 @@ def test_spec_files_are_checked_at_the_default_budget(tmp_path, capsys):
 
 
 # qplane spec files with one bad table entry each, and the error each must give
-_PLANE_DOC = quantum_plane().to_json()
+_PLANE_DOC = to_json(quantum_plane())
 BAD_ENTRIES = (
     ("lambda", [[2, 1, "q"], [3, 1, "q"]], r"lambda index \(3,1\) out of range"),
     ("lambda", [[2, 1, "q"], [1, 2, "q"]], r"lambda index \(1,2\) out of range"),
@@ -143,6 +162,20 @@ BAD_ENTRIES = (
     ("delta", [[2, 1]], r"delta entry \[2, 1\] needs 3 fields"),
     ("level_q", [[2]], r"level_q entry \[2\] needs 2 fields"),
     ("level_q", [[2, "q", "q"]], r'level_q entry \[2, "q", "q"\] needs 2 fields'),
+    ("lambda", [["2", 1, "q"]], r'lambda entry \["2", 1, "q"\] needs integer indices'),
+    ("lambda", [[True, 1, "q"]], r'lambda entry \[true, 1, "q"\] needs integer indices'),
+    ("lambda", [[2.0, 1, "q"]], r'lambda entry \[2.0, 1, "q"\] needs integer indices'),
+    ("level_q", [["2", "q"]], r'level_q entry \["2", "q"\] needs integer indices'),
+    ("delta", [["2", 1, "1"]], r'delta entry \["2", 1, "1"\] needs integer indices'),
+    ("lambda", 5, "field 'lambda' must be a list of entries"),
+    ("lambda", None, "field 'lambda' must be a list of entries"),
+    ("lambda", [[2, 1, 5]], r"lambda entry \[2, 1, 5\] needs a text value"),
+    ("names", 5, "field 'names' must be a list of generator names"),
+    ("names", [1, 2], "field 'names' must be a list of generator names"),
+    ("weights", 5, "field 'weights' must be a list of rows"),
+    ("h", 5, "field 'h' must be a list of rows of text"),
+    ("h", [5, ["q", "q"]], "field 'h' must be a list of rows of text"),
+    ("h", [["q", 1], ["q", "q"]], "field 'h' must be a list of rows of text"),
 )
 
 
