@@ -18,7 +18,7 @@ from . import verify as verify_mod
 from .cauchon import SIZE_LIMIT, count, count_by_black, diagram_drawings, diagram_json
 from .delderiv import LaurentElem, format_laurent, theta, theta_alt
 from .expr import evaluate
-from .ncalg import (NILPOTENCE_BOUND, STEPS_BUDGET, NcPoly, NilpotenceBoundExceeded,
+from .ncalg import (NILPOTENCE_BOUND, STEPS_BUDGET, NilpotenceBoundExceeded,
                     StepBudgetExceeded, format_poly)
 from .presets import load_algebra, load_preset, load_unchecked, to_json
 
@@ -104,7 +104,8 @@ def build_parser():
 
 # Each handler returns (ok, result, text): the verdict, the --json result and
 # the plain-text output, which a handler may leave as None under --json.  A
-# result whose "diagrams" is [] gives, as its text, the JSON text of that array.
+# result may hold a report's own vars(), so nothing changes a result once made.
+# A result whose "diagrams" is [] gives, as its text, the JSON text of that array.
 
 
 def _load(args, load=load_algebra):
@@ -151,32 +152,23 @@ def _cmd_minor(args):
     return True, {"value": text}, text
 
 
-def _required_poly(alg, source):
-    value = evaluate(alg, source, allow_x=False)
-    if not isinstance(value, NcPoly):
-        raise ValueError("expression must be a plain algebra element")
-    return value
-
-
 def _cmd_qcommute(args):
     alg = _load(args)
-    a = _required_poly(alg, args.expr1)
-    b = _required_poly(alg, args.expr2)
+    a = evaluate(alg, args.expr1)
+    b = evaluate(alg, args.expr2)
     s = alg.qcommute_exponent(a, b)
     return True, {"exponent": s}, "none" if s is None else str(s)
 
 
 def _cmd_normal(args):
     alg = _load(args)
-    report = alg.is_normal(_required_poly(alg, args.expr))
-    result = {"normal": report.ok, "names": list(report.names),
-              "exponents": list(report.exponents)}
-    return True, result, str(report)
+    report = alg.is_normal(evaluate(alg, args.expr))
+    return True, dict(vars(report), normal=report.ok), str(report)
 
 
 def _cmd_weight(args):
     alg = _load(args)
-    w = alg.torus_weight(_required_poly(alg, args.expr))
+    w = alg.torus_weight(evaluate(alg, args.expr))
     result = {"homogeneous": w is not None, "weight": None if w is None else list(w)}
     return True, result, "inhomogeneous" if w is None else "(%s)" % ", ".join(map(str, w))
 
@@ -210,7 +202,7 @@ def _cmd_cauchon(args):
 
 def _cmd_theta(args):
     alg = _load(args)
-    a = _required_poly(alg, args.expr)
+    a = evaluate(alg, args.expr)
     image = (theta_alt if args.alt else theta)(alg, a, bound=args.nilpotence_bound)
     text = format_laurent(alg.names, image)
     return True, {"value": text}, text
@@ -232,18 +224,13 @@ def _cmd_verify(args):
         lines.append("%s %-35s %6.2fs  %s"
                      % ("PASS" if r.ok else "FAIL", r.name, r.seconds, r.detail))
     lines.append("verify: %s" % ("all checks passed" if ok else "FAILURES PRESENT"))
-    result = {"ok": ok, "checks": [
-        {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": r.seconds}
-        for r in results]}
-    return ok, result, "\n".join(lines)
+    return ok, {"ok": ok, "checks": [vars(r) for r in results]}, "\n".join(lines)
 
 
 def _cmd_axioms(args):
     alg = _load(args, load_unchecked)
     report = alg.check_cgl_axioms(nilpotence_bound=args.nilpotence_bound)
-    result = {"ok": report.ok, "checks": [
-        {"level": c.level, "axiom": c.axiom, "ok": c.ok, "detail": c.detail}
-        for c in report.checks]}
+    result = {"ok": report.ok, "checks": [vars(c) for c in report.checks]}
     return report.ok, result, str(report)
 
 

@@ -38,7 +38,7 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)"
     r"|(?P<gen>x\[\d+,\d+\]|g_\d+)"
     r"|(?P<q>q)"
-    r"|(?P<x>X)"
+    r"|(?P<X>X)"
     r"|(?P<punct>[-+*/^()\[\],|]))"
 )
 MAX_DEPTH = 100
@@ -70,16 +70,14 @@ def _tokenize(text):
                 break
             raise ExprSyntaxError("unexpected character %r" % tail[0],
                                   len(text) - len(tail))
-        if m.lastgroup == "int":
-            tokens.append(("int", int(m.group("int")), m.start("int")))
-        elif m.lastgroup == "gen":
-            tokens.append(("gen", m.group("gen"), m.start("gen")))
-        elif m.lastgroup == "q":
-            tokens.append(("q", "q", m.start("q")))
-        elif m.lastgroup == "x":
-            tokens.append(("X", "X", m.start("x")))
-        else:
-            tokens.append((m.group("punct"), m.group("punct"), m.start("punct")))
+        # a token is (kind, value, position); punctuation is its own kind
+        kind = m.lastgroup
+        value, start = m.group(kind), m.start(kind)
+        if kind == "int":
+            value = int(value)
+        elif kind == "punct":
+            kind = value
+        tokens.append((kind, value, start))
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
@@ -119,18 +117,19 @@ class _Parser:
         return node
 
     def expr(self):
-        items = [("+", self.term())]
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            items.append((op, self.term()))
-        return items[0][1] if len(items) == 1 else ("sum", items)
+        return self.chain(("+", "-"), self.term, "sum")
 
     def term(self):
-        items = [("*", self.factor())]
-        while self.peek()[0] in ("*", "/"):
+        return self.chain(("*", "/"), self.factor, "prod")
+
+    def chain(self, ops, operand, tag):
+        """operand (op operand)* with op in ops, as one (tag, [(op, node), ...])
+        node whose first op is ops[0]; a lone operand is returned as it is."""
+        items = [(ops[0], operand())]
+        while self.peek()[0] in ops:
             op = self.next()[0]
-            items.append((op, self.factor()))
-        return items[0][1] if len(items) == 1 else ("prod", items)
+            items.append((op, operand()))
+        return items[0][1] if len(items) == 1 else (tag, items)
 
     def factor(self):
         if self.peek()[0] == "-":

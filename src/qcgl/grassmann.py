@@ -30,15 +30,6 @@ class ExtremalNormalityReport:
         return (all(e is not None for _, _, e in self.entries)
                 and all(s is not None for s in self.twist))
 
-    def __str__(self):
-        lines = []
-        for which, J, e in self.entries:
-            mark = "none" if e is None else "q^%d" % e
-            lines.append("  %s vs [%s]: %s" % (which, ",".join(map(str, J)), mark))
-        lines.append("  twist on adjacent minors: %s" % (self.twist,))
-        verdict = "extremal minors normal" if self.ok else "q-commutation failed somewhere"
-        return "\n".join(lines + [verdict])
-
 
 def maximal_minors(m, n):
     """(algebra, {J: minor}) for the m x m minors [1..m|J] of the m x n algebra."""

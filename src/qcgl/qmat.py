@@ -111,14 +111,13 @@ class QuantumMatrixAlgebra(OreAlgebra):
         return self.minor(rng, rng)
 
     def b_minor(self, i):
-        """The i-th top-right minor b_i, for 1 <= i <= n (needs m <= n above m)."""
+        """The i-th top-right minor b_i, for 1 <= i <= n: with t = min(i, m),
+        rows 1..t and columns n-i+1..n-i+t."""
         m, n = self.m, self.n
-        if 1 <= i <= min(m, n):
-            return self.minor(tuple(range(1, i + 1)), tuple(range(n - i + 1, n + 1)))
-        if m < i <= n:
-            return self.minor(tuple(range(1, m + 1)),
-                              tuple(range(n - i + 1, n + m - i + 1)))
-        raise ValueError("b_%d undefined for the %dx%d grid" % (i, m, n))
+        if not 1 <= i <= n:
+            raise ValueError("b_%d undefined for the %dx%d grid" % (i, m, n))
+        t = min(i, m)
+        return self.minor(tuple(range(1, t + 1)), tuple(range(n - i + 1, n - i + t + 1)))
 
     def c_minor(self, i):
         """The i-th bottom-left minor c_i, for 1 <= i <= m."""

@@ -1,46 +1,60 @@
-"""Published JSON schema for the CLI's --json envelope."""
+"""Published JSON schema for the CLI's --json envelope.
 
-COMMANDS = ["algebra", "nf", "minor", "qcommute", "normal", "weight",
-            "cauchon", "theta", "verify", "axioms"]
+_RESULTS maps each command, in the parser's order, to the schema of its
+result; the envelope's command list and its per-command rules are read from it.
+"""
 
-_CHECK = {
-    "type": "object",
-    "required": ["name", "ok", "detail", "seconds"],
-    "properties": {
-        "name": {"type": "string"},
-        "ok": {"type": "boolean"},
-        "detail": {"type": "string"},
-        "seconds": {"type": "number"},
-    },
-    "additionalProperties": False,
-}
+
+def _object(properties, required=None):
+    """A closed object: no property outside `properties`, and every one of them
+    required unless `required` names fewer."""
+    return {"type": "object",
+            "required": list(properties if required is None else required),
+            "properties": properties, "additionalProperties": False}
+
 
 # the result of nf, minor and theta: one printed value
-_VALUE = {
-    "type": "object", "required": ["value"],
-    "properties": {"value": {"type": "string"}},
-    "additionalProperties": False,
+_VALUE = _object({"value": {"type": "string"}})
+
+
+# the result of verify and axioms: the verdict and the checks behind it
+def _checks(check):
+    return _object({"ok": {"type": "boolean"},
+                    "checks": {"type": "array", "items": check}})
+
+
+_RESULTS = {
+    "algebra": _object({"spec": {"type": "object"}}),
+    "nf": _VALUE,
+    "minor": _VALUE,
+    "qcommute": _object({"exponent": {"type": ["integer", "null"]}}),
+    "normal": _object({
+        "normal": {"type": "boolean"},
+        "names": {"type": "array", "items": {"type": "string"}},
+        "exponents": {"type": "array", "items": {"type": ["integer", "null"]}},
+    }),
+    "weight": _object({
+        "homogeneous": {"type": "boolean"},
+        "weight": {"type": ["array", "null"], "items": {"type": "integer"}},
+    }),
+    "cauchon": _object({
+        "m": {"type": "integer"},
+        "n": {"type": "integer"},
+        "count": {"type": "integer"},
+        "histogram": {"type": "object", "additionalProperties": {"type": "integer"}},
+        "diagrams": {"type": "array", "items": {"type": "array", "items": {
+            "type": "array", "items": {"type": "integer"}, "minItems": 2, "maxItems": 2}}},
+    }, required=["m", "n"]),  # and the one field its action computes
+    "theta": _VALUE,
+    "verify": _checks(_object({"name": {"type": "string"}, "ok": {"type": "boolean"},
+                               "detail": {"type": "string"},
+                               "seconds": {"type": "number"}})),
+    "axioms": _checks(_object({"level": {"type": "integer"}, "axiom": {"type": "string"},
+                               "ok": {"type": "boolean"}, "detail": {"type": "string"}},
+                              required=["level", "axiom", "ok"])),
 }
 
-_AXIOM_CHECK = {
-    "type": "object",
-    "required": ["level", "axiom", "ok"],
-    "properties": {
-        "level": {"type": "integer"},
-        "axiom": {"type": "string"},
-        "ok": {"type": "boolean"},
-        "detail": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
-
-
-def _when(command, result_schema):
-    return {
-        "if": {"properties": {"command": {"const": command}}},
-        "then": {"properties": {"result": result_schema}},
-    }
-
+COMMANDS = list(_RESULTS)
 
 OUTPUT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -54,67 +68,7 @@ OUTPUT_SCHEMA = {
         "algebra": {"type": ["string", "null"]},
         "result": {"type": "object"},
     },
-    "allOf": [
-        _when("nf", _VALUE),
-        _when("minor", _VALUE),
-        _when("theta", _VALUE),
-        _when("qcommute", {
-            "type": "object", "required": ["exponent"],
-            "properties": {"exponent": {"type": ["integer", "null"]}},
-            "additionalProperties": False,
-        }),
-        _when("normal", {
-            "type": "object", "required": ["normal", "names", "exponents"],
-            "properties": {
-                "normal": {"type": "boolean"},
-                "names": {"type": "array", "items": {"type": "string"}},
-                "exponents": {"type": "array", "items": {"type": ["integer", "null"]}},
-            },
-            "additionalProperties": False,
-        }),
-        _when("weight", {
-            "type": "object", "required": ["homogeneous", "weight"],
-            "properties": {
-                "homogeneous": {"type": "boolean"},
-                "weight": {"type": ["array", "null"], "items": {"type": "integer"}},
-            },
-            "additionalProperties": False,
-        }),
-        _when("cauchon", {
-            "type": "object", "required": ["m", "n"],
-            "properties": {
-                "m": {"type": "integer"},
-                "n": {"type": "integer"},
-                "count": {"type": "integer"},
-                "histogram": {"type": "object",
-                              "additionalProperties": {"type": "integer"}},
-                "diagrams": {"type": "array", "items": {
-                    "type": "array", "items": {
-                        "type": "array", "items": {"type": "integer"},
-                        "minItems": 2, "maxItems": 2}}},
-            },
-            "additionalProperties": False,
-        }),
-        _when("axioms", {
-            "type": "object", "required": ["ok", "checks"],
-            "properties": {
-                "ok": {"type": "boolean"},
-                "checks": {"type": "array", "items": _AXIOM_CHECK},
-            },
-            "additionalProperties": False,
-        }),
-        _when("verify", {
-            "type": "object", "required": ["ok", "checks"],
-            "properties": {
-                "ok": {"type": "boolean"},
-                "checks": {"type": "array", "items": _CHECK},
-            },
-            "additionalProperties": False,
-        }),
-        _when("algebra", {
-            "type": "object", "required": ["spec"],
-            "properties": {"spec": {"type": "object"}},
-            "additionalProperties": False,
-        }),
-    ],
+    "allOf": [{"if": {"properties": {"command": {"const": command}}},
+               "then": {"properties": {"result": result}}}
+              for command, result in _RESULTS.items()],
 }

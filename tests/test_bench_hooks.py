@@ -9,6 +9,7 @@ import argparse
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 from qcgl import cli, schema, verify
@@ -63,3 +64,11 @@ def test_schema_commands_are_the_cli_subcommands():
 def test_paper_oracle_names_the_suite_criteria():
     results = verify.run_paper_suite(size=(2, 2))
     assert _perfbench("oracles").PAPER_CHECKS == tuple(r.name for r in results)
+
+
+def test_output_schema_matches_its_golden_copy():
+    # the benchmark validates every envelope against this schema; its
+    # per-command rules compare in a fixed order, sorted by their JSON text
+    rules = sorted(schema.OUTPUT_SCHEMA["allOf"], key=lambda r: json.dumps(r, sort_keys=True))
+    text = json.dumps(dict(schema.OUTPUT_SCHEMA, allOf=rules), indent=2, sort_keys=True)
+    assert text + "\n" == (Path(__file__).parent / "golden" / "output_schema.json").read_text()

@@ -103,6 +103,11 @@ def test_syntax_errors_carry_positions():
     with pytest.raises(ExprSyntaxError) as err:
         parse("x[1,1] + %")
     assert err.value.pos == 9
+    # where a chain of operators breaks off
+    for text, pos in [("1 +", 3), ("x[1,1]*/2", 7), ("1 2", 2), ("1,2", 1)]:
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(text)
+        assert err.value.pos == pos, text
     with pytest.raises(ExprSyntaxError):
         parse("x[1,1]*")
     with pytest.raises(ExprSyntaxError):

@@ -59,8 +59,13 @@ def test_b_and_c_minors():
     assert ALG23.b_minor(3) == ALG23.minor((1, 2), (1, 2))
     assert ALG23.c_minor(2) == ALG23.b_minor(3)  # c_m == b_n
     assert ALG22.c_minor(2) == ALG22.b_minor(2) == ALG22.det()
-    with pytest.raises(ValueError):
-        ALG23.b_minor(4)
+    assert ALG23.b_minor(2) == ALG23.minor((1, 2), (2, 3))
+    alg32 = oqm(3, 2)  # m > n: b_i has min(i, m) rows
+    assert alg32.b_minor(1) == alg32.x(1, 2)
+    assert alg32.b_minor(2) == alg32.minor((1, 2), (1, 2))
+    for i in (0, 4):
+        with pytest.raises(ValueError, match="b_%d undefined for the 2x3 grid" % i):
+            ALG23.b_minor(i)
     with pytest.raises(ValueError):
         ALG23.c_minor(3)
 
