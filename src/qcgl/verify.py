@@ -1,15 +1,17 @@
 """The claims-verification suite behind `verify paper` and the acceptance tests.
 
 Each criterion is one check_* function, declared by @_criterion(name): its
-body returns (ok, detail), and the check returns a timed CheckResult and
-never raises, since exceptions become failures, so the CLI can aggregate.
-The mutants of criterion 6 are built by one helper, _mutant, from the
-constructor arguments of a named algebra.  No check draws samples: criterion
-4 certifies that theta is multiplicative up to total degree THETA_DEGREE + 1
-from the relations presenting A_(N-1) and one product per PBW word up to
-that degree, criterion 5 that theta = theta_alt on every PBW word up to
+body returns (ok, detail), and the check returns a timed CheckResult and never
+raises, since exceptions become failures, so the CLI can aggregate.  A check
+builds each algebra it names (oqm(m,n), qplane, uq-sl3-plus) by
+resolve(label): suite_algebra, or run_paper_suite's one table per run, so a
+failed load fails each check that reads it.  _mutant builds six of criterion
+6's seven mutants from a named algebra's constructor arguments.  No check
+draws samples: criterion 4 certifies theta multiplicative up to total degree
+THETA_DEGREE + 1 from the relations of A_(N-1) and one product per PBW word up
+to that degree, criterion 5 that theta = theta_alt on every PBW word up to
 degree THETA_DEGREE, criterion 6 the axioms (a) and (b) on generators by two
-lemmas, and criterion 7 unique normal forms by check (g) and an order lemma.
+lemmas, and criterion 7 unique normal forms by (g) and an order lemma.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .cauchon import count_by_black, enumerate_diagrams, is_valid
 from .delderiv import LaurentElem, laurent_mul, theta, theta_alt
 from .grassmann import extremal_normality_report
 from .ncalg import NcPoly, OreAlgebra, format_poly
-from .presets import load_preset, quantum_plane
+from .presets import load_algebra, quantum_plane
 from .qmat import oqm
 
 DEFAULT_SIZES = ((2, 2), (2, 3), (3, 3))
@@ -59,14 +61,23 @@ def _criterion(name):
     return wrap
 
 
+def suite_algebra(label):
+    """A fresh algebra: oqm(m,n), qplane, or a preset through the axiom-checked loader."""
+    if label == "qplane":
+        return quantum_plane()
+    if label.startswith("oqm("):
+        return oqm(*map(int, label[4:-1].split(",")))
+    return load_algebra(label)
+
+
 # -- criterion 1 ------------------------------------------------------------
 
 
 @_criterion("1-height-one-hprime-generators")
-def check_height_one_generators(sizes=DEFAULT_SIZES):
+def check_height_one_generators(sizes=DEFAULT_SIZES, resolve=suite_algebra):
     problems = []
     for m, n in sizes:
-        alg = oqm(m, n)
+        alg = resolve("oqm(%d,%d)" % (m, n))
         gens = alg.height_one_hprime_generators()
         if len(gens) != m + n - 1:
             problems.append("(%d,%d): %d generators" % (m, n, len(gens)))
@@ -93,9 +104,9 @@ def check_height_one_generators(sizes=DEFAULT_SIZES):
 
 
 @_criterion("2-quantum-determinant-central")
-def check_det_centrality(ns=(2, 3)):
+def check_det_centrality(ns=(2, 3), resolve=suite_algebra):
     for n in ns:
-        alg = oqm(n, n)
+        alg = resolve("oqm(%d,%d)" % (n, n))
         det = alg.det()
         for i in range(1, alg.N + 1):
             s = alg.qcommute_exponent(det, alg.gen(i))
@@ -146,11 +157,6 @@ def check_cauchon_counts(sizes=DEFAULT_SIZES):
 # -- criteria 4 and 5 --------------------------------------------------------
 
 
-def _theta_algebras(shapes):
-    return ([("oqm(%d,%d)" % s, oqm(*s)) for s in shapes]
-            + [("uq-sl3-plus", load_preset("uq-sl3-plus"))])
-
-
 def _pbw_words(alg, degree):
     """The PBW words of A_(N-1), the algebra on the generators below the top,
     of degree at most `degree`: the sorted tuples over 1..N-1."""
@@ -159,7 +165,7 @@ def _pbw_words(alg, degree):
 
 
 @_criterion("4-theta-is-a-homomorphism")
-def check_theta_homomorphism(shapes=((2, 2), (2, 3))):
+def check_theta_homomorphism(shapes=((2, 2), (2, 3)), resolve=suite_algebra):
     """Criterion 4: theta(ab) = theta(a)theta(b) whenever deg a + deg b <=
     D = THETA_DEGREE + 1, certified on A_(N-1) by a presentation lemma.
 
@@ -185,16 +191,14 @@ def check_theta_homomorphism(shapes=((2, 2), (2, 3))):
 
         theta(ab) = phi(ab) = phi(a)phi(b) = theta(a)theta(b).
     """
-    alg22 = oqm(2, 2)
-    expected = LaurentElem({
-        0: alg22.x(1, 1),
-        -1: alg22.multiply(alg22.x(1, 2), alg22.x(2, 1)).scaled(-Q),
-    })
-    if theta(alg22, alg22.x(1, 1)) != expected:
+    a = resolve("oqm(2,2)")
+    expected = LaurentElem({0: a.x(1, 1), -1: a.multiply(a.x(1, 2), a.x(2, 1)).scaled(-Q)})
+    if theta(a, a.x(1, 1)) != expected:
         return False, "theta(x[1,1]) disagrees with the frozen hand value"
-    algebras = _theta_algebras(shapes)
+    labels = ["oqm(%d,%d)" % s for s in shapes] + ["uq-sl3-plus"]
     words = relations = 0
-    for label, alg in algebras:
+    for label in labels:
+        alg = resolve(label)
         for (j, i), p in alg.delta.items():
             if any(len(w) > 2 for w in p.terms):
                 return False, "%s: delta(%d,%d) has a word longer than 2" % (label, j, i)
@@ -228,18 +232,19 @@ def check_theta_homomorphism(shapes=((2, 2), (2, 3))):
                   "relations x_j x_i = lambda_ji x_i x_j + delta_j(x_i), and "
                   "theta(u) = theta(x_(u_1))theta(u_2 ... u_d) on %d PBW words u of "
                   "degree 2 to %d"
-                  % (THETA_DEGREE + 1, ", ".join(label for label, _ in algebras),
+                  % (THETA_DEGREE + 1, ", ".join(labels),
                      relations, words, THETA_DEGREE + 1))
 
 
 @_criterion("5-theta-expansions-agree")
-def check_theta_expansions(shapes=((2, 2), (2, 3))):
+def check_theta_expansions(shapes=((2, 2), (2, 3)), resolve=suite_algebra):
     """Criterion 5: theta = theta_alt on every PBW word of A_(N-1) of degree
     at most THETA_DEGREE; both maps are linear, so they agree on every
     element of that degree."""
-    algebras = _theta_algebras(shapes)
+    labels = ["oqm(%d,%d)" % s for s in shapes] + ["uq-sl3-plus"]
     words = 0
-    for label, alg in algebras:
+    for label in labels:
+        alg = resolve(label)
         for w in _pbw_words(alg, THETA_DEGREE):
             p = NcPoly({w: ONE})
             if theta(alg, p) != theta_alt(alg, p):
@@ -248,7 +253,7 @@ def check_theta_expansions(shapes=((2, 2), (2, 3))):
             words += 1
     return True, ("both expansions agree on all %d PBW words of degree <= %d in "
                   "A_(N-1) of %s, so on every element of that degree"
-                  % (words, THETA_DEGREE, ", ".join(label for label, _ in algebras)))
+                  % (words, THETA_DEGREE, ", ".join(labels)))
 
 
 # -- criterion 6 ------------------------------------------------------------
@@ -261,7 +266,7 @@ def _mutant(base, **changes):
     return OreAlgebra(**dict(args, **changes))
 
 
-def mutated_specs():
+def mutated_specs(resolve=suite_algebra):
     """Mutations of named algebras: (label, algebra, expected_to_fail).
 
     Each but non-derivation-correction changes one table of oqm(2,2) or of
@@ -270,7 +275,7 @@ def mutated_specs():
     that mutation is expected to PASS and documents the checker's
     mathematical boundary.
     """
-    base = oqm(2, 2)
+    base = resolve("oqm(2,2)")
     return [
         ("wrong-level-constant", _mutant(base, level_q={**base.level_q, 4: Q}), True),
         ("zero-straightening-coefficient", _mutant(base, lam={**base.lam, (4, 2): 0}), True),
@@ -279,7 +284,7 @@ def mutated_specs():
         ("wrong-torus-element",
          _mutant(base, h_elems=base.h_elems[:3] + ((ONE,) * base.torus_rank,)), True),
         ("non-nilpotent-derivation",
-         _mutant(quantum_plane(), delta={(2, 1): NcPoly({(1,): ONE})}), True),
+         _mutant(resolve("qplane"), delta={(2, 1): NcPoly({(1,): ONE})}), True),
         # every per-generator axiom holds, but d_3 is no sigma_3-derivation of
         # the lower algebra: only the overlap g_3 g_2 g_1 exposes it
         ("non-derivation-correction",
@@ -294,15 +299,13 @@ def mutated_specs():
 
 
 @_criterion("6-cgl-axiom-checker")
-def check_cgl_axioms():
-    good = [("oqm(2,2)", oqm(2, 2)), ("oqm(2,3)", oqm(2, 3)),
-            ("qplane", quantum_plane()), ("uq-sl3-plus", load_preset("uq-sl3-plus"))]
-    for label, alg in good:
-        report = alg.check_cgl_axioms()
+def check_cgl_axioms(resolve=suite_algebra):
+    for label in ("oqm(2,2)", "oqm(2,3)", "qplane", "uq-sl3-plus"):
+        report = resolve(label).check_cgl_axioms()
         if not report.ok:
             return False, "%s rejected: %s" % (label, report.failures()[0].detail)
     failing = 0
-    for label, alg, expect_fail in mutated_specs():
+    for label, alg, expect_fail in mutated_specs(resolve):
         report = alg.check_cgl_axioms(nilpotence_bound=16)
         if expect_fail and report.ok:
             return False, "mutation %s was not rejected" % label
@@ -321,18 +324,18 @@ def check_cgl_axioms():
 
 
 @_criterion("7-rewriting-soundness")
-def check_rewriting_soundness():
+def check_rewriting_soundness(resolve=suite_algebra):
     """Criterion 7: unique normal forms by the diamond lemma, from an order lemma and (g).
     The algebras checked here come straight from their constructors, which
     refuse a delta(j,i) with a letter not below x_j: the lemma's hypothesis."""
-    algebras = [("oqm(%d,%d)" % s, oqm(*s)) for s in ((2, 2), (2, 3), (3, 3), (4, 4))]
-    algebras += [("qplane", quantum_plane()), ("uq-sl3-plus", load_preset("uq-sl3-plus"))]
-    for label, alg in algebras:
+    labels = ["oqm(2,2)", "oqm(2,3)", "oqm(3,3)", "oqm(4,4)", "qplane", "uq-sl3-plus"]
+    for label in labels:
+        alg = resolve(label)
         for why in filter(None, (alg.overlap_failure(k) for k in range(3, alg.N + 1))):
             return False, "%s: %s" % (label, why)
     return True, ("a swap removes an inversion and a delta_ji word trades x_j for lower "
                   "letters, so rules lower words ordered by letter counts, then inversions; "
-                  "every overlap resolves on " + ", ".join(label for label, _ in algebras))
+                  "every overlap resolves on " + ", ".join(labels))
 
 
 # -- criterion 8 ------------------------------------------------------------
@@ -357,15 +360,11 @@ def check_grassmann(sizes=((2, 3), (2, 4))):
 
 
 @_criterion("9-torsionfree-verdicts")
-def check_torsionfree(sizes=DEFAULT_SIZES):
-    for m, n in sizes:
-        verdict = oqm(m, n).is_torsionfree()
+def check_torsionfree(sizes=DEFAULT_SIZES, resolve=suite_algebra):
+    for label in ["oqm(%d,%d)" % s for s in sizes] + ["qplane", "uq-sl3-plus"]:
+        verdict = resolve(label).is_torsionfree()
         if verdict is not True:
-            return False, "oqm(%d,%d) verdict %r" % (m, n, verdict)
-    for label, alg in (("qplane", quantum_plane()),
-                       ("uq-sl3-plus", load_preset("uq-sl3-plus"))):
-        if alg.is_torsionfree() is not True:
-            return False, "%s not recognised as torsionfree" % label
+            return False, "%s verdict %r" % (label, verdict)
     return True, "all presets torsionfree"
 
 
@@ -385,14 +384,15 @@ def run_paper_suite(size=None):
         det_ns = (min(size),)
         theta_shapes = (size,) if size in ((2, 2), (2, 3)) else ((2, 2),)
         grass_sizes = (size,) if size in ((2, 3), (2, 4)) else ((2, 3),)
+    resolve = functools.cache(suite_algebra)
     return [
-        check_height_one_generators(sizes),
-        check_det_centrality(det_ns),
+        check_height_one_generators(sizes, resolve),
+        check_det_centrality(det_ns, resolve),
         check_cauchon_counts(sizes),
-        check_theta_homomorphism(theta_shapes),
-        check_theta_expansions(theta_shapes),
-        check_cgl_axioms(),
-        check_rewriting_soundness(),
+        check_theta_homomorphism(theta_shapes, resolve),
+        check_theta_expansions(theta_shapes, resolve),
+        check_cgl_axioms(resolve),
+        check_rewriting_soundness(resolve),
         check_grassmann(grass_sizes),
-        check_torsionfree(sizes),
+        check_torsionfree(sizes, resolve),
     ]

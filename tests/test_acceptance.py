@@ -12,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from qcgl import delderiv, verify
+from qcgl import delderiv, presets, verify
 from qcgl.cli import main
 from qcgl.coef import Q
 
@@ -115,18 +115,17 @@ def test_criterion_4_counts_relations_and_sorted_words():
     (1, lambda alg: alg.delta.update({(5, 1): alg.delta[(5, 1)].scaled(2)}),
      "oqm(2,3): relation x[2,2] x[1,1]"),
 ])
-def test_criterion_4_fails_on_a_wrong_relation(monkeypatch, k, doctor, relation):
+def test_criterion_4_fails_on_a_wrong_relation(k, doctor, relation):
     # theta and the straightening rows read no lambda_ji or delta_ji with
-    # j < N, so only the relation checks see such an entry change
-    theta_algebras = verify._theta_algebras
+    # j < N, so only the relation checks see such an entry change; the
+    # doctored algebra is the k-th of the check's default shapes
+    def doctored(label):
+        alg = verify.suite_algebra(label)
+        if label == ("oqm(2,2)", "oqm(2,3)")[k]:
+            doctor(alg)
+        return alg
 
-    def doctored(shapes):
-        algebras = theta_algebras(shapes)
-        doctor(algebras[k][1])
-        return algebras
-
-    monkeypatch.setattr(verify, "_theta_algebras", doctored)
-    result = verify.check_theta_homomorphism()
+    result = verify.check_theta_homomorphism(resolve=doctored)
     assert not result.ok and relation in result.detail, result.detail
 
 
@@ -147,13 +146,13 @@ def test_criterion_7_rewriting_soundness():
     _report(verify.check_rewriting_soundness())
 
 
-def test_criterion_7_fails_on_an_unresolved_overlap(monkeypatch):
+def test_criterion_7_fails_on_an_unresolved_overlap():
     # every per-generator axiom holds on this mutation, but its overlap
     # g_3 g_2 g_1 does not resolve
     mutation, = (alg for label, alg, _ in verify.mutated_specs()
                  if label == "non-derivation-correction")
-    monkeypatch.setattr(verify, "load_preset", lambda name: mutation)
-    result = verify.check_rewriting_soundness()
+    result = verify.check_rewriting_soundness(
+        lambda label: mutation if label == "uq-sl3-plus" else verify.suite_algebra(label))
     assert not result.ok
     assert "uq-sl3-plus" in result.detail and "g_3*g_2*g_1" in result.detail
 
@@ -187,12 +186,53 @@ def test_full_suite_through_the_cli_entry_point():
     assert all(r.ok for r in results), [r.name for r in results if not r.ok]
 
 
+def test_one_suite_run_builds_each_algebra_once(monkeypatch):
+    # the table lives for one run: a second run reads the preset file again,
+    # and no criterion changes an algebra that the others read
+    built, reads = [], []
+    build, from_json = verify.suite_algebra, presets.from_json
+
+    def counted_build(label):
+        built.append((label, build(label)))
+        return built[-1][1]
+
+    def counted_read(doc):
+        reads.append(doc)
+        return from_json(doc)
+
+    monkeypatch.setattr(verify, "suite_algebra", counted_build)
+    monkeypatch.setattr(presets, "from_json", counted_read)
+    assert all(r.ok for r in verify.run_paper_suite())
+    labels = [label for label, _ in built]
+    assert len(reads) == 1 and len(set(labels)) == len(labels), labels
+    assert {"oqm(2,2)", "oqm(4,4)", "qplane", "uq-sl3-plus"} <= set(labels)
+    verify.run_paper_suite()
+    assert len(reads) == 2 and len(built) == 2 * len(labels)
+    for label, alg in built:
+        assert presets.to_json(alg) == presets.to_json(build(label)), label
+
+
+def test_a_failed_preset_load_fails_each_criterion_that_reads_it(tmp_path, monkeypatch):
+    doc = presets.to_json(presets.load_preset("uq-sl3-plus"))
+    doc["level_q"] = [[2, "1"], [3, "q^-2"]]  # root of unity: axiom (c) fails
+    path = tmp_path / "uq-sl3-plus.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setitem(presets._FILE_PRESETS, "uq-sl3-plus", str(path))
+    results = verify.run_paper_suite()
+    assert [r.name[0] for r in results if r.ok] == ["1", "2", "3", "8"]
+    for r in results:
+        assert r.ok or r.detail.startswith(
+            "raised ValueError: preset 'uq-sl3-plus' fails the CGL axioms"), (r.name, r.detail)
+
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("argv, golden", [
     (["verify", "paper", "--json"], "verify_paper.json"),
     (["verify", "paper", "--size", "2,2", "--json"], "verify_paper_2x2.json"),
+    # theta falls back to oqm(2,2), criterion 8 runs at its size
+    (["verify", "paper", "--size", "2,4", "--json"], "verify_paper_2x4.json"),
 ])
 def test_verify_paper_document_matches_its_golden_copy(argv, golden):
     # every criterion's name, verdict and detail text, byte for byte; only
