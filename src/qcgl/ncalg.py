@@ -10,12 +10,13 @@ generator indices to Q(q) coefficients.  Products are normalised by
 insertion sort: from left to right, each letter x_i moves left past the
 larger letters before it, one step per inversion, each step rewriting x_j x_i
 (j > i) as lambda_ji x_i x_j + d_j(x_i) by the entry for j in x_i's rule row;
-each term of d_j(x_i) starts a path of its own.  Rightmost reduction is the
-same loop on the mirrored word (reversed, on letters N+1-g) under mirrored
-rows.  No normal form is stored: every word a product, a derivation or
-normal_form_word forms is straightened where it is formed, its paths
-starting from the word's coefficient.  The engine imports no qcgl module but
-coef; the spec document an algebra is written to and read from is presets'.
+each term of d_j(x_i) starts a path of its own.  That is the engine's one
+reduction order: check (g) straightens both one-step reducts of each overlap
+with it.  No normal form is stored: every word a product, a derivation, an
+overlap check or normal_form_word forms is straightened where it is formed,
+its paths starting from the word's coefficient.  The engine imports no qcgl
+module but coef; the spec document an algebra is written to and read from is
+presets'.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ _NAME_RE = re.compile(r"^(?:x\[\d+,\d+\]|g_\d+)$")
 
 STEPS_BUDGET = 10**6      # rewriting steps per straightened word, by default
 NILPOTENCE_BOUND = 64     # powers of a derivation tried before giving up, by default
+MAX_WEIGHT = 64           # bound on |e| for a torus weight entry: h_eigenvalue raises to it
 
 
 class StepBudgetExceeded(RuntimeError):
@@ -334,8 +336,6 @@ class OreAlgebra:
         for (j, i), p in self.delta.items():
             rows[i][j] = (rows[i][j][0],
                           tuple((list(dw),) + split(dc) for dw, dc in p.terms.items()))
-        # the rows of the mirrored algebra, built by _mirrored_rows on first use
-        self._mirror_rows = None
         self.level_q = {}
         for j in range(2, N + 1):
             try:
@@ -354,6 +354,10 @@ class OreAlgebra:
             raise ValueError("need one weight vector of length %d per generator" % self.torus_rank)
         if any(type(e) is not int for w in weights for e in w):
             raise ValueError("torus weights must be integers")
+        for name, w in zip(names, weights):
+            if any(abs(e) > MAX_WEIGHT for e in w):
+                raise ValueError("torus weight %s of %s is past the bound |e| <= %d"
+                                 % (list(w), name, MAX_WEIGHT))
         self.weights = tuple(weights)
         hs = []
         for h in h_elems:
@@ -391,35 +395,12 @@ class OreAlgebra:
 
     # -- rewriting -------------------------------------------------------------
 
-    def normal_form_word(self, word, strategy="leftmost"):
-        """PBW normal form of an arbitrary word of generator indices.
+    def normal_form_word(self, word):
+        """PBW normal form of an arbitrary word of generator indices, by
+        leftmost reduction; each call straightens afresh."""
+        return NcPoly(self._straighten({}, tuple(word), ONE))
 
-        Leftmost reduction rewrites the leftmost inversion first; rightmost
-        reduction rewrites the rightmost one, which is leftmost reduction of
-        the mirrored word under the mirrored rows (see _straighten).  Each
-        call straightens afresh, so the two strategies are two independent
-        runs of the insertion loop.
-        """
-        if strategy not in ("leftmost", "rightmost"):
-            raise ValueError("unknown strategy %r" % strategy)
-        return NcPoly(self._straighten({}, tuple(word), ONE, strategy == "rightmost"))
-
-    def _mirrored_rows(self):
-        """The rows of the mirror algebra, on letters N+1-g: x_j x_i there is
-        the mirror of x_(N+1-i) x_(N+1-j), with the same lambda and each word
-        of d reversed on mirrored letters."""
-        if self._mirror_rows is None:
-            top = self.N + 1
-            mirror = [[None] * top for _ in range(top)]
-            for i in range(1, top):
-                for j in range(i + 1, top):
-                    lam, dterms = self._rows[i][j]
-                    mirror[top - j][top - i] = (lam, tuple(
-                        ([top - g for g in reversed(dw)], s, e, c) for dw, s, e, c in dterms))
-            self._mirror_rows = mirror
-        return self._mirror_rows
-
-    def _straighten(self, out, word, c, mirrored=False):
+    def _straighten(self, out, word, c):
         """Add c * NF(word) into the dict out, as add_terms does, and return it.
 
         Leftmost reduction is insertion sort: with the prefix cur[:n] sorted,
@@ -427,25 +408,16 @@ class OreAlgebra:
         per inversion, by the row entry rows[x][j].  A path follows its
         lambda branch in place; each term of d_j(x) starts a new path whose
         sorted prefix is the letters before j, and lambda_jx = 0 ends the
-        path.  Under mirrored, the word is reversed on letters N+1-g and
-        straightened by the mirrored rows, and its leaves mirrored back: that
-        is rightmost reduction, with the same paths and steps.  Every path
-        starts from c, split as by _qpow_parts, so a c that is a signed power
-        of q costs no Q(q) product; out is left as it was when the step budget
-        runs out.
+        path.  Every path starts from c, split as by _qpow_parts, so a c that
+        is a signed power of q costs no Q(q) product; out is left as it was
+        when the step budget runs out.
         """
-        if mirrored:
-            top = self.N + 1
-            rows = self._mirrored_rows()
-            letters = [top - g for g in reversed(word)]
-        else:
-            rows = self._rows
-            letters = list(word)
+        rows = self._rows
         budget = self.steps_budget
         leaves = []
         # a path is (letters, n, sign, k, rest): its letters[:n] are sorted and
         # its coefficient is rest * sign * q^k, rest None standing for 1
-        stack = [(letters, 1) + _qpow_parts(c)]
+        stack = [(list(word), 1) + _qpow_parts(c)]
         steps = 0
         while stack:
             cur, n, sign, k, rest = stack.pop()
@@ -485,8 +457,6 @@ class OreAlgebra:
                 break
             else:  # sorted: a leaf
                 leaves.append((tuple(cur), (ONE if rest is None else rest).times_qpow(k, sign)))
-        if mirrored:
-            leaves = [(tuple(top - g for g in reversed(w)), c) for w, c in leaves]
         return add_terms(out, leaves)
 
     def multiply(self, a, b):
@@ -636,9 +606,9 @@ class OreAlgebra:
         (d) the torus element h_j acts on each earlier generator by lambda_ji
         (e) the h_j-eigenvalue of x_j is not a root of unity
         (f) every lambda_ji is nonzero
-        (g) from level 3 on, every overlap word x_k x_j x_i (k > j > i) has
-            the same normal form under leftmost and rightmost reduction;
-            with criterion 7's order lemma, Bergman's diamond lemma gives the PBW basis
+        (g) from level 3 on, the two one-step reducts of every overlap word
+            x_k x_j x_i (k > j > i) have the same normal form; with
+            criterion 7's order lemma, Bergman's diamond lemma gives the PBW basis
 
         Checking (a) and (b) on generators suffices.  (a): D = s_j d_j -
         q_j d_j s_j is an (s_j^2, s_j)-derivation, D(ab) = s_j^2(a) D(b) +
@@ -697,17 +667,31 @@ class OreAlgebra:
         return AxiomReport(checks)
 
     def overlap_failure(self, k):
-        """Why some overlap x_k x_j x_i (k > j > i) is unresolved, or ''."""
+        """Why some overlap x_k x_j x_i (k > j > i) is unresolved, or ''.
+
+        Bergman's form: the one-step reducts (lambda_kj x_j x_k + d_k(x_j)) x_i
+        and x_k (lambda_ji x_i x_j + d_j(x_i)) are straightened term by term,
+        each into a dict of its own, and the overlap resolves when the two
+        agree.  A swap term with lambda = 0 is left out.
+        """
         for j in range(2, k):
             for i in range(1, j):
-                word = (k, j, i)
+                left = [(self.lam[(k, j)], (j, k, i))]
+                left += [(dc, dw + (i,)) for dw, dc in self.delta.get((k, j), {}).items()]
+                right = [(self.lam[(j, i)], (k, i, j))]
+                right += [(dc, (k,) + dw) for dw, dc in self.delta.get((j, i), {}).items()]
+                forms = []
                 try:
-                    if self.normal_form_word(word) == self.normal_form_word(word, "rightmost"):
-                        continue
-                    why = "leftmost and rightmost normal forms of %s differ"
+                    for reduct in (left, right):
+                        out = {}
+                        for c, w in reduct:
+                            if c:
+                                self._straighten(out, w, c)
+                        forms.append(out)
                 except StepBudgetExceeded:
-                    why = "straightening %s exceeded the step budget"
-                return why % self.word_text(word)
+                    return "straightening %s exceeded the step budget" % self.word_text((k, j, i))
+                if forms[0] != forms[1]:
+                    return "the one-step reducts of %s differ in normal form" % self.word_text((k, j, i))
         return ""
 
     def is_torsionfree(self):

@@ -134,26 +134,6 @@ class QuantumMatrixAlgebra(OreAlgebra):
         out.extend(self.c_minor(i) for i in range(1, self.m))
         return out
 
-    # -- transposition ---------------------------------------------------------
-
-    def transposed(self):
-        """The n x m algebra, built afresh on each call, with this one's step budget."""
-        target = QuantumMatrixAlgebra(self.n, self.m)
-        target.steps_budget = self.steps_budget
-        return target
-
-    def transpose_poly(self, a):
-        """Image of a under x[i,j] -> x[j,i], renormalised in the n x m algebra."""
-        target = self.transposed()
-        out = {}
-        for w, c in a.terms.items():
-            image = []
-            for g in w:
-                i, j = divmod(g - 1, self.n)
-                image.append(target.gen_index(j + 1, i + 1))
-            target._straighten(out, tuple(image), c)
-        return NcPoly(out)
-
 
 def oqm(m, n):
     """The generic quantum matrix algebra on an m x n grid."""

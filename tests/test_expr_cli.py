@@ -16,8 +16,8 @@ from qcgl.coef import ONE, Q, RatFunc
 from qcgl.delderiv import LaurentElem, format_laurent, theta
 from qcgl.expr import (MAX_EXPONENT, ExprEvalError, ExprSyntaxError, eval_free,
                        evaluate, parse, parse_scalar)
-from qcgl.ncalg import NcPoly, format_poly
-from qcgl.presets import quantum_plane, to_json
+from qcgl.ncalg import MAX_WEIGHT, NcPoly, format_poly
+from qcgl.presets import load_preset, quantum_plane, to_json
 from qcgl.qmat import oqm
 from qcgl.schema import OUTPUT_SCHEMA
 from qcgl.verify import mutated_specs
@@ -288,6 +288,25 @@ def test_cli_spec_file_non_integer_weights(tmp_path):
         for argv in (["weight", "x[1,1]"], ["axioms"]):
             rc, _, err = run_cli(argv + ["-a", str(path)])
             assert rc == 2 and err.startswith("error:"), (bad, argv)
+
+
+def test_cli_spec_file_weights_are_bounded(tmp_path):
+    # h_eigenvalue raises h's entries to the weights by repeated products, so
+    # a weight entry past MAX_WEIGHT is refused, naming its generator
+    doc = to_json(load_preset("uq-sl3-plus"))
+    doc["h"][0] = ["q+1", "1"]
+    path = tmp_path / "spec.json"
+    for e, rc_expected in ((MAX_WEIGHT, 1), (-MAX_WEIGHT, 1), (MAX_WEIGHT + 1, 2),
+                           (-MAX_WEIGHT - 1, 2)):
+        doc["weights"][0] = [e, 0]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        rc, out, err = run_cli(["axioms", "-a", str(path)])
+        assert rc == rc_expected, (e, err)
+        if rc == 2:
+            assert err == "error: torus weight [%d, 0] of g_1 is past the bound |e| <= %d\n" % (
+                e, MAX_WEIGHT) and not out
+        else:
+            assert "FAIL level 2 (d)" in out
 
 
 def test_cli_spec_file_non_integer_torus_rank(tmp_path):

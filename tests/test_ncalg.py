@@ -14,7 +14,7 @@ from qcgl.ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, OreAl
 from qcgl.presets import from_json, load_preset, quantum_plane, to_json
 from qcgl.qmat import oqm
 from qcgl.verify import mutated_specs
-from sampling import random_poly, random_word
+from sampling import random_poly, random_word, transpose, transpose_word
 
 ALG22 = oqm(2, 2)
 ALG23 = oqm(2, 3)
@@ -234,6 +234,19 @@ def test_overlap_check_catches_a_correction_that_is_no_derivation():
             != alg.multiply(g3, alg.multiply(g2, g1)))
 
 
+def test_overlap_check_names_the_one_unresolved_overlap():
+    # x_4 x_2 = q x_2 x_4 + x_1 on a quantum affine space: the reducts of
+    # x_4 x_3 x_2 reach x_1 x_3 with coefficients lambda_43 lambda_31 = q and
+    # lambda_32 = q^2, so that overlap alone is unresolved; x_4 x_2 x_1
+    # resolves since x_1 commutes with x_2 and x_4
+    lam = {(2, 1): ONE, (3, 1): ONE, (3, 2): qpow(2), (4, 1): ONE, (4, 2): Q, (4, 3): Q}
+    alg = OreAlgebra(("g_1", "g_2", "g_3", "g_4"), lam, {(4, 2): NcPoly({(1,): ONE})},
+                     {j: Q for j in (2, 3, 4)}, 1, [(1,)] * 4, [(Q,)] * 4)
+    assert [(c.level, c.ok, c.detail) for c in _overlap_checks(alg)] == [
+        (3, True, ""),
+        (4, False, "the one-step reducts of g_4*g_3*g_2 differ in normal form")]
+
+
 def test_checker_verdicts_on_the_mutation_set():
     failures = {label: [(c.level, c.axiom[:3])
                         for c in alg.check_cgl_axioms(nilpotence_bound=16).failures()]
@@ -403,8 +416,7 @@ def test_strategy_independence():
     rng = random.Random(9)
     for _ in range(120):
         w = random_word(ALG23, rng, max_len=6)
-        assert (ALG23.normal_form_word(w, "leftmost")
-                == ALG23.normal_form_word(w, "rightmost"))
+        assert ALG23.normal_form_word(w) == _reference_normal_form(ALG23, w, "rightmost")[0]
 
 
 def test_steps_budget_guard():
@@ -418,8 +430,9 @@ def test_steps_budget_guard():
 
 
 # The reference straightener: one Q(q) product per rewriting step and per
-# correction term, read straight off lam and delta.  normal_form_word must
-# agree with it on every word, under both strategies, and take as many steps.
+# correction term, read straight off lam and delta, reducing the leftmost or
+# the rightmost inversion first.  normal_form_word must agree with it on every
+# word under both, and take as many steps as its leftmost reduction.
 
 def _reference_normal_form(alg, word, strategy):
     leftmost = strategy == "leftmost"
@@ -472,9 +485,8 @@ def test_rewrite_table_matches_the_reference_straightener():
     for alg in algebras:
         for _ in range(60):
             w = random_word(alg, rng, max_len=6)
-            for strategy in ("leftmost", "rightmost"):
-                expected, _ = _reference_normal_form(alg, w, strategy)
-                assert alg.normal_form_word(w, strategy) == expected, (alg, w, strategy)
+            expected, _ = _reference_normal_form(alg, w, "leftmost")
+            assert alg.normal_form_word(w) == expected, (alg, w)
     # the general coefficients reach the normal forms
     general = _general_coefficient_algebra().normal_form_word((4, 2, 3, 1))
     assert any(c.as_signed_q_power() is None for c in general.terms.values())
@@ -485,29 +497,27 @@ def _budget_message(alg, w, budget):
 
 
 def test_rewrite_table_keeps_the_step_count():
-    # Both strategies take the reference's steps, and a rightmost error names
-    # the word it was given, not its mirror.  In x_4 x_3 x_1 of the general
-    # algebra, x_3 passes x_4 and leaves the d_43 child pending; then x_1
-    # meets x_4, and lambda_41 = 0 ends the path partway through x_1's
-    # insertion, with d_41's two children pending too.
+    # Straightening takes the reference's leftmost steps.  In x_4 x_3 x_1 of
+    # the general algebra, x_3 passes x_4 and leaves the d_43 child pending;
+    # then x_1 meets x_4, and lambda_41 = 0 ends the path partway through
+    # x_1's insertion, with d_41's two children pending too.
     rng = random.Random(12)
     general = _general_coefficient_algebra()
     assert not general.lam[(4, 1)] and general.lam[(4, 3)] and (4, 3) in general.delta
     for alg, fixed in ((oqm(2, 3), []), (general, [(4, 3, 1)])):
         for w in [random_word(alg, rng, max_len=6) for _ in range(8)] + fixed:
-            for strategy in ("leftmost", "rightmost"):
-                expected, steps = _reference_normal_form(alg, w, strategy)
-                assert _with_budget(alg, steps).normal_form_word(w, strategy) == expected
-                if steps:
-                    with pytest.raises(StepBudgetExceeded) as info:
-                        _with_budget(alg, steps - 1).normal_form_word(w, strategy)
-                    assert (info.value.word, info.value.steps, str(info.value)) == \
-                        (w, steps, _budget_message(alg, w, steps - 1)), (alg, w, strategy)
+            expected, steps = _reference_normal_form(alg, w, "leftmost")
+            assert _with_budget(alg, steps).normal_form_word(w) == expected
+            if steps:
+                with pytest.raises(StepBudgetExceeded) as info:
+                    _with_budget(alg, steps - 1).normal_form_word(w)
+                assert (info.value.word, info.value.steps, str(info.value)) == \
+                    (w, steps, _budget_message(alg, w, steps - 1)), (alg, w)
 
 
-# multiply, apply_delta and transpose_poly add c * NF(w) for each word w they
-# form, straightened straight into the sum with c as its starting
-# coefficient.  Each must give the reference normal forms.
+# multiply and apply_delta add c * NF(w) for each word w they form,
+# straightened straight into the sum with c as its starting coefficient.
+# Each must give the reference normal forms.
 
 def _reference_sum(alg, scaled_words):
     """Sum of c * NF(w) over (c, w) pairs, by the reference straightener."""
@@ -549,20 +559,19 @@ def test_product_paths_match_the_reference_straightener():
 def test_straightening_leaves_no_per_word_state():
     # every word is straightened where it is formed: normality checks,
     # leftmost normal forms and d_N store nothing per word, so the algebra's
-    # containers keep their sizes (the mirrored rows are built on first use)
+    # containers keep their sizes
     alg = oqm(4, 4)
     det = alg.det()
 
     def sizes():
-        return {name: len(v) for name, v in vars(alg).items()
-                if isinstance(v, (dict, set, list)) and name != "_mirror_rows"}
+        return {name: len(v) for name, v in vars(alg).items() if isinstance(v, (dict, set, list))}
 
     before = sizes()
     for _ in range(2):
         assert alg.is_normal(det).ok
     words = [w for w, _ in det.sorted_terms()]
     for w in words:
-        assert alg.normal_form_word(w[::-1]) == alg.normal_form_word(w[::-1], "rightmost")
+        assert alg.normal_form_word(w[::-1]) == _reference_normal_form(alg, w[::-1], "rightmost")[0]
     low = alg.minor((1, 2, 3), (1, 2, 3))
     assert alg.apply_delta(alg.N, low.scaled(ONE + Q)) == alg.apply_delta(alg.N, low).scaled(ONE + Q)
     assert sizes() == before
@@ -587,15 +596,11 @@ def test_delta_and_transpose_paths_match_the_reference_straightener():
                 assert alg.apply_delta(j, a) == expected, (alg, j, a)
     for m, n in ((2, 3), (3, 3), (3, 2)):
         samples = [random_poly(oqm(m, n), rng, max_degree=4) for _ in range(10)]
-        source = oqm(m, n)
-        target = source.transposed()
+        source, target = oqm(m, n), oqm(n, m)
         for a in samples:
-            scaled_words = []
-            for w, c in a.items():
-                scaled_words.append((c, tuple(target.gen_index(j + 1, i + 1)
-                                              for i, j in (divmod(g - 1, n) for g in w))))
-            expected = _reference_sum(target, scaled_words)
-            assert source.transpose_poly(a) == expected, (m, n, a)
+            expected = _reference_sum(target, [(c, transpose_word(source, target, w))
+                                               for w, c in a.items()])
+            assert transpose(source, target, a) == expected, (m, n, a)
 
 
 def test_first_sight_budget_error_matches_normal_form_word():
@@ -603,12 +608,6 @@ def test_first_sight_budget_error_matches_normal_form_word():
     for alg in (oqm(2, 3), _general_coefficient_algebra()):
         for _ in range(8):
             w = random_word(alg, rng, max_len=6)
-            _, steps = _reference_normal_form(alg, w, "rightmost")
-            if steps:
-                with pytest.raises(StepBudgetExceeded) as info:
-                    _with_budget(alg, steps - 1).normal_form_word(w, "rightmost")
-                assert (info.value.word, info.value.steps, str(info.value)) == \
-                    (w, steps, _budget_message(alg, w, steps - 1))
             _, steps = _reference_normal_form(alg, w, "leftmost")
             if not steps:
                 continue

@@ -57,8 +57,9 @@ def _cli(argv, capsys):
 
 
 def test_small_step_budgets_do_not_fail_the_preset_check(capsys):
-    # overlap check (g) straightens g_3*g_2*g_1 in 3 steps: the load-time
-    # check runs at the default budget, the algebra straightens at the given one
+    # overlap check (g) straightens each one-step reduct of g_3*g_2*g_1 in 2
+    # steps, and normal_form_word the word itself in 3: the load-time check
+    # runs at the default budget, the algebra straightens at the given one
     for budget in (0, 1, 2):
         alg = load_preset("uq-sl3-plus")
         alg.steps_budget = budget
@@ -68,9 +69,9 @@ def test_small_step_budgets_do_not_fail_the_preset_check(capsys):
                     capsys) == (0, "g_1\n")
     rc, text = _cli(["nf", "-a", "uq-sl3-plus", "--steps-budget", "1", "g_3*g_2*g_1"], capsys)
     assert rc == 1 and "straightening g_2*g_3*g_1 exceeded 1 steps" in text
-    rc, text = _cli(["axioms", "-a", "uq-sl3-plus", "--steps-budget", "2"], capsys)
+    rc, text = _cli(["axioms", "-a", "uq-sl3-plus", "--steps-budget", "1"], capsys)
     assert rc == 1 and "FAIL level 3 (g)" in text
-    alg.steps_budget = 3
+    alg.steps_budget = 2
     assert alg.check_cgl_axioms().ok
 
 
@@ -137,7 +138,7 @@ def test_spec_files_are_checked_at_the_default_budget(tmp_path, capsys):
     path.write_text(json.dumps(to_json(uq)), encoding="utf-8")
     assert load_algebra(str(path)).spec_equals(uq)
     assert _cli(["nf", "-a", str(path), "--steps-budget", "0", "g_1"], capsys) == (0, "g_1\n")
-    rc, text = _cli(["axioms", "-a", str(path), "--steps-budget", "2"], capsys)
+    rc, text = _cli(["axioms", "-a", str(path), "--steps-budget", "1"], capsys)
     assert rc == 1 and "FAIL level 3 (g)" in text
     doc = to_json(uq)
     doc["level_q"] = [[2, "1"], [3, "q^-2"]]  # root of unity: axiom (c) fails
