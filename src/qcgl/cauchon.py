@@ -41,33 +41,8 @@ class CauchonDiagram:
     n: int
     black: frozenset
 
-    @classmethod
-    def validate(cls, m, n, black):
-        """Build a diagram after checking the grid and the defining condition."""
-        _check_size(m, n)
-        cells = frozenset((int(r), int(c)) for r, c in black)
-        if not is_valid(m, n, cells):
-            raise ValueError("not a valid Cauchon diagram")
-        return cls(m, n, cells)
-
     def __str__(self):
         return draw(self.m, self.n, self.black)
-
-    @classmethod
-    def from_text(cls, text):
-        rows = [line.strip() for line in text.strip().splitlines()]
-        m = len(rows)
-        n = len(rows[0]) if rows else 0
-        if any(len(row) != n for row in rows):
-            raise ValueError("ragged diagram text")
-        cells = set()
-        for r, row in enumerate(rows, start=1):
-            for c, ch in enumerate(row, start=1):
-                if ch == "#":
-                    cells.add((r, c))
-                elif ch != ".":
-                    raise ValueError("diagram text uses only '.' and '#'")
-        return cls.validate(m, n, cells)
 
 
 def draw(m, n, cells):

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verification failure (or a computation that hit a
 budget), 2 usage or parse errors.  The active algebra is chosen per
-invocation with --algebra (qmat:M,N, qplane, uq-sl3-plus, or a spec file);
+invocation with --algebra (qmat:M,N, a preset name, or a spec file);
 there is no persistent session state.  Each command takes only the options
 its handler reads.
 """
@@ -20,7 +20,7 @@ from .delderiv import LaurentElem, format_laurent, theta, theta_alt
 from .expr import evaluate
 from .ncalg import (NILPOTENCE_BOUND, STEPS_BUDGET, NilpotenceBoundExceeded,
                     StepBudgetExceeded, format_poly)
-from .presets import load_algebra, load_preset, load_unchecked, to_json
+from .presets import load_algebra, load_preset, load_unchecked, preset_names, to_json
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -35,8 +35,8 @@ def build_parser():
     # for the commands that load an algebra
     algebra_opts = argparse.ArgumentParser(add_help=False)
     algebra_opts.add_argument("--algebra", "-a", default="qmat:2,2",
-                              help="active algebra: qmat:M,N | qplane | uq-sl3-plus | "
-                                   "spec file")
+                              help="active algebra: qmat:M,N | %s | spec file"
+                                   % " | ".join(preset_names()))
     algebra_opts.add_argument("--steps-budget", type=int, default=STEPS_BUDGET,
                               help="rewriting step budget per normal form")
     loads = [json_opt, algebra_opts]

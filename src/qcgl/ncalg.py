@@ -317,25 +317,15 @@ class OreAlgebra:
         # when lambda_ji = 0, so that the swap to x_i x_j is left out; dterms
         # holds one (word, sign, k, rest) per term of d_j(x_i), its word a
         # list to join the list slices of a path.  A factor that is a signed
-        # power of q thus costs integer updates.  Coefficients repeat across
-        # pairs, so each object is split once; lam and delta keep every
-        # coefficient alive, so ids stay unique.
-        memo = {}
-
-        def split(c):
-            parts = memo.get(id(c))
-            if parts is None:
-                parts = memo[id(c)] = _qpow_parts(c)
-            return parts
-
+        # power of q thus costs integer updates.
         self._lam_parts = {}
         self._rows = rows = [[None] * (N + 1) for _ in range(N + 1)]
         for (j, i), v in self.lam.items():
-            parts = self._lam_parts[(j, i)] = split(v)
+            parts = self._lam_parts[(j, i)] = _qpow_parts(v)
             rows[i][j] = (parts if parts[2] is None or v else None, ())
         for (j, i), p in self.delta.items():
             rows[i][j] = (rows[i][j][0],
-                          tuple((list(dw),) + split(dc) for dw, dc in p.terms.items()))
+                          tuple((list(dw),) + _qpow_parts(dc) for dw, dc in p.terms.items()))
         self.level_q = {}
         for j in range(2, N + 1):
             try:

@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line (visible with -v or on failure) and
 asserts the criterion's verdict.
 """
 
+import ast
 import io
 import json
 import pathlib
@@ -12,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from qcgl import delderiv, presets, verify
+from qcgl import cauchon, delderiv, presets, verify
 from qcgl.cli import main
 from qcgl.coef import Q
 
@@ -47,20 +48,37 @@ def test_criterion_2_quantum_determinant_central():
 
 
 def test_criterion_3_cauchon_diagram_counts():
-    _report(verify.check_cauchon_counts(((2, 2), (2, 3), (3, 3))))
+    # 4x5 has 20 cells, the most --size admits; no check filters its 2^20 colourings
+    result = verify.check_cauchon_counts(((2, 2), (2, 3), (3, 3), (4, 5)))
+    _report(result)
+    assert "; 4x5: 41506 diagrams, 8 with one black box;" in result.detail
+
+
+@pytest.mark.parametrize("edit, why", [
+    (lambda ds: ds[1:], "(2,2): enumerated 13 diagrams, the poly-Bernoulli number is 14"),
+    (lambda ds: ds[:-1] + ds[:1], "(2,2): enumeration repeats a diagram"),
+    (lambda ds: ds[:-1] + [cauchon.CauchonDiagram(2, 2, frozenset({(2, 2)}))],
+     "(2,2): enumeration lists the invalid diagram [(2, 2)]"),
+])
+def test_criterion_3_fails_on_a_doctored_enumeration(monkeypatch, edit, why):
+    # a repeat or an invalid diagram keeps the total, so only those checks see it
+    monkeypatch.setattr(verify, "enumerate_diagrams",
+                        lambda m, n: edit(list(cauchon.enumerate_diagrams(m, n))))
+    result = verify.check_cauchon_counts(((2, 2),))
+    assert not result.ok and result.detail == why, result.detail
 
 
 def test_criterion_4_theta_is_a_homomorphism():
     result = verify.check_theta_homomorphism(((2, 2), (2, 3)))
     _report(result)
     assert "up to total degree 4" in result.detail
-    assert "oqm(2,2), oqm(2,3), uq-sl3-plus" in result.detail
+    assert "qmat:2,2, qmat:2,3, uq-sl3-plus" in result.detail
 
 
 def test_criterion_5_theta_expansions_agree():
     result = verify.check_theta_expansions(((2, 2), (2, 3)))
     _report(result)
-    assert "oqm(2,2), oqm(2,3), uq-sl3-plus" in result.detail
+    assert "qmat:2,2, qmat:2,3, uq-sl3-plus" in result.detail
 
 
 def _doubled_level_factor(n):
@@ -111,17 +129,17 @@ def test_criterion_4_counts_relations_and_sorted_words():
 
 @pytest.mark.parametrize("k, doctor, relation", [
     (0, lambda alg: alg.lam.update({(3, 1): alg.lam[(3, 1)] * Q}),
-     "oqm(2,2): relation x[2,1] x[1,1]"),
+     "qmat:2,2: relation x[2,1] x[1,1]"),
     (1, lambda alg: alg.delta.update({(5, 1): alg.delta[(5, 1)].scaled(2)}),
-     "oqm(2,3): relation x[2,2] x[1,1]"),
+     "qmat:2,3: relation x[2,2] x[1,1]"),
 ])
 def test_criterion_4_fails_on_a_wrong_relation(k, doctor, relation):
     # theta and the straightening rows read no lambda_ji or delta_ji with
     # j < N, so only the relation checks see such an entry change; the
     # doctored algebra is the k-th of the check's default shapes
     def doctored(label):
-        alg = verify.suite_algebra(label)
-        if label == ("oqm(2,2)", "oqm(2,3)")[k]:
+        alg = presets.load_algebra(label)
+        if label == ("qmat:2,2", "qmat:2,3")[k]:
             doctor(alg)
         return alg
 
@@ -152,7 +170,7 @@ def test_criterion_7_fails_on_an_unresolved_overlap():
     mutation, = (alg for label, alg, _ in verify.mutated_specs()
                  if label == "non-derivation-correction")
     result = verify.check_rewriting_soundness(
-        lambda label: mutation if label == "uq-sl3-plus" else verify.suite_algebra(label))
+        lambda label: mutation if label == "uq-sl3-plus" else presets.load_algebra(label))
     assert not result.ok
     assert "uq-sl3-plus" in result.detail and "g_3*g_2*g_1" in result.detail
 
@@ -190,7 +208,7 @@ def test_one_suite_run_builds_each_algebra_once(monkeypatch):
     # the table lives for one run: a second run reads the preset file again,
     # and no criterion changes an algebra that the others read
     built, reads = [], []
-    build, from_json = verify.suite_algebra, presets.from_json
+    build, from_json = verify.load_algebra, presets.from_json
 
     def counted_build(label):
         built.append((label, build(label)))
@@ -200,16 +218,44 @@ def test_one_suite_run_builds_each_algebra_once(monkeypatch):
         reads.append(doc)
         return from_json(doc)
 
-    monkeypatch.setattr(verify, "suite_algebra", counted_build)
+    monkeypatch.setattr(verify, "load_algebra", counted_build)
     monkeypatch.setattr(presets, "from_json", counted_read)
     assert all(r.ok for r in verify.run_paper_suite())
     labels = [label for label, _ in built]
     assert len(reads) == 1 and len(set(labels)) == len(labels), labels
-    assert {"oqm(2,2)", "oqm(4,4)", "qplane", "uq-sl3-plus"} <= set(labels)
+    assert {"qmat:2,2", "qmat:4,4", "qplane", "uq-sl3-plus"} <= set(labels)
     verify.run_paper_suite()
     assert len(reads) == 2 and len(built) == 2 * len(labels)
     for label, alg in built:
         assert presets.to_json(alg) == presets.to_json(build(label)), label
+
+
+def test_verify_resolves_algebras_only_through_presets():
+    # no second name-to-algebra map: every label goes through presets.load_algebra
+    named = set()
+    for node in ast.walk(ast.parse(pathlib.Path(verify.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            named.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(part for alias in node.names for part in alias.name.split("."))
+    assert not named & {"qmat", "oqm", "quantum_plane"}, named
+
+
+def test_every_suite_label_is_an_algebra_token(monkeypatch):
+    # a failing criterion names its algebra as `qcgl axioms -a LABEL` takes it
+    labels = []
+
+    def recorded(label):
+        labels.append(label)
+        return presets.load_algebra(label)
+
+    monkeypatch.setattr(verify, "load_algebra", recorded)
+    for size in (None, (2, 4), (1, 1)):
+        assert all(r.ok for r in verify.run_paper_suite(size))
+    assert {"qmat:1,1", "qmat:2,4", "qmat:4,4", "qplane", "uq-sl3-plus"} <= set(labels)
+    for label in sorted(set(labels)):
+        with redirect_stdout(io.StringIO()):
+            assert main(["axioms", "-a", label]) == 0, label
 
 
 def test_a_failed_preset_load_fails_each_criterion_that_reads_it(tmp_path, monkeypatch):
@@ -231,7 +277,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 @pytest.mark.parametrize("argv, golden", [
     (["verify", "paper", "--json"], "verify_paper.json"),
     (["verify", "paper", "--size", "2,2", "--json"], "verify_paper_2x2.json"),
-    # theta falls back to oqm(2,2), criterion 8 runs at its size
+    # theta falls back to qmat:2,2, criterion 8 runs at its size
     (["verify", "paper", "--size", "2,4", "--json"], "verify_paper_2x4.json"),
 ])
 def test_verify_paper_document_matches_its_golden_copy(argv, golden):

@@ -253,23 +253,25 @@ def test_histogram_totals():
 
 
 def test_validate_and_formats():
-    d = CauchonDiagram.validate(2, 2, {(1, 2), (2, 2)})
-    assert str(d) == ".#\n.#"
-    assert CauchonDiagram.from_text(str(d)) == d
+    # a diagram draws row-major, '#' black; is_valid refuses a black cell with
+    # neither its row-segment to the left nor its column-segment above black,
+    # and a cell off the grid
+    assert str(CauchonDiagram(2, 2, frozenset({(1, 2), (2, 2)}))) == ".#\n.#"
+    assert str(CauchonDiagram(2, 3, frozenset({(1, 1), (2, 1), (2, 2)}))) == "#..\n##."
     assert ((1, 2), (2, 2)) in diagram_cells(2, 2)
-    with pytest.raises(ValueError):
-        CauchonDiagram.validate(2, 2, {(2, 2)})
-    with pytest.raises(ValueError):
-        CauchonDiagram.from_text(".#\n#?")
+    assert not is_valid(2, 2, {(2, 2)})
+    assert not is_valid(2, 3, {(1, 1), (2, 3)})
+    for cell in ((0, 1), (1, 3), (3, 1)):
+        with pytest.raises(ValueError, match="outside the 2x2 grid"):
+            is_valid(2, 2, {(1, 1), cell})
 
 
 def test_empty_grids_are_refused():
-    for make in (lambda: CauchonDiagram.from_text(""),
-                 lambda: CauchonDiagram.from_text("\n\n"),
-                 lambda: CauchonDiagram.validate(0, 3, []),
-                 lambda: CauchonDiagram.validate(2, 0, [])):
-        with pytest.raises(ValueError, match="grid dimensions must be positive"):
-            make()
+    for m, n in ((0, 3), (2, 0), (0, 0), (-1, 2)):
+        for make in (lambda: count(m, n), lambda: count_by_black(m, n),
+                     lambda: list(enumerate_diagrams(m, n))):
+            with pytest.raises(ValueError, match="grid dimensions must be positive"):
+                make()
 
 
 def test_size_limit():
