@@ -16,7 +16,7 @@ from .ncalg import (
     format_poly,
 )
 from .qmat import QuantumMatrixAlgebra, oqm
-from .cauchon import CauchonDiagram, count, count_by_black, enumerate_diagrams, is_valid
+from .cauchon import count, count_by_black, enumerate_diagrams, is_valid
 from .delderiv import LaurentElem, format_laurent, laurent_mul, theta, theta_alt
 from .grassmann import extremal_normality_report, maximal_minors
 from .presets import load_algebra, load_preset, quantum_plane
@@ -24,7 +24,7 @@ from .presets import load_algebra, load_preset, quantum_plane
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxiomReport", "CauchonDiagram", "LaurentElem", "NcPoly",
+    "AxiomReport", "LaurentElem", "NcPoly",
     "NilpotenceBoundExceeded", "NormalityReport", "ONE", "OreAlgebra", "Q",
     "QuantumMatrixAlgebra", "RatFunc", "StepBudgetExceeded", "ZERO", "count",
     "count_by_black", "enumerate_diagrams", "extremal_normality_report",

@@ -10,9 +10,9 @@ number of black cells giving the height.
 Diagrams are built row by row: a row is admissible given only the set of
 columns that are black in every row above it (``_row_patterns``).  One
 walk lists every diagram that way, up to SIZE_LIMIT cells, as a join of
-per-row fragments: the row-major tuple of black cells (``diagram_cells``,
-wrapped by ``enumerate_diagrams``), or the JSON text or drawing that
-``cauchon list`` writes (``diagram_json``, ``diagram_drawings``).
+per-row fragments: the row-major tuple of black (row, col) cells, which is
+the one form a diagram has (``enumerate_diagrams``), or the JSON text or
+drawing that ``cauchon list`` writes (``diagram_json``, ``diagram_drawings``).
 ``count_by_black`` and ``count`` never list them: a
 row-transfer dynamic program keeps, for each such set of all-black columns,
 the histogram of black-cell counts of the partial diagrams reaching it,
@@ -28,43 +28,25 @@ therefore runs with the shorter side as columns, which bounds its states by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 SIZE_LIMIT = 20  # cells, for listing diagrams one by one
 COUNT_LIMIT = 64  # cells, for counting them; 8x8 takes about 0.08 s
 
 
-@dataclass(frozen=True)
-class CauchonDiagram:
-    m: int
-    n: int
-    black: frozenset
-
-    def __str__(self):
-        return draw(self.m, self.n, self.black)
-
-
-def draw(m, n, cells):
-    """m lines of n characters, '#' at each black (row, col) cell and '.'
-    elsewhere: one row-major grid, written once per black cell."""
-    grid = list(("." * n + "\n") * m)
-    for r, c in cells:
-        grid[(r - 1) * (n + 1) + c - 1] = "#"
-    return "".join(grid[:-1])
-
-
 def is_valid(m, n, black):
-    """The defining condition: each black cell is left-filled or top-filled."""
+    """The defining condition: each black cell is top-filled or left-filled.
+    The column segment above is tried first, as on grids with m <= n it is
+    the shorter one."""
     cells = set()
     for r, c in black:
         if not (1 <= r <= m and 1 <= c <= n):
             raise ValueError("cell (%d,%d) outside the %dx%d grid" % (r, c, m, n))
         cells.add((r, c))
     for r, c in cells:
-        if all((r, cc) in cells for cc in range(1, c)):
-            continue
         if all((rr, c) in cells for rr in range(1, r)):
+            continue
+        if all((r, cc) in cells for cc in range(1, c)):
             continue
         return False
     return True
@@ -126,29 +108,25 @@ def _walk(m, n, fragment, empty):
                       for part, nxt in moves(r, fullcols)][::-1]
 
 
-def diagram_cells(m, n):
-    """Every valid diagram as its row-major tuple of black (row, col) cells,
-    which is also its sorted order."""
-    return _walk(m, n, lambda r, p: tuple([(r, c) for c in p]), ())
+def enumerate_diagrams(m, n):
+    """Every valid diagram, exactly once, as its row-major tuple of black
+    (row, col) cells, which is also its sorted order."""
+    yield from _walk(m, n, lambda r, p: tuple([(r, c) for c in p]), ())
 
 
 def diagram_json(m, n):
     """Every valid diagram as the JSON text that json.dumps writes for its
-    `diagram_cells` tuple: rows add ", [r, c]" per black cell."""
+    `enumerate_diagrams` tuple: rows add ", [r, c]" per black cell."""
     return ("[" + text[2:] + "]" for text in
             _walk(m, n, lambda r, p: "".join([", [%d, %d]" % (r, c) for c in p]), ""))
 
 
 def diagram_drawings(m, n):
-    """Every valid diagram as `draw` draws it: rows add a newline and their line."""
-    return (text[1:] for text in
-            _walk(m, n, lambda r, p: "\n" + draw(1, n, [(1, c) for c in p]), ""))
-
-
-def enumerate_diagrams(m, n):
-    """All valid diagrams, exactly once, by row-wise construction."""
-    for cells in diagram_cells(m, n):
-        yield CauchonDiagram(m, n, frozenset(cells))
+    """Every valid diagram drawn as m lines of n characters, '#' at each black
+    cell and '.' elsewhere: rows add a newline and their line."""
+    return (text[1:] for text in _walk(
+        m, n, lambda r, p: "\n" + "".join(["#" if c in p else "." for c in range(1, n + 1)]),
+        ""))
 
 
 def count(m, n):

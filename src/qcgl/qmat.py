@@ -89,7 +89,7 @@ class QuantumMatrixAlgebra(OreAlgebra):
             raise ValueError("minor index needs equally many rows and columns, at least one")
         if any(s[t] >= s[t + 1] for s in (rows, cols) for t in range(len(s) - 1)):
             raise ValueError("minor index sets must be strictly increasing")
-        if rows[-1] > self.m or cols[-1] > self.n:
+        if rows[0] < 1 or cols[0] < 1 or rows[-1] > self.m or cols[-1] > self.n:
             raise ValueError("minor [%s|%s] does not fit the %dx%d grid"
                              % (",".join(map(str, rows)), ",".join(map(str, cols)),
                                 self.m, self.n))

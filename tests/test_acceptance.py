@@ -9,6 +9,7 @@ import io
 import json
 import pathlib
 import re
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -57,7 +58,9 @@ def test_criterion_3_cauchon_diagram_counts():
 @pytest.mark.parametrize("edit, why", [
     (lambda ds: ds[1:], "(2,2): enumerated 13 diagrams, the poly-Bernoulli number is 14"),
     (lambda ds: ds[:-1] + ds[:1], "(2,2): enumeration repeats a diagram"),
-    (lambda ds: ds[:-1] + [cauchon.CauchonDiagram(2, 2, frozenset({(2, 2)}))],
+    # the same cells in another order are the same diagram
+    (lambda ds: ds[:-1] + [ds[-2][::-1]], "(2,2): enumeration repeats a diagram"),
+    (lambda ds: ds[:-1] + [((2, 2),)],
      "(2,2): enumeration lists the invalid diagram [(2, 2)]"),
 ])
 def test_criterion_3_fails_on_a_doctored_enumeration(monkeypatch, edit, why):
@@ -66,6 +69,28 @@ def test_criterion_3_fails_on_a_doctored_enumeration(monkeypatch, edit, why):
                         lambda m, n: edit(list(cauchon.enumerate_diagrams(m, n))))
     result = verify.check_cauchon_counts(((2, 2),))
     assert not result.ok and result.detail == why, result.detail
+
+
+def test_criterion_3_streams_the_enumeration():
+    # a seen-table of 2^16 bytes and the height counts; listing the 4,050
+    # diagrams and setting their cell sets peaked at 5.38 MiB
+    tracemalloc.start()
+    try:
+        result = verify.check_cauchon_counts(((4, 4),))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.ok, result.detail
+    assert peak < 2**20, peak
+
+
+@pytest.mark.parametrize("m, n", [(5, 5), (8, 8)])
+def test_criterion_3_refuses_a_grid_past_the_enumeration_limit(m, n):
+    # the enumerator's own refusal, before any 2^(m*n) table is made
+    result = verify.check_cauchon_counts(((m, n),))
+    assert not result.ok
+    assert result.detail == ("raised ValueError: grid with %d cells exceeds the "
+                             "enumeration limit of 20" % (m * n)), result.detail
 
 
 def test_criterion_4_theta_is_a_homomorphism():

@@ -9,8 +9,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from qcgl import qmat
-from qcgl.cauchon import CauchonDiagram, count, enumerate_diagrams
+from qcgl import cli, qmat
+from qcgl.cauchon import count, diagram_drawings, enumerate_diagrams
 from qcgl.cli import LIST_LIMIT, main
 from qcgl.coef import ONE, Q, RatFunc
 from qcgl.delderiv import LaurentElem, format_laurent, theta
@@ -390,17 +390,17 @@ def test_cli_cauchon_bounds():
 
 def test_cli_cauchon_list_json_builds_no_text(monkeypatch):
     # sorted (row, col) tuples, which json writes as [row, col] arrays
-    expected = json.loads(json.dumps([sorted(d.black) for d in enumerate_diagrams(3, 4)]))
+    expected = json.loads(json.dumps(list(enumerate_diagrams(3, 4))))
     with monkeypatch.context() as patch:
-        def refuse(self):
+        def refuse(m, n):
             raise AssertionError("text formatted under --json")
-        patch.setattr(CauchonDiagram, "__str__", refuse)
+        patch.setattr(cli, "diagram_drawings", refuse)
         rc, out, _ = run_cli(["cauchon", "list", "3", "4", "--json"])
     assert rc == 0
     assert json.loads(out)["result"]["diagrams"] == expected and len(expected) == 1066
     rc, out, _ = run_cli(["cauchon", "list", "2", "2"])
     assert rc == 0
-    assert out == "\n\n".join(str(d) for d in enumerate_diagrams(2, 2)) + "\n"
+    assert out == "\n\n".join(diagram_drawings(2, 2)) + "\n"
     assert out.count("\n\n") == count(2, 2) - 1
 
 
@@ -456,8 +456,6 @@ def test_cli_budgets():
 
 
 def test_cli_maps_resource_and_arithmetic_errors_to_exit_codes(monkeypatch):
-    from qcgl import cli
-
     # ZeroDivisionError is an ArithmeticError, but stays a usage error
     cases = [(ZeroDivisionError("division by zero"), 2, "error: division by zero\n"),
              (OverflowError("int too large"), 1, "error: int too large\n"),
@@ -582,6 +580,9 @@ def test_cli_minor_size_bound(monkeypatch):
         assert "at most %d rows" % qmat.MAX_MINOR_ROWS in err, argv
     with pytest.raises(AssertionError, match="permutations enumerated"):
         oqm(9, 9).minor(range(1, 10), range(1, 10))
+    # an index below 1 names the minor the user wrote, not one of its generators
+    for argv in (["minor", "0,1", "1,2"], ["nf", "[0,1|1,2]"]):
+        assert run_cli(argv) == (2, "", "error: minor [0,1|1,2] does not fit the 2x2 grid\n")
     # an index that is no integer names the form minor expects
     for rows, cols in (("1,x", "1,2"), ("1,2", "1,"), ("", "1")):
         assert run_cli(["minor", rows, cols]) == (
@@ -632,3 +633,13 @@ def test_cli_uq_preset_relation():
     rc, out, _ = run_cli(["nf", "-a", "uq-sl3-plus", "g_3*g_1"])
     assert rc == 0
     assert out.strip() == "-q*g_2 + q*g_1*g_3"
+
+
+def test_every_exported_name_resolves():
+    # `from qcgl import *` reads __all__, so a deleted export breaks it
+    import qcgl
+
+    assert all(hasattr(qcgl, name) for name in qcgl.__all__)
+    namespace = {}
+    exec("from qcgl import *", namespace)
+    assert set(qcgl.__all__) <= set(namespace)

@@ -81,6 +81,10 @@ def test_minor_index_validation():
         ALG22.minor((), ())
     with pytest.raises(ValueError, match=r"minor \[1,3\|1,2\] does not fit the 2x2 grid"):
         ALG22.minor((1, 3), (1, 2))
+    # an index below 1 is refused by the same check, not by the generator it names
+    for rows, cols in (((0, 1), (1, 2)), ((1, 2), (0, 2))):
+        with pytest.raises(ValueError, match="does not fit the 2x2 grid"):
+            ALG22.minor(rows, cols)
     assert ALG22.minor([1, 2], iter((1, 2))) == ALG22.det()
 
 
