@@ -20,7 +20,9 @@ is both an ExprEvalError and a ZeroDivisionError.  The atom X denotes the
 active algebra's top generator inside the localised skew extension and is
 accepted only where Laurent values make sense.  Parentheses and unary minus
 nest at most MAX_DEPTH levels deep, and an exponent is at most MAX_EXPONENT in
-absolute value; input beyond either bound is a syntax error.  A chain of + and
+absolute value; input beyond either bound is a syntax error.  A power is
+built by products, and one whose partial power passes MAX_POWER_SIZE terms
+and coefficient entries is an evaluation error.  A chain of + and
 - parses to one ("sum", [(op, node), ...]) node and a chain of * and / to one
 ("prod", ...) node, so evaluation folds over a chain in a loop and a long flat
 sum or product costs no recursion depth.
@@ -43,6 +45,11 @@ _TOKEN_RE = re.compile(
 )
 MAX_DEPTH = 100
 MAX_EXPONENT = 4096  # powers are built by repeated products
+# Bound on a partial power's terms plus coefficient entries (_size).  On a
+# 2-CPU machine under Python 3.11 the largest powers within it took 0.05 s
+# for (q+1)^509 and 0.43 s for ((q+1)/(q-1))^254, whose products take gcds;
+# unbounded, (q+1)^2048 took 1.4 s and (x[1,1]+x[1,2])^128 23.7 s.
+MAX_POWER_SIZE = 512
 
 
 class ExprSyntaxError(ValueError):
@@ -255,26 +262,40 @@ def _ev_add(alg, a, b):
     return _promote(alg, a) + _promote(alg, b)
 
 
+def _size(value):
+    """Terms plus coefficient entries: one per term, and one per integer of
+    each coefficient's numerator and denominator, through Laurent values."""
+    if isinstance(value, LaurentElem):
+        return sum(1 + _size(p) for p in value.terms.values())
+    return sum(1 + len(c.n) + len(c.d) for c in value.terms.values())
+
+
 def _ev_pow(alg, base, k, allow_x):
-    if k >= 0:
-        out = NcPoly.scalar(ONE)
-        for _ in range(k):
-            out = _ev_mul(alg, out, base)
-        return out
-    c = _as_scalar(base)
-    if c is not None:
-        if not c:
-            raise ExprDivisionByZero("negative power of 0")
-        return NcPoly.scalar(c.inverse() ** (-k))
-    if allow_x and alg.N >= 2:
-        base = _promote(alg, base)  # c x_N^k is c X^k
-    if isinstance(base, LaurentElem):
-        mono = base.scalar_x_power()
-        if mono is not None:
-            c, j = mono
-            inv = LaurentElem.from_poly(NcPoly.scalar(c.inverse()), -j)
-            return _ev_pow(alg, inv, -k, allow_x)
-    raise ExprEvalError("negative powers are defined only for scalars and powers of X")
+    """base^k by k products, refused once a partial power is past
+    MAX_POWER_SIZE; a negative power is the power of the inverse of a
+    scalar or of c X^j."""
+    written = k
+    if k < 0:
+        k = -k
+        c = _as_scalar(base)
+        if c is not None:
+            if not c:
+                raise ExprDivisionByZero("negative power of 0")
+            base = NcPoly.scalar(c.inverse())
+        else:
+            if allow_x and alg.N >= 2:
+                base = _promote(alg, base)  # c x_N^k is c X^k
+            mono = base.scalar_x_power() if isinstance(base, LaurentElem) else None
+            if mono is None:
+                raise ExprEvalError("negative powers are defined only for scalars and powers of X")
+            base = LaurentElem.from_poly(NcPoly.scalar(mono[0].inverse()), -mono[1])
+    out = NcPoly.scalar(ONE)
+    for done in range(1, k + 1):
+        out = _ev_mul(alg, out, base)
+        if _size(out) > MAX_POWER_SIZE:
+            raise ExprEvalError("the power ^%d passes %d terms and coefficient entries at ^%d"
+                                % (written, MAX_POWER_SIZE, done))
+    return out
 
 
 def evaluate(alg, source, allow_x=False):

@@ -581,9 +581,89 @@ class OreAlgebra:
         return s
 
     def is_normal(self, a):
-        """q-commutation exponents of a against every generator."""
-        exps = tuple(self.qcommute_exponent(a, self.gen(i)) for i in range(1, self.N + 1))
-        return NormalityReport(self.names, exps)
+        """q-commutation exponents of a against every generator, one product
+        pair per orbit of the certified symmetries that fix a.
+
+        If tau fixes a and a x = q^s x a, then a tau(x) = q^s tau(x) a for an
+        automorphism tau and q^-s for an anti-automorphism, and no power for x
+        means none for tau(x).  So the first generator of each orbit, in index
+        order, is checked and the rest of its orbit follows by rule; a map is
+        kept only when tau(a) = a in normal form and respects_relations
+        certifies it in this call.  With no such map every generator is checked.
+        """
+        maps = []
+        for table, anti in self.symmetries():
+            try:
+                if self.image(table, anti, a) == a and self.respects_relations(table, anti):
+                    maps.append((table, anti))
+            except StepBudgetExceeded:
+                pass  # uncertified: its generators are checked one by one
+        exps = {}
+        for i in range(1, self.N + 1):
+            if i in exps:
+                continue
+            exps[i] = self.qcommute_exponent(a, self.gen(i))
+            orbit = [i]
+            for x in orbit:
+                for table, anti in maps:
+                    y = table[x - 1]
+                    if y not in exps:
+                        s = exps[x]
+                        exps[y] = -s if anti and s is not None else s
+                        orbit.append(y)
+        return NormalityReport(self.names, tuple(exps[i] for i in range(1, self.N + 1)))
+
+    # -- symmetries ------------------------------------------------------------
+
+    def symmetries(self):
+        """Candidate (anti-)automorphisms as (table, anti) pairs: table[i - 1]
+        is the index of the image of x_i, and anti says the map reverses
+        products.  A family that knows its maps overrides this; nothing is
+        trusted before respects_relations certifies it."""
+        return ()
+
+    def image(self, table, anti, a):
+        """The image of a under the generator table, in normal form: each
+        word's letters are mapped, and reversed when anti, then straightened."""
+        out = {}
+        for w, c in a.terms.items():
+            self._straighten(out, tuple(table[g - 1] for g in (w[::-1] if anti else w)), c)
+        return NcPoly(out)
+
+    def respects_relations(self, table, anti):
+        """True when the generator table is an automorphism (anti false) or an
+        anti-automorphism (anti true) of the algebra.
+
+        The table must be an involutive permutation of 1..N.  The map is then
+        well defined, and bijective, exactly when it sends both sides of every
+        relation x_j x_i = lambda_ji x_i x_j + d_j(x_i) to one element: with
+        (a, b) the image of the pair, x_a x_b by the algebra's own rule must
+        equal lambda_ji x_b x_a by that rule plus the image of d_j(x_i).  Only
+        the images of the d_j(x_i) are straightened.
+        """
+        N = self.N
+        if len(table) != N or set(table) != set(range(1, N + 1)):
+            return False
+        if any(table[table[i] - 1] != i + 1 for i in range(N)):
+            return False
+        for (j, i), lam in self.lam.items():
+            a, b = (table[i - 1], table[j - 1]) if anti else (table[j - 1], table[i - 1])
+            d = self.delta.get((j, i))
+            right = self.image(table, anti, d).terms if d else {}
+            if a > b:
+                left = self._rule(a, b)
+                add_terms(right, (((b, a), lam),))
+            else:  # x_a x_b is a PBW word
+                left = {(a, b): ONE}
+                add_terms(right, self._rule(b, a).items(), lam)
+            if left != right:
+                return False
+        return True
+
+    def _rule(self, j, i):
+        """x_j x_i for j > i by the declared relations, as a term dict."""
+        out = dict(self.delta[(j, i)].terms) if (j, i) in self.delta else {}
+        return add_terms(out, (((i, j), self.lam[(j, i)]),))
 
     # -- CGL axioms ----------------------------------------------------------
 

@@ -80,6 +80,20 @@ class QuantumMatrixAlgebra(OreAlgebra):
     def x(self, i, j):
         return self.gen(self.gen_index(i, j))
 
+    def symmetries(self):
+        """rho: x_ij -> x_{m+1-i,n+1-j}, an anti-automorphism on every grid;
+        on a square grid also the transposition T: x_ij -> x_ji, an
+        automorphism, and rho T: x_ij -> x_{n+1-j,n+1-i}, an anti-automorphism.
+        Each fixes det_q; is_normal certifies them before use."""
+        m, n = self.m, self.n
+        cells = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+        rho = tuple(self.gen_index(m + 1 - i, n + 1 - j) for i, j in cells)
+        if m != n:
+            return ((rho, True),)
+        return ((rho, True),
+                (tuple(self.gen_index(j, i) for i, j in cells), False),
+                (tuple(self.gen_index(n + 1 - j, n + 1 - i) for i, j in cells), True))
+
     # -- minors -------------------------------------------------------------
 
     def minor(self, rows, cols):
@@ -129,7 +143,8 @@ class QuantumMatrixAlgebra(OreAlgebra):
     def height_one_hprime_generators(self):
         """The m+n-1 elements b_1..b_n, c_1..c_{m-1} (requires m <= n)."""
         if self.m > self.n:
-            raise ValueError("defined for m <= n; transpose first")
+            raise ValueError("b_i and c_i are defined for m <= n; use qmat:%d,%d"
+                             % (self.n, self.m))
         out = [self.b_minor(i) for i in range(1, self.n + 1)]
         out.extend(self.c_minor(i) for i in range(1, self.m))
         return out

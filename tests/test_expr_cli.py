@@ -14,8 +14,8 @@ from qcgl.cauchon import count, diagram_drawings, enumerate_diagrams
 from qcgl.cli import LIST_LIMIT, main
 from qcgl.coef import ONE, Q, RatFunc
 from qcgl.delderiv import LaurentElem, format_laurent, theta
-from qcgl.expr import (MAX_EXPONENT, ExprEvalError, ExprSyntaxError, eval_free,
-                       evaluate, parse, parse_scalar)
+from qcgl.expr import (MAX_EXPONENT, MAX_POWER_SIZE, ExprEvalError, ExprSyntaxError,
+                       eval_free, evaluate, parse, parse_scalar)
 from qcgl.ncalg import MAX_WEIGHT, NcPoly, format_poly
 from qcgl.presets import load_preset, quantum_plane, to_json
 from qcgl.qmat import oqm
@@ -368,6 +368,31 @@ def test_cli_exponent_cap():
     for text in ("x[1,1]^%d" % (MAX_EXPONENT + 1), "q^-%d" % (MAX_EXPONENT + 1)):
         rc, _, err = run_cli(["nf", "--", text])
         assert rc == 2 and "exceeds" in err and "position" in err
+
+
+def test_cli_power_size_bound():
+    # a partial power is refused once its terms plus coefficient entries pass
+    # the bound: (q+1)^k has one term and k+1 numerator entries over 1
+    largest = MAX_POWER_SIZE - 3
+    rc, out, err = run_cli(["nf", "--", "(q+1)^%d" % largest])
+    assert rc == 0, err
+    for text, power, at in (("(q+1)^%d" % (largest + 1), "^%d" % (largest + 1), largest + 1),
+                            ("(q+1)^-2048", "^-2048", largest + 1),
+                            ("(x[1,1]+x[1,2])^128", "^128", None),
+                            ("((q+1)/(q-1))^4096", "^4096", None)):
+        rc, out, err = run_cli(["nf", "--", text])
+        assert rc == 2 and not out, text
+        assert err.startswith("error: the power %s passes %d terms" % (power, MAX_POWER_SIZE)), err
+        if at is not None:
+            assert err.rstrip().endswith("at ^%d" % at), err
+    with pytest.raises(ExprEvalError, match="passes"):
+        parse_scalar("(q+1)^%d" % (largest + 1))
+    # powers of one word or of a signed power of q stay small at any exponent
+    for text, want in (("x[1,1]^1000", "x[1,1]^1000"), ("q^%d" % MAX_EXPONENT, "q^%d" % MAX_EXPONENT),
+                       ("(-q)^-%d" % MAX_EXPONENT, "q^-%d" % MAX_EXPONENT),
+                       ("(q*x[2,2]^2)^-1", "q^-1*X^-2")):
+        rc, out, err = run_cli(["nf", "--", text])
+        assert rc == 0 and out.strip() == want, (text, out, err)
 
 
 def test_cli_cauchon_bounds():

@@ -114,7 +114,7 @@ def test_height_one_generators():
     assert gens == [ALG22.x(1, 2), ALG22.det(), ALG22.x(2, 1)]
     assert oqm(1, 1).height_one_hprime_generators() == [oqm(1, 1).gen(1)]
     assert len(ALG23.height_one_hprime_generators()) == 4
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"use qmat:2,3$"):
         oqm(3, 2).height_one_hprime_generators()
 
 
