@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 
-from . import verify as verify_mod
 from .cauchon import SIZE_LIMIT, count, count_by_black, diagram_drawings, diagram_json
 from .delderiv import LaurentElem, format_laurent, theta, theta_alt
 from .expr import evaluate
@@ -217,7 +216,9 @@ def _cmd_verify(args):
             raise ValueError("--size expects m,n") from None
         if not (1 <= m <= n and m * n <= SIZE_LIMIT):
             raise ValueError("--size m,n needs 1 <= m <= n and m*n <= %d" % SIZE_LIMIT)
-    results = verify_mod.run_paper_suite(size=size)
+    from .verify import run_paper_suite  # imported here: no other command needs it
+
+    results = run_paper_suite(size=size)
     ok = all(r.ok for r in results)
     lines = []
     for r in results:

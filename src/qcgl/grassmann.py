@@ -11,19 +11,18 @@ all of them by one power of q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 from .qmat import oqm
 
 
-@dataclass
 class ExtremalNormalityReport:
-    m: int
-    n: int
-    entries: list  # (which, J, exponent or None)
-    twist: tuple   # per extreme: common exponent on its adjacent minors, or None
+    def __init__(self, m, n, entries, twist):
+        self.m = m
+        self.n = n
+        self.entries = entries  # (which, J, exponent or None)
+        self.twist = twist      # per extreme: common exponent on its adjacent minors, or None
 
     @property
     def ok(self):

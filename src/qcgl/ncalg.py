@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from .coef import ONE, ZERO, RatFunc, is_root_of_unity
 
@@ -182,6 +181,18 @@ def format_poly(names, p):
     return _format_terms(names, ((w, c, "") for w, c in p.sorted_terms()))
 
 
+def _word_factors(names, w):
+    """The factors of a word in generator names, a run of one letter as x[1,1]^3."""
+    i = 0
+    while i < len(w):
+        j = i
+        while j < len(w) and w[j] == w[i]:
+            j += 1
+        name = names[w[i] - 1]
+        yield name if j - i == 1 else "%s^%d" % (name, j - i)
+        i = j
+
+
 def _format_terms(names, triples):
     """Join (word, coefficient, trailing X-factor) triples into a signed sum."""
     chunks = []
@@ -195,14 +206,7 @@ def _format_terms(names, triples):
             if c.den == (1,) and sum(1 for x in c.num if x) > 1:
                 cs = "(" + cs + ")"
             factors.append(cs)
-        i = 0
-        while i < len(w):
-            j = i
-            while j < len(w) and w[j] == w[i]:
-                j += 1
-            name = names[w[i] - 1]
-            factors.append(name if j - i == 1 else "%s^%d" % (name, j - i))
-            i = j
+        factors.extend(_word_factors(names, w))
         if xfac:
             factors.append(xfac)
         body = "*".join(factors)
@@ -217,10 +221,10 @@ def _format_terms(names, triples):
 # reports
 
 
-@dataclass
 class NormalityReport:
-    names: tuple
-    exponents: tuple  # int per generator, or None where no power of q works
+    def __init__(self, names, exponents):
+        self.names = names
+        self.exponents = exponents  # int per generator, or None where no power of q works
 
     @property
     def ok(self):
@@ -234,17 +238,17 @@ class NormalityReport:
         return "\n".join(lines + [verdict])
 
 
-@dataclass
 class AxiomCheck:
-    level: int
-    axiom: str
-    ok: bool
-    detail: str = ""
+    def __init__(self, level, axiom, ok, detail=""):
+        self.level = level
+        self.axiom = axiom
+        self.ok = ok
+        self.detail = detail
 
 
-@dataclass
 class AxiomReport:
-    checks: list
+    def __init__(self, checks):
+        self.checks = checks
 
     @property
     def ok(self):
@@ -390,7 +394,7 @@ class OreAlgebra:
         leftmost reduction; each call straightens afresh."""
         return NcPoly(self._straighten({}, tuple(word), ONE))
 
-    def _straighten(self, out, word, c):
+    def _straighten(self, out, word, c, start=1):
         """Add c * NF(word) into the dict out, as add_terms does, and return it.
 
         Leftmost reduction is insertion sort: with the prefix cur[:n] sorted,
@@ -400,14 +404,16 @@ class OreAlgebra:
         sorted prefix is the letters before j, and lambda_jx = 0 ends the
         path.  Every path starts from c, split as by _qpow_parts, so a c that
         is a signed power of q costs no Q(q) product; out is left as it was
-        when the step budget runs out.
+        when the step budget runs out.  A caller whose word[:start] is
+        already sorted may start the insertion there: the sorted prefix
+        takes no step.
         """
         rows = self._rows
         budget = self.steps_budget
         leaves = []
         # a path is (letters, n, sign, k, rest): its letters[:n] are sorted and
         # its coefficient is rest * sign * q^k, rest None standing for 1
-        stack = [(list(word), 1) + _qpow_parts(c)]
+        stack = [(list(word), start) + _qpow_parts(c)]
         steps = 0
         while stack:
             cur, n, sign, k, rest = stack.pop()
@@ -454,12 +460,13 @@ class OreAlgebra:
         for wa, ca in a.terms.items():
             for wb, cb in b.terms.items():
                 c = cb if ca.is_one() else ca if cb.is_one() else ca * cb
-                self._straighten(out, wa + wb, c)
+                # wa is a PBW word, so the insertion starts after it
+                self._straighten(out, wa + wb, c, len(wa) or 1)
         return NcPoly(out)
 
     def word_text(self, word):
-        """A word of generator indices in generator names, as x[1,2]*x[1,1]."""
-        return "*".join(self.names[g - 1] for g in word)
+        """A word of generator indices in generator names, as x[1,2]*x[1,1]^2."""
+        return "*".join(_word_factors(self.names, word))
 
     # -- level maps -------------------------------------------------------------
 

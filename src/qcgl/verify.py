@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import time
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, islice
 from math import factorial
 
@@ -38,12 +37,12 @@ DEFAULT_SIZES = ((2, 2), (2, 3), (3, 3))
 THETA_DEGREE = 3  # criteria 4 and 5 check words of A_(N-1) up to this degree
 
 
-@dataclass
 class CheckResult:
-    name: str
-    ok: bool
-    detail: str
-    seconds: float
+    def __init__(self, name, ok, detail, seconds):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
+        self.seconds = seconds
 
 
 def _criterion(name):

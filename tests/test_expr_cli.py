@@ -3,6 +3,8 @@ import json
 import random
 import re
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from qcgl.coef import ONE, Q, RatFunc
 from qcgl.delderiv import LaurentElem, format_laurent, theta
 from qcgl.expr import (MAX_EXPONENT, MAX_POWER_SIZE, ExprEvalError, ExprSyntaxError,
                        eval_free, evaluate, parse, parse_scalar)
-from qcgl.ncalg import MAX_WEIGHT, NcPoly, format_poly
+from qcgl.ncalg import MAX_WEIGHT, STEPS_BUDGET, NcPoly, format_poly
 from qcgl.presets import load_preset, quantum_plane, to_json
 from qcgl.qmat import oqm
 from qcgl.schema import OUTPUT_SCHEMA
@@ -388,7 +390,8 @@ def test_cli_power_size_bound():
     with pytest.raises(ExprEvalError, match="passes"):
         parse_scalar("(q+1)^%d" % (largest + 1))
     # powers of one word or of a signed power of q stay small at any exponent
-    for text, want in (("x[1,1]^1000", "x[1,1]^1000"), ("q^%d" % MAX_EXPONENT, "q^%d" % MAX_EXPONENT),
+    for text, want in (("x[1,1]^%d" % MAX_EXPONENT, "x[1,1]^%d" % MAX_EXPONENT),
+                       ("q^%d" % MAX_EXPONENT, "q^%d" % MAX_EXPONENT),
                        ("(-q)^-%d" % MAX_EXPONENT, "q^-%d" % MAX_EXPONENT),
                        ("(q*x[2,2]^2)^-1", "q^-1*X^-2")):
         rc, out, err = run_cli(["nf", "--", text])
@@ -476,6 +479,10 @@ def test_cli_budgets():
     assert rc == 1 and err == "error: straightening x[2,2]*x[1,1] exceeded 0 steps\n"
     rc, out, _ = run_cli(["nf", "x[1,1]*x[2,2]", "--steps-budget", "0"])
     assert rc == 0 and out.strip() == "x[1,1]*x[2,2]"
+    # the word that ran out is named with its runs as powers, as normal forms are
+    rc, _, err = run_cli(["nf", "-a", "qmat:2,2", "x[2,2]^2000*x[1,1]"])
+    assert rc == 1 and err == "error: straightening x[2,2]^2000*x[1,1] exceeded %d steps\n" \
+        % STEPS_BUDGET
     rc, _, err = run_cli(["theta", "x[1,1]", "--nilpotence-bound", "0"])
     assert rc == 1 and "bound 0" in err
 
@@ -668,3 +675,15 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from qcgl import *", namespace)
     assert set(qcgl.__all__) <= set(namespace)
+
+
+def test_start_up_imports_neither_dataclasses_nor_the_verify_suite():
+    # every process pays for what importing the CLI imports: the report
+    # classes are plain classes, and only `verify` loads the suite; -S keeps
+    # the interpreter's site-packages hooks out of the count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, %r); import qcgl, qcgl.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'qcgl.verify'} & set(sys.modules)))" % src)
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert done.stdout == "[]\n", done.stdout

@@ -426,7 +426,7 @@ def test_steps_budget_guard():
         tiny.normal_form_word((4, 4, 1, 1))
     assert info.value.word == (4, 4, 1, 1)
     assert info.value.steps == 2
-    assert str(info.value) == "straightening x[2,2]*x[2,2]*x[1,1]*x[1,1] exceeded 1 steps"
+    assert str(info.value) == "straightening x[2,2]^2*x[1,1]^2 exceeded 1 steps"
 
 
 # The reference straightener: one Q(q) product per rewriting step and per
