@@ -19,7 +19,7 @@ from .qmat import QuantumMatrixAlgebra, oqm
 from .cauchon import count, count_by_black, enumerate_diagrams, is_valid
 from .delderiv import LaurentElem, format_laurent, laurent_mul, theta, theta_alt
 from .grassmann import extremal_normality_report, maximal_minors
-from .presets import load_algebra, load_preset, quantum_plane
+from .presets import load_algebra, load_preset
 
 __version__ = "0.1.0"
 
@@ -30,5 +30,5 @@ __all__ = [
     "count_by_black", "enumerate_diagrams", "extremal_normality_report",
     "format_laurent", "format_poly", "is_root_of_unity", "is_valid", "laurent_mul",
     "load_algebra", "load_preset", "maximal_minors", "oqm", "q_factorial", "q_int",
-    "qpow", "quantum_plane", "theta", "theta_alt",
+    "qpow", "theta", "theta_alt",
 ]

@@ -19,7 +19,7 @@ from .delderiv import LaurentElem, format_laurent, theta, theta_alt
 from .expr import evaluate
 from .ncalg import (NILPOTENCE_BOUND, STEPS_BUDGET, NilpotenceBoundExceeded,
                     StepBudgetExceeded, format_poly)
-from .presets import load_algebra, load_preset, load_unchecked, preset_names, to_json
+from .presets import load_algebra, load_unchecked, preset_names, to_json
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -31,14 +31,15 @@ def build_parser():
     """The command-line parser, built once per process and shared by every call."""
     json_opt = argparse.ArgumentParser(add_help=False)
     json_opt.add_argument("--json", action="store_true", help="machine-readable output")
-    # for the commands that load an algebra
-    algebra_opts = argparse.ArgumentParser(add_help=False)
-    algebra_opts.add_argument("--algebra", "-a", default="qmat:2,2",
-                              help="active algebra: qmat:M,N | %s | spec file"
-                                   % " | ".join(preset_names()))
-    algebra_opts.add_argument("--steps-budget", type=int, default=STEPS_BUDGET,
-                              help="rewriting step budget per normal form")
-    loads = [json_opt, algebra_opts]
+    algebra_opt = argparse.ArgumentParser(add_help=False)
+    algebra_opt.add_argument("--algebra", "-a", default="qmat:2,2",
+                             help="active algebra: qmat:M,N | %s | spec file"
+                                  % " | ".join(preset_names()))
+    # for the commands that compute in an algebra
+    budget_opt = argparse.ArgumentParser(add_help=False)
+    budget_opt.add_argument("--steps-budget", type=int, default=STEPS_BUDGET,
+                            help="rewriting step budget per normal form")
+    loads = [json_opt, algebra_opt, budget_opt]
     bounded = argparse.ArgumentParser(add_help=False, parents=loads)
     bounded.add_argument("--nilpotence-bound", type=int, default=NILPOTENCE_BOUND,
                          help="bound for nilpotence-terminated computations")
@@ -51,10 +52,8 @@ def build_parser():
                     "Options such as --json and --algebra go after the command.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("algebra", parents=[json_opt],
-                       help="print the serialized spec of a named algebra")
-    p.add_argument("kind", choices=["qmat", "qplane", "preset"])
-    p.add_argument("params", nargs="*", help="qmat: M N; preset: NAME")
+    sub.add_parser("algebra", parents=[json_opt, algebra_opt],
+                   help="print the serialized spec of a named algebra")
 
     p = sub.add_parser("nf", parents=loads, help="normal form of an expression")
     p.add_argument("expr")
@@ -115,17 +114,7 @@ def _load(args, load=load_algebra):
 
 
 def _cmd_algebra(args):
-    form = {"qmat": "M N", "qplane": "", "preset": "NAME"}[args.kind]
-    if len(args.params) != len(form.split()):
-        raise ValueError(("usage: algebra %s %s" % (args.kind, form)).rstrip())
-    if args.kind == "qmat":
-        # the envelope names the printed algebra
-        args.algebra = "qmat:%s,%s" % tuple(args.params)
-        alg = load_algebra(args.algebra)
-    else:
-        args.algebra = args.params[0] if args.params else "qplane"
-        alg = load_preset(args.algebra)
-    doc = to_json(alg)
+    doc = to_json(load_algebra(args.algebra))
     return True, {"spec": doc}, json.dumps(doc, indent=2)
 
 

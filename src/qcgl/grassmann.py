@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .qmat import oqm
+from .presets import load_algebra
 
 
 class ExtremalNormalityReport:
@@ -30,11 +30,12 @@ class ExtremalNormalityReport:
                 and all(s is not None for s in self.twist))
 
 
-def maximal_minors(m, n):
-    """(algebra, {J: minor}) for the m x m minors [1..m|J] of the m x n algebra."""
+def maximal_minors(m, n, resolve=load_algebra):
+    """(algebra, {J: minor}) for the m x m minors [1..m|J] of the m x n
+    algebra, which resolve builds from its token qmat:m,n."""
     if m > n:
         raise ValueError("needs m <= n")
-    alg = oqm(m, n)
+    alg = resolve("qmat:%d,%d" % (m, n))
     rows = tuple(range(1, m + 1))
     return alg, {J: alg.minor(rows, J) for J in combinations(range(1, n + 1), m)}
 
@@ -47,12 +48,12 @@ def _common(exps):
     return values.pop() if values else 0
 
 
-def extremal_normality_report(m, n):
+def extremal_normality_report(m, n, resolve=load_algebra):
     """q-commutation of the two extreme minors against every maximal minor,
     and the twist each one induces on its adjacent minors."""
     if comb(n, m) > 20:
         raise ValueError("more than 20 maximal minors; out of desk scale")
-    alg, minors = maximal_minors(m, n)
+    alg, minors = maximal_minors(m, n, resolve)
     extremes = (("[1..m]", tuple(range(1, m + 1))),
                 ("[n-m+1..n]", tuple(range(n - m + 1, n + 1))))
     entries = [(which, J, alg.qcommute_exponent(minors[u], minor))

@@ -625,9 +625,10 @@ class OreAlgebra:
     def symmetries(self):
         """Candidate (anti-)automorphisms as (table, anti) pairs: table[i - 1]
         is the index of the image of x_i, and anti says the map reverses
-        products.  A family that knows its maps overrides this; nothing is
-        trusted before respects_relations certifies it."""
-        return ()
+        products.  Every algebra offers index reversal x_i -> x_(N+1-i) as an
+        anti-automorphism; a family that knows more maps adds them.  Nothing
+        is trusted before respects_relations certifies it."""
+        return ((tuple(range(self.N, 0, -1)), True),)
 
     def image(self, table, anti, a):
         """The image of a under the generator table, in normal form: each

@@ -2,9 +2,10 @@
 --algebra tokens.
 
 This is the only module that knows the named algebras: the quantum matrix
-family (a `qmat:M,N` token, or a spec document tagged `"qmat": [M, N]`), the
-quantum plane and the shipped spec files; and the only one that knows the
-spec document, which to_json writes and from_json reads and checks.
+family (a `qmat:M,N` token, or a spec document tagged `"qmat": [M, N]`) and
+the shipped spec files under data/, the quantum plane among them; and the
+only one that knows the spec document, which to_json writes and from_json
+reads and checks.
 load_unchecked turns a token into an algebra; load_algebra, and load_preset
 through it, then rejects every algebra but an oqm that fails the CGL axioms,
 before any computation: theta and the powers of X rely on axiom (a).  The
@@ -14,35 +15,21 @@ check runs at the default step budget: the CLI sets --steps-budget after it.
 from __future__ import annotations
 
 import json
-from importlib import resources
-from pathlib import Path
+import os
 
-from .coef import ONE, Q
 from .expr import eval_free, parse_scalar
 from .ncalg import OreAlgebra, format_poly
 from .qmat import QuantumMatrixAlgebra, oqm
 
 _FILE_PRESETS = {
+    "qplane": "data/qplane.json",
     "uq-sl3-plus": "data/uq-sl3-plus.json",
 }
 _SPEC_KEYS = ("names", "torus_rank", "lambda", "delta", "level_q", "weights", "h")
 
 
-def quantum_plane():
-    """The quantum affine plane: g_2 g_1 = q g_1 g_2, no correction terms."""
-    return OreAlgebra(
-        names=("g_1", "g_2"),
-        lam={(2, 1): Q},
-        delta={},
-        level_q={2: Q},
-        torus_rank=2,
-        weights=[(1, 0), (0, 1)],
-        h_elems=[(Q, ONE), (Q, Q)],
-    )
-
-
 def preset_names():
-    return ["qplane"] + sorted(_FILE_PRESETS)
+    return sorted(_FILE_PRESETS)
 
 
 def load_preset(name):
@@ -66,7 +53,7 @@ def load_algebra(token):
 
 
 def load_unchecked(token):
-    """The algebra of a token: qmat:M,N | qplane | preset name | file path,
+    """The algebra of a token: qmat:M,N | preset name | file path,
     taken as it stands, so that `qcgl axioms` can report on it.  A spec
     document tagged "qmat": [M, N] must equal oqm(M, N), and gives it."""
     if token.startswith("qmat:"):
@@ -75,15 +62,15 @@ def load_unchecked(token):
         except ValueError:
             raise ValueError("expected qmat:M,N with integer M, N")
         return oqm(m, n)
-    if token == "qplane":
-        return quantum_plane()
-    path = (resources.files("qcgl").joinpath(_FILE_PRESETS[token]) if token in _FILE_PRESETS
-            else Path(token))
+    path = (os.path.join(os.path.dirname(__file__), _FILE_PRESETS[token])
+            if token in _FILE_PRESETS else token)
     try:
-        with path.open("r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError:
+        fh = open(path, encoding="utf-8")
+    except (OSError, ValueError):  # ValueError: a NUL byte in the path
         raise ValueError("unknown algebra %r: not a preset and not a readable file" % token)
+    try:
+        with fh:
+            doc = json.load(fh)
     except RecursionError:
         raise ValueError("spec file %r nests too deeply to be a cgl-spec-v1 document" % token)
     except ValueError as exc:  # not UTF-8, or not JSON

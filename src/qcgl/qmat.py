@@ -81,18 +81,18 @@ class QuantumMatrixAlgebra(OreAlgebra):
         return self.gen(self.gen_index(i, j))
 
     def symmetries(self):
-        """rho: x_ij -> x_{m+1-i,n+1-j}, an anti-automorphism on every grid;
-        on a square grid also the transposition T: x_ij -> x_ji, an
-        automorphism, and rho T: x_ij -> x_{n+1-j,n+1-i}, an anti-automorphism.
-        Each fixes det_q; is_normal certifies them before use."""
-        m, n = self.m, self.n
-        cells = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
-        rho = tuple(self.gen_index(m + 1 - i, n + 1 - j) for i, j in cells)
-        if m != n:
-            return ((rho, True),)
-        return ((rho, True),
-                (tuple(self.gen_index(j, i) for i, j in cells), False),
-                (tuple(self.gen_index(n + 1 - j, n + 1 - i) for i, j in cells), True))
+        """rho: x_ij -> x_{m+1-i,n+1-j}, which is index reversal in row-major
+        order, an anti-automorphism on every grid; on a square grid also the
+        transposition T: x_ij -> x_ji, an automorphism, and
+        rho T: x_ij -> x_{n+1-j,n+1-i}, an anti-automorphism.  Each fixes
+        det_q; is_normal certifies them before use."""
+        maps, n = super().symmetries(), self.n
+        if self.m != n:
+            return maps
+        cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        return maps + (
+            (tuple(self.gen_index(j, i) for i, j in cells), False),
+            (tuple(self.gen_index(n + 1 - j, n + 1 - i) for i, j in cells), True))
 
     # -- minors -------------------------------------------------------------
 

@@ -361,10 +361,10 @@ def check_rewriting_soundness(resolve=load_algebra):
 
 
 @_criterion("8-grassmannian-extremal-normality")
-def check_grassmann(sizes=((2, 3), (2, 4))):
+def check_grassmann(sizes=((2, 3), (2, 4)), resolve=load_algebra):
     twists = []
     for m, n in sizes:
-        report = extremal_normality_report(m, n)
+        report = extremal_normality_report(m, n, resolve)
         if not report.ok:
             return False, ("extremal normality fails at (%d,%d), twist %s"
                            % (m, n, report.twist))
@@ -412,6 +412,6 @@ def run_paper_suite(size=None):
         check_theta_expansions(theta_shapes, resolve),
         check_cgl_axioms(resolve),
         check_rewriting_soundness(resolve),
-        check_grassmann(grass_sizes),
+        check_grassmann(grass_sizes, resolve),
         check_torsionfree(sizes, resolve),
     ]

@@ -230,8 +230,8 @@ def test_full_suite_through_the_cli_entry_point():
 
 
 def test_one_suite_run_builds_each_algebra_once(monkeypatch):
-    # the table lives for one run: a second run reads the preset file again,
-    # and no criterion changes an algebra that the others read
+    # the table lives for one run: a second run reads the two preset files
+    # again, and no criterion changes an algebra that the others read
     built, reads = [], []
     build, from_json = verify.load_algebra, presets.from_json
 
@@ -247,10 +247,10 @@ def test_one_suite_run_builds_each_algebra_once(monkeypatch):
     monkeypatch.setattr(presets, "from_json", counted_read)
     assert all(r.ok for r in verify.run_paper_suite())
     labels = [label for label, _ in built]
-    assert len(reads) == 1 and len(set(labels)) == len(labels), labels
+    assert len(reads) == 2 and len(set(labels)) == len(labels), labels
     assert {"qmat:2,2", "qmat:4,4", "qplane", "uq-sl3-plus"} <= set(labels)
     verify.run_paper_suite()
-    assert len(reads) == 2 and len(built) == 2 * len(labels)
+    assert len(reads) == 4 and len(built) == 2 * len(labels)
     for label, alg in built:
         assert presets.to_json(alg) == presets.to_json(build(label)), label
 
@@ -264,6 +264,20 @@ def test_verify_resolves_algebras_only_through_presets():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             named.update(part for alias in node.names for part in alias.name.split("."))
     assert not named & {"qmat", "oqm", "quantum_plane"}, named
+    # in the whole package, only presets builds a named algebra: qmat defines
+    # the family and oqm, and no module builds the quantum plane in code
+    builders, identifiers = set(), set()
+    for path in sorted(pathlib.Path(presets.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "name", None) or getattr(node, "id", None) or getattr(
+                node, "attr", None)
+            identifiers.add(name)
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                callee = getattr(node.func, "id", None) or node.func.attr
+                if callee in ("oqm", "QuantumMatrixAlgebra"):
+                    builders.add((path.stem, callee))
+    assert builders == {("presets", "oqm"), ("qmat", "QuantumMatrixAlgebra")}, builders
+    assert "quantum_plane" not in identifiers
 
 
 def test_every_suite_label_is_an_algebra_token(monkeypatch):

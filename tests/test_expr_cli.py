@@ -19,7 +19,7 @@ from qcgl.delderiv import LaurentElem, format_laurent, theta
 from qcgl.expr import (MAX_EXPONENT, MAX_POWER_SIZE, ExprEvalError, ExprSyntaxError,
                        eval_free, evaluate, parse, parse_scalar)
 from qcgl.ncalg import MAX_WEIGHT, STEPS_BUDGET, NcPoly, format_poly
-from qcgl.presets import load_preset, quantum_plane, to_json
+from qcgl.presets import load_preset, to_json
 from qcgl.qmat import oqm
 from qcgl.schema import OUTPUT_SCHEMA
 from qcgl.verify import mutated_specs
@@ -117,12 +117,12 @@ def test_syntax_errors_carry_positions():
     with pytest.raises(ExprEvalError):
         evaluate(ALG, "g_1")  # unknown generator for this algebra
     with pytest.raises(ExprEvalError):
-        evaluate(quantum_plane(), "[1|1]")  # minors need a matrix algebra
+        evaluate(load_preset("qplane"), "[1|1]")  # minors need a matrix algebra
 
 
 def test_print_parse_identity_on_normal_forms():
     rng = random.Random(0)
-    for alg in (ALG, oqm(2, 3), quantum_plane()):
+    for alg in (ALG, oqm(2, 3), load_preset("qplane")):
         for _ in range(40):
             p = random_poly(alg, rng)
             assert evaluate(alg, format_poly(alg.names, p)) == p
@@ -211,8 +211,8 @@ def test_cli_json_outputs_validate():
         ["theta", "--json", "x[1,1]"],
         ["theta", "--json", "--alt", "x[1,1]"],
         ["axioms", "--json"],
-        ["algebra", "qmat", "2", "2", "--json"],
-        ["algebra", "preset", "uq-sl3-plus", "--json"],
+        ["algebra", "-a", "qmat:2,2", "--json"],
+        ["algebra", "-a", "uq-sl3-plus", "--json"],
         ["nf", "--json", "-a", "uq-sl3-plus", "g_3*g_1"],
     ]
     for argv in cases:
@@ -225,9 +225,11 @@ def test_cli_json_outputs_validate():
 
 def test_cli_algebra_from_spec_file(tmp_path):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(to_json(quantum_plane())), encoding="utf-8")
+    path.write_text(json.dumps(to_json(load_preset("qplane"))), encoding="utf-8")
     rc, out, _ = run_cli(["nf", "-a", str(path), "g_2*g_1"])
     assert rc == 0 and out.strip() == "q*g_1*g_2"
+    # `algebra` prints a spec file's document as it prints the preset's
+    assert run_cli(["algebra", "-a", str(path)]) == run_cli(["algebra", "-a", "qplane"])
 
 
 def test_cli_spec_file_failing_the_axioms_is_rejected_at_load(tmp_path):
@@ -247,7 +249,7 @@ def test_cli_spec_file_failing_the_axioms_is_rejected_at_load(tmp_path):
 
 def test_cli_spec_file_breaking_the_order_lemma_is_refused(tmp_path):
     # criterion 7's termination order needs each delta(j,i) below x_j
-    doc = to_json(quantum_plane())
+    doc = to_json(load_preset("qplane"))
     doc["delta"] = [[2, 1, "g_2"]]
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -276,7 +278,7 @@ def test_cli_spec_file_missing_keys(tmp_path):
 
 
 def test_cli_spec_file_not_an_object(tmp_path):
-    rc, err = _spec_file_rc(tmp_path, json.dumps([to_json(quantum_plane())]))
+    rc, err = _spec_file_rc(tmp_path, json.dumps([to_json(load_preset("qplane"))]))
     assert rc == 2 and err.startswith("error:")
 
 
@@ -330,7 +332,7 @@ def test_cli_spec_file_bad_entries(tmp_path):
              ("lambda", [[2, 1, ["pow", ["q"], MAX_EXPONENT + 1]]]),
              ("h", [[["q"], "1"], ["q", "q"]])]
     for key, value in cases:
-        doc = to_json(quantum_plane())
+        doc = to_json(load_preset("qplane"))
         doc[key] = value
         path.write_text(json.dumps(doc), encoding="utf-8")
         rc, _, err = run_cli(["axioms", "-a", str(path)])
@@ -503,10 +505,10 @@ def test_cli_maps_resource_and_arithmetic_errors_to_exit_codes(monkeypatch):
 
 
 # Each command takes only the options its handler reads: --json everywhere,
-# --algebra and --steps-budget where an algebra is loaded, --nilpotence-bound
-# on theta and axioms, --seed on verify.
+# --algebra where an algebra is loaded, --steps-budget where one computes,
+# --nilpotence-bound on theta and axioms, --seed on verify.
 _COMMAND_ARGS = {
-    "algebra": ["qplane"],
+    "algebra": [],
     "nf": ["x[2,2]*x[1,1]"],
     "minor": ["1,2", "1,2"],
     "qcommute": ["x[1,1]", "x[1,2]"],
@@ -521,7 +523,7 @@ _OPTION_VALUES = {"--json": [], "-a": ["qmat:2,2"], "--algebra": ["qmat:2,2"],
                   "--seed": ["7"], "--nilpotence-bound": ["8"], "--steps-budget": ["100"]}
 _LOADS = {"--json", "-a", "--algebra", "--steps-budget"}
 _TAKES = {
-    "algebra": {"--json"},
+    "algebra": {"--json", "-a", "--algebra"},
     "nf": _LOADS, "minor": _LOADS, "qcommute": _LOADS, "normal": _LOADS, "weight": _LOADS,
     "cauchon": {"--json"},
     "theta": _LOADS | {"--nilpotence-bound"},
@@ -546,7 +548,7 @@ def test_cli_options_per_command(monkeypatch):
                 run_cli(argv)
             assert exc.value.code == 2, argv
             dropped += option != "--algebra"  # one slot with -a
-    assert dropped == 23
+    assert dropped == 22
 
 
 def test_cli_reuses_one_parser():
@@ -566,9 +568,10 @@ def test_cli_reuses_one_parser():
 
 
 def test_cli_envelope_names_the_algebra():
-    for argv, algebra in ((["algebra", "qmat", "2", "3"], "qmat:2,3"),
-                          (["algebra", "qplane"], "qplane"),
-                          (["algebra", "preset", "uq-sl3-plus"], "uq-sl3-plus"),
+    for argv, algebra in ((["algebra", "-a", "qmat:2,3"], "qmat:2,3"),
+                          (["algebra", "-a", "qplane"], "qplane"),
+                          (["algebra", "-a", "uq-sl3-plus"], "uq-sl3-plus"),
+                          (["algebra"], "qmat:2,2"),
                           (["nf", "g_2", "-a", "qplane"], "qplane"),
                           (["axioms"], "qmat:2,2"),
                           (["cauchon", "count", "2", "2"], None)):
@@ -577,10 +580,14 @@ def test_cli_envelope_names_the_algebra():
 
 
 def test_cli_algebra_parameter_counts():
-    for argv in (["algebra", "qplane", "foo", "bar"], ["algebra", "qplane", "2"],
-                 ["algebra", "qmat", "2"], ["algebra", "preset"]):
-        rc, out, err = run_cli(argv)
-        assert rc == 2 and err.startswith("error: usage:") and not out, argv
+    # `algebra` names its algebra with -a like every other command
+    for argv in (["algebra", "qplane"], ["algebra", "qmat", "2", "3"],
+                 ["algebra", "preset", "uq-sl3-plus"], ["algebra", "-a"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2, argv
+    rc, out, err = run_cli(["algebra", "-a", "no-such-algebra"])
+    assert rc == 2 and not out and err.startswith("error: unknown algebra 'no-such-algebra'")
 
 
 def test_cli_quantum_matrix_size_bound(tmp_path):
@@ -592,7 +599,7 @@ def test_cli_quantum_matrix_size_bound(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     for argv in (["nf", "-a", "qmat:21,20", "x[1,1]"], ["nf", "-a", "qmat:1,401", "x[1,1]"],
-                 ["algebra", "qmat", "21", "20"], ["algebra", "qmat", "1", "401"],
+                 ["algebra", "-a", "qmat:21,20"], ["algebra", "-a", "qmat:1,401"],
                  ["axioms", "-a", str(path)]):
         rc, out, err = run_cli(argv)
         assert rc == 2 and err.startswith("error:") and "at most 400" in err, argv
@@ -679,11 +686,15 @@ def test_every_exported_name_resolves():
 
 def test_start_up_imports_neither_dataclasses_nor_the_verify_suite():
     # every process pays for what importing the CLI imports: the report
-    # classes are plain classes, and only `verify` loads the suite; -S keeps
-    # the interpreter's site-packages hooks out of the count
+    # classes are plain classes, only `verify` loads the suite, and presets
+    # finds its files beside its module with open, not through
+    # importlib.resources; -S keeps the interpreter's site-packages hooks out
+    # of the count
     src = str(Path(__file__).resolve().parents[1] / "src")
+    unwanted = {"dataclasses", "inspect", "qcgl.verify", "importlib.resources", "pathlib",
+                "tempfile"}
     code = ("import sys; sys.path.insert(0, %r); import qcgl, qcgl.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'qcgl.verify'} & set(sys.modules)))" % src)
+            "print(sorted(%r & set(sys.modules)))" % (src, unwanted))
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           check=True, timeout=60)
     assert done.stdout == "[]\n", done.stdout

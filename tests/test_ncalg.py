@@ -11,7 +11,7 @@ from qcgl import ncalg
 from qcgl.delderiv import _binomials
 from qcgl.ncalg import (NILPOTENCE_BOUND, NcPoly, NilpotenceBoundExceeded, OreAlgebra,
                         StepBudgetExceeded, format_poly)
-from qcgl.presets import from_json, load_preset, quantum_plane, to_json
+from qcgl.presets import from_json, load_preset, to_json
 from qcgl.qmat import oqm
 from qcgl.verify import mutated_specs
 from sampling import random_poly, random_word, transpose, transpose_word
@@ -156,7 +156,7 @@ def test_qcommute_exponent_is_none_on_each_branch():
     assert general.qcommute_exponent(g(1), g(2)) is None
     # (g_1 + g_2) g_1 = g_1^2 + q g_1 g_2 and g_1 (g_1 + g_2) = g_1^2 + g_1 g_2:
     # the first term's ratio is q^0, the later term's q
-    plane = quantum_plane()
+    plane = load_preset("qplane")
     a, b = NcPoly({(1,): ONE, (2,): ONE}), plane.gen(1)
     ab, ba = products(plane, a, b)
     assert list(ab.terms) == [(1, 1), (1, 2)] and set(ba.terms) == set(ab.terms)
@@ -190,7 +190,7 @@ def test_axioms_pass_on_presets():
     report = ALG22.check_cgl_axioms()
     assert report.ok, str(report)
     assert ALG22.level_q[4] == qpow(-2)
-    assert quantum_plane().check_cgl_axioms().ok
+    assert load_preset("qplane").check_cgl_axioms().ok
 
 
 def test_axioms_reject_broken_specs():
@@ -316,7 +316,7 @@ def test_overlap_check_passes_on_valid_data():
         checks = _overlap_checks(alg)
         assert [c.level for c in checks] == list(range(3, alg.N + 1))
         assert all(c.ok for c in checks), alg
-    assert _overlap_checks(quantum_plane()) == []
+    assert _overlap_checks(load_preset("qplane")) == []
 
 
 def test_overlaps_resolve_beyond_the_suite():
@@ -328,7 +328,7 @@ def test_overlaps_resolve_beyond_the_suite():
 
 def test_a_correction_above_its_level_is_refused():
     # the order lemma behind criterion 7 needs each delta(j,i) below x_j
-    plane = quantum_plane()
+    plane = load_preset("qplane")
     with pytest.raises(ValueError, match=r"^delta\(2,1\) uses a generator index >= 2$"):
         OreAlgebra(plane.names, plane.lam, {(2, 1): plane.gen(2)}, plane.level_q,
                    plane.torus_rank, plane.weights, plane.h_elems)
@@ -371,7 +371,7 @@ def test_scaled_correction_term_is_still_a_valid_cgl_datum():
 
 def test_twist_identity_extends_to_random_elements():
     rng = random.Random(5)
-    for alg in (ALG22, quantum_plane()):
+    for alg in (ALG22, load_preset("qplane")):
         for j in range(2, alg.N + 1):
             qj = alg.level_q[j]
             for _ in range(25):
@@ -480,7 +480,7 @@ def _with_budget(alg, budget):
 
 def test_rewrite_table_matches_the_reference_straightener():
     rng = random.Random(11)
-    algebras = [oqm(2, 3), oqm(3, 3), quantum_plane(), load_preset("uq-sl3-plus"),
+    algebras = [oqm(2, 3), oqm(3, 3), load_preset("qplane"), load_preset("uq-sl3-plus"),
                 _general_coefficient_algebra()]
     for alg in algebras:
         for _ in range(60):
@@ -535,7 +535,7 @@ def _cancelling_pair(alg):
 
 
 def _straightener_algebras():
-    return [oqm(2, 3), oqm(3, 3), quantum_plane(), load_preset("uq-sl3-plus"),
+    return [oqm(2, 3), oqm(3, 3), load_preset("qplane"), load_preset("uq-sl3-plus"),
             _general_coefficient_algebra()]
 
 
@@ -715,7 +715,7 @@ def test_is_torsionfree_matches_the_lattice_reference():
 
 
 def test_serialization_round_trip():
-    for alg in (ALG22, ALG23, quantum_plane()):
+    for alg in (ALG22, ALG23, load_preset("qplane")):
         doc = json.loads(json.dumps(to_json(alg)))
         again = from_json(doc)
         # built as written: a qmat tag is the loader's to read (test_presets)

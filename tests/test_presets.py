@@ -1,6 +1,6 @@
 import json
+import os
 import re
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -8,11 +8,27 @@ import pytest
 from qcgl import presets
 from qcgl.cli import main
 from qcgl.ncalg import StepBudgetExceeded
-from qcgl.presets import from_json, load_algebra, load_preset, quantum_plane, to_json
+from qcgl.coef import ONE, Q
+from qcgl.ncalg import OreAlgebra
+from qcgl.presets import from_json, load_algebra, load_preset, to_json
 from qcgl.qmat import QuantumMatrixAlgebra, oqm
 
 
+def quantum_plane():
+    """The quantum affine plane: g_2 g_1 = q g_1 g_2, no correction terms."""
+    return OreAlgebra(
+        names=("g_1", "g_2"),
+        lam={(2, 1): Q},
+        delta={},
+        level_q={2: Q},
+        torus_rank=2,
+        weights=[(1, 0), (0, 1)],
+        h_elems=[(Q, ONE), (Q, Q)],
+    )
+
+
 def test_named_presets_load_and_pass_axioms():
+    assert presets.preset_names() == ["qplane", "uq-sl3-plus"]
     assert load_preset("qplane").spec_equals(quantum_plane())
     uq = load_preset("uq-sl3-plus")
     assert uq.N == 3
@@ -21,11 +37,14 @@ def test_named_presets_load_and_pass_axioms():
 
 
 def test_writer_reproduces_the_shipped_preset():
-    # no test generates data/uq-sl3-plus.json, so this pins the writer
-    shipped = resources.files("qcgl").joinpath(presets._FILE_PRESETS["uq-sl3-plus"])
-    doc = to_json(load_preset("uq-sl3-plus"))
-    assert doc == json.loads(shipped.read_text(encoding="utf-8"))
-    assert from_json(doc).spec_equals(load_preset("uq-sl3-plus"))
+    # no test generates the files under data/, so this pins the writer
+    for name in presets.preset_names():
+        path = os.path.join(os.path.dirname(presets.__file__), presets._FILE_PRESETS[name])
+        with open(path, encoding="utf-8") as fh:
+            shipped = json.load(fh)
+        doc = to_json(load_preset(name))
+        assert doc == shipped, name
+        assert from_json(doc).spec_equals(load_preset(name)), name
 
 
 def test_only_presets_knows_the_spec_format():
@@ -96,6 +115,14 @@ def test_load_algebra_tokens(tmp_path, capsys):
         assert rc == 2 and text.startswith("error: " + message) and text.count("\n") == 1
 
 
+def test_a_token_with_a_nul_byte_is_unreadable(capsys):
+    # open refuses the path with a ValueError, which is no JSON error
+    message = "unknown algebra 'a\\x00b': not a preset and not a readable file"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_algebra("a\0b")
+    assert _cli(["nf", "-a", "a\0b", "1"], capsys) == (2, "error: %s\n" % message)
+
+
 def _tagged_file(tmp_path, doc, tag):
     path = tmp_path / "tagged.json"
     path.write_text(json.dumps(dict(doc, qmat=tag)), encoding="utf-8")
@@ -103,8 +130,8 @@ def _tagged_file(tmp_path, doc, tag):
 
 
 def test_qmat_tagged_spec_files_load_as_oqm(tmp_path, capsys):
-    # the spec that `algebra qmat 2 3` prints loads back as oqm(2,3), minors included
-    rc, text = _cli(["algebra", "qmat", "2", "3", "--json"], capsys)
+    # the spec that `algebra -a qmat:2,3` prints loads back as oqm(2,3), minors included
+    rc, text = _cli(["algebra", "-a", "qmat:2,3", "--json"], capsys)
     doc = json.loads(text)["result"]["spec"]
     assert rc == 0 and doc["qmat"] == [2, 3]
     path = _tagged_file(tmp_path, doc, [2, 3])

@@ -1,4 +1,5 @@
-"""Certified (anti-)automorphisms of quantum matrices and normality per orbit.
+"""Certified (anti-)automorphisms and normality per orbit: index reversal on
+every algebra, and on square quantum matrices also T and rho T.
 
 is_normal checks one generator per orbit of the certified maps that fix its
 argument and fills in the rest by rule; every table here is compared with
@@ -15,7 +16,9 @@ import pytest
 from qcgl import verify
 from qcgl.cli import main
 from qcgl.coef import Q
+from qcgl.expr import evaluate
 from qcgl.ncalg import NormalityReport, OreAlgebra, StepBudgetExceeded
+from qcgl.presets import load_preset
 from qcgl.qmat import oqm
 
 GOLDEN_MINORS = Path(__file__).resolve().parent.parent / "perfbench" / "golden_minors.json"
@@ -44,6 +47,60 @@ def test_quantum_matrix_symmetries_are_certified():
         assert [anti for _, anti in maps] == ([True, False, True] if m == n else [True])
         for table, anti in maps:
             assert alg.respects_relations(table, anti), (m, n, table)
+
+
+def test_rho_is_index_reversal_on_every_grid():
+    for m in range(1, 5):
+        for n in range(1, 6):
+            alg = oqm(m, n)
+            rho = tuple(alg.gen_index(m + 1 - i, n + 1 - j)
+                        for i in range(1, m + 1) for j in range(1, n + 1))
+            assert alg.symmetries()[0] == (rho, True) == (tuple(range(m * n, 0, -1)), True)
+
+
+def test_index_reversal_is_certified_on_the_presets():
+    for name in ("qplane", "uq-sl3-plus"):
+        alg = load_preset(name)
+        ((table, anti),) = alg.symmetries()
+        assert anti and table == tuple(range(alg.N, 0, -1))
+        assert alg.respects_relations(table, True), name
+        assert not alg.respects_relations(table, False), name
+
+
+# elements of the presets: index reversal fixes all but g_1, whose image is g_3
+PRESET_ELEMENTS = [("uq-sl3-plus", "g_2"), ("uq-sl3-plus", "g_1*g_3"),
+                   ("uq-sl3-plus", "(1-q^2)*g_1*g_3+q^2*g_2"), ("uq-sl3-plus", "g_1+g_3"),
+                   ("qplane", "g_1*g_2"), ("uq-sl3-plus", "g_1")]
+
+
+@pytest.mark.parametrize("name, text", PRESET_ELEMENTS)
+def test_preset_orbit_route_matches_the_full_check(monkeypatch, name, text):
+    alg = load_preset(name)
+    a = evaluate(alg, text)
+    want = full_check(alg, a)
+    (table, anti), = alg.symmetries()
+    calls = counting_calls(monkeypatch)
+    assert alg.is_normal(a).exponents == want
+    # a fixed element checks one generator per orbit: {1, N}, {2} on uq-sl3-plus
+    fixed = alg.image(table, anti, a) == a
+    assert fixed == (text != "g_1")
+    assert len(calls) == ((alg.N + 1) // 2 if fixed else alg.N)
+
+
+@pytest.mark.parametrize("name, text", PRESET_ELEMENTS)
+def test_preset_orbit_route_stops_where_the_full_check_stops(name, text):
+    for budget in range(8):
+        alg = load_preset(name)
+        a = evaluate(alg, text)
+        alg.steps_budget = budget
+        try:
+            want = full_check(alg, a)
+        except StepBudgetExceeded as exc:
+            with pytest.raises(StepBudgetExceeded) as got:
+                alg.is_normal(a)
+            assert str(got.value) == str(exc), (budget, text)
+        else:
+            assert alg.is_normal(a).exponents == want, (budget, text)
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (4, 4), (5, 5),
